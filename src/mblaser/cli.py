@@ -33,8 +33,8 @@ from .ensemble import sum_S, sum_Sigma  # noqa: E402
 from .errors import CapacityError, NumericsError, ValidationError  # noqa: E402
 from .model import ground_state  # noqa: E402
 from .poincare import poincare_analytic, poincare_numeric  # noqa: E402
-from .spectrum import (assemble_blocks, resonance_verdict,  # noqa: E402
-                       threshold_scan)
+from .spectrum import (DENSE_CAP, assemble_blocks,  # noqa: E402
+                       resonance_verdict, threshold_scan)
 from .verify import run_all  # noqa: E402
 
 
@@ -106,7 +106,13 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
+def _require_positive(value: int, flag: str) -> None:
+    if value < 1:
+        raise ValidationError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_simulate(args) -> int:
+    _require_positive(args.samples_per_period, "--samples-per-period")
     cfg = _load(args)
     e = cfg.build_ensemble()
     state0 = ground_state(e.n)
@@ -154,7 +160,13 @@ def cmd_spectrum(args) -> int:
     cfg = _load(args)
     e = cfg.build_ensemble()
     bd = assemble_blocks(e, cfg.kappa, d_variant=args.d_variant)
-    rep = resonance_verdict(bd, method=args.method, verdict_tol=cfg.verdict_tol)
+    method, skipped = args.method, None
+    if method == "both" and e.n > DENSE_CAP:
+        method = "polynomial"
+        skipped = (f"N = {e.n} exceeds the dense cap {DENSE_CAP}: "
+                   "ran the polynomial route only")
+        print(f"note: dense route skipped, {skipped}", file=sys.stderr)
+    rep = resonance_verdict(bd, method=method, verdict_tol=cfg.verdict_tol)
     payload = {
         "config": cfg.describe(),
         "method": rep.method,
@@ -170,6 +182,8 @@ def cmd_spectrum(args) -> int:
                                for c in rep.maxwell_components],
         "roots_near_one": rep.roots_near_one,
     }
+    if skipped is not None:
+        payload["dense_skipped"] = skipped
     if rep.polynomial_roots is not None:
         payload["polynomial_roots"] = rep.polynomial_roots
     if rep.cross_discrepancy is not None:
@@ -179,12 +193,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_threshold_scan(args) -> int:
+    _require_positive(args.steps, "--steps")
     cfg = _load(args)
     e = cfg.build_ensemble()
     if args.pump_min <= 0 or args.pump_max <= args.pump_min:
         raise ValidationError("need 0 < pump-min < pump-max")
     grid = np.geomspace(args.pump_min, args.pump_max, args.steps)
-    points = threshold_scan(e, cfg.kappa, grid)
+    points = threshold_scan(e, cfg.kappa, grid, verdict_tol=cfg.verdict_tol)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pump_amplitude", "max_abs_mu", "resonance",

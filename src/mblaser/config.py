@@ -208,12 +208,16 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     run = parser["run"] if parser.has_section("run") else {}
     if run:
         _check_keys(run, _RUN_KEYS, "run")
+    vals = _floats(run, _RUN_KEYS - {"method"})
     settings = OdeSettings(
-        rel_tol=float(run.get("rel_tol", 1e-10)),
-        abs_tol=float(run.get("abs_tol", 1e-10)),
-        max_step=float(run.get("max_step", "inf")),
+        rel_tol=vals.get("rel_tol", 1e-10),
+        abs_tol=vals.get("abs_tol", 1e-10),
+        max_step=vals.get("max_step", float("inf")),
         method=run.get("method", "DOP853").strip(),
     )
+    verdict_tol = vals.get("verdict_tol", 1e-9)
+    if not verdict_tol >= 0.0:
+        raise ValidationError(f"verdict_tol must be >= 0, got {verdict_tol!r}")
 
     return RunConfig(
         params=params, hypothesis=hypothesis, n=n, seed=seed,
@@ -226,7 +230,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         active_volume=float(ens["active_volume"])
         if "active_volume" in ens else None,
         settings=settings,
-        verdict_tol=float(run.get("verdict_tol", 1e-9)),
+        verdict_tol=verdict_tol,
     )
 
 

@@ -14,6 +14,7 @@ sum used by the reduced eigenproblem, Sigma = E (P.X)^2 (P.a_p)^2.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional, Tuple, Union
 
@@ -139,24 +140,20 @@ class Ensemble:
                 gamma=float(self.gamma[i]),
             )
 
-    def with_pump_amplitude(self, pump_amplitude: float) -> "Ensemble":
-        """Same medium, rescaled pumping: gamma_n scales linearly with a_p."""
+    def pump_factor(self, pump_amplitude: float) -> float:
+        """The factor that takes gamma_n (and the pump field) to ``pump_amplitude``."""
         if pump_amplitude < 0:
             raise ValidationError("pump amplitude must be >= 0")
         if self.pump_amplitude == 0:
             raise ValidationError("reference ensemble has zero pumping")
-        factor = pump_amplitude / self.pump_amplitude
-        return Ensemble(
-            hypothesis=self.hypothesis, seed=self.seed, kappa=self.kappa,
-            alpha=self.alpha, beta=self.beta, gamma=self.gamma * factor,
-            positions=self.positions, dipoles=self.dipoles,
-            mode_values=self.mode_values, pump_values=self.pump_values * factor,
-            mode_amplitude=self.mode_amplitude, mode_index=self.mode_index,
-            cavity_dims=self.cavity_dims, active_volume=self.active_volume,
-            dipole_magnitude=self.dipole_magnitude, pump_amplitude=pump_amplitude,
-            sum_weight=self.sum_weight, crystal_dipole=self.crystal_dipole,
-            alpha_rescale=self.alpha_rescale,
-        )
+        return pump_amplitude / self.pump_amplitude
+
+    def with_pump_amplitude(self, pump_amplitude: float) -> "Ensemble":
+        """Same medium, rescaled pumping: gamma_n scales linearly with a_p."""
+        factor = self.pump_factor(pump_amplitude)
+        return dataclasses.replace(
+            self, gamma=self.gamma * factor,
+            pump_values=self.pump_values * factor, pump_amplitude=pump_amplitude)
 
 
 def _active_region_radius(active_volume: float,

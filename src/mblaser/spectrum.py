@@ -11,24 +11,38 @@ The differential has a bordered block structure in the reduced coordinates
 with K = [[1-kappa pi, kappa/2], [-kappa/2, 1-kappa pi]], S = sum alpha_n
 beta_n, and m the real representation of the one-period response coefficient
 xi = -pi^2/2 - i pi/4 (kernels.RESPONSE_XI).  D_n is the local molecular
-propagator block: the identity, or diag(1, 1 - 2 pi^2 gamma_n^2) with the
-second-order pumping correction.  Every block is pinned against the
-finite-difference Jacobian of the numerically integrated period map.
+propagator block: the identity, or diag(1, 1 - delta_n) with the
+second-order pumping correction delta_n = 2 pi^2 gamma_n^2.  Every block is
+pinned against the finite-difference Jacobian of the numerically integrated
+period map.  The blocks are kept as the per-molecule scalars times the shared
+2x2 kernels; the (N, 2, 2) arrays are built only for dense assembly.
 
 Eliminating the molecular rows reduces the eigenproblem to a 2x2 family
 
     M(mu) = (M - mu) + pi K (I - R(mu) m)^{-1} R(mu) Wb,
-    R(mu) = diag( S/(mu-1),  sum_n alpha_n beta_n / (mu - 1 + 2 pi^2 gamma_n^2) ),
+    R(mu) = diag( S/(mu-1),  sum_n alpha_n beta_n / (mu - 1 + delta_n) ),
 
 whose determinant, cleared of the (mu-1)^2 denominators using the expansion
-sum_n alpha_n beta_n/(mu-1+2 pi^2 gamma_n^2) ~ S/(mu-1) - 2 pi^2 G/(mu-1)^2
+sum_n alpha_n beta_n/(mu-1+delta_n) ~ S/(mu-1) - 2 pi^2 G/(mu-1)^2
 (G = sum alpha_n beta_n gamma_n^2), is a degree-six polynomial.  One root
 always sits exactly at mu = 1 (two when all gamma_n = 0): the nontrivial
 content is a quartic, and the remaining multipliers of the full matrix
 cluster near 1 and near the eigenvalues of D_n.
+
+The per-molecule sums are statistics of the medium.  With r_n = gamma_n^2 /
+max gamma^2, which does not change when the pump is rescaled, the moments
+m_k = sum alpha_n beta_n r_n^k and b_k = sum beta_n^2 r_n^k (k < 18) are
+computed once in O(N K).  At u = mu - 1 and q = max delta / |u| the exact
+resolvent sum is the Laurent series sum_k m_k (-max delta / u)^k / u, and
+the eigenvector norm needed for the Maxwell component is a series in b_k; both
+are truncated below 2^-53 relative for q <= 0.1 (SERIES_RADIUS).  The cluster
+guard keeps every verdict-bearing root far inside that radius; only points
+near the molecular cluster fall back to the direct O(N) sums.  A whole
+`threshold_scan` therefore costs one O(N K) pass plus O(1) per grid point.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Literal, Optional, Sequence
 
@@ -45,6 +59,16 @@ DVariant = Literal["identity", "gamma"]
 Method = Literal["polynomial", "dense", "both"]
 VERDICT_TOL = 1e-9  # roundoff guard on the strict max|mu| > 1 comparison
 
+#: largest q = max delta_n / |mu - 1| at which the resolvent sums are summed
+#: from the moments; beyond it they fall back to the per-molecule sums
+SERIES_RADIUS = 0.1
+#: moments kept: at q = SERIES_RADIUS the slower of the two series (the
+#: eigenvector norm, terms bounded by (k + 1) q^k) is truncated below 2^-53
+SERIES_TERMS = 18
+#: molecules per block of the moment pass; a block's weights and running
+#: power stay in cache across all SERIES_TERMS powers
+_MOMENT_BLOCK = 16384
+
 
 def coupling_matrix(kappa: float) -> np.ndarray:
     """The 2x2 kernel K shared by the V and W borders."""
@@ -53,20 +77,58 @@ def coupling_matrix(kappa: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class DetuningMoments:
+    """Pump-invariant moment summary of the medium.
+
+    With r_n = gamma_n^2 / max gamma^2: ``ab[k] = sum alpha_n beta_n r_n^k``
+    and ``bb[k] = sum beta_n^2 r_n^k`` for k < SERIES_TERMS.  Rescaling the
+    pump scales every gamma_n by one factor and leaves r_n unchanged.
+    """
+
+    ab: np.ndarray
+    bb: np.ndarray
+    gamma_sq_max: float        # max gamma_n^2 of the medium they were taken from
+
+
+def detuning_moments(alpha: np.ndarray, beta: np.ndarray,
+                     gamma: np.ndarray) -> DetuningMoments:
+    """The moments in one blocked O(N * SERIES_TERMS) pass."""
+    g2_max = float(np.max(np.abs(gamma), initial=0.0)) ** 2
+    out = np.zeros((2, SERIES_TERMS))
+    for start in range(0, gamma.size, _MOMENT_BLOCK):
+        block = slice(start, start + _MOMENT_BLOCK)
+        ab = alpha[block] * beta[block]
+        bb = beta[block] ** 2
+        r = gamma[block] ** 2 / g2_max if g2_max > 0 else np.zeros_like(ab)
+        p = np.ones_like(r)
+        for k in range(SERIES_TERMS):
+            out[0, k] += ab @ p
+            out[1, k] += bb @ p
+            p *= r
+    return DetuningMoments(ab=out[0], bb=out[1], gamma_sq_max=g2_max)
+
+
+@dataclass(frozen=True)
 class BlockDifferential:
-    """Blocks of the period-map differential at the ground state."""
+    """Blocks of the period-map differential at the ground state.
+
+    alpha, beta and gamma are the couplings of the sampled medium, shared and
+    not copied; at this pump level the molecules see ``pump_factor * gamma``.
+    The borders are held as these scalars times shared 2x2 kernels (V_n =
+    pi alpha_n K, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n)); the
+    (N, 2, 2) arrays ``V``, ``W`` and ``D`` are built on demand.
+    """
 
     M: np.ndarray              # (2, 2)
-    V: np.ndarray              # (N, 2, 2)
-    W: np.ndarray              # (N, 2, 2)
-    D: np.ndarray              # (N, 2, 2)
     S: float
-    gamma_sq_sum: float        # G = sum alpha_n beta_n gamma_n^2
+    gamma_sq_sum: float        # G = sum alpha_n beta_n gamma_n^2 at this pump
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
     kappa: float
     d_variant: DVariant
+    moments: DetuningMoments
+    pump_factor: float = 1.0
     cross_kernel: np.ndarray = field(default_factory=response_kernel)  # m (2, 2)
     w_border: Optional[np.ndarray] = None   # shared 2x2: W_n = beta_n * w_border
 
@@ -78,11 +140,39 @@ class BlockDifferential:
     def n(self) -> int:
         return self.alpha.shape[0]
 
+    @property
+    def V(self) -> np.ndarray:
+        return PI * self.alpha[:, None, None] * coupling_matrix(self.kappa)[None, :, :]
+
+    @property
+    def W(self) -> np.ndarray:
+        return self.beta[:, None, None] * self.w_border[None, :, :]
+
+    @property
+    def D(self) -> np.ndarray:
+        d = np.tile(np.eye(2), (self.n, 1, 1))
+        d[:, 1, 1] -= self.gamma_detuning()
+        return d
+
     def gamma_detuning(self) -> np.ndarray:
         """Cluster detunings 2 pi^2 gamma_n^2 (zero in the identity variant)."""
         if self.d_variant == "identity":
             return np.zeros(self.n)
-        return 2.0 * PI ** 2 * self.gamma ** 2
+        return 2.0 * PI ** 2 * (self.pump_factor * self.gamma) ** 2
+
+    @property
+    def detuning_max(self) -> float:
+        """max_n delta_n, from the moment summary (no pass over molecules)."""
+        if self.d_variant == "identity":
+            return 0.0
+        return 2.0 * PI ** 2 * self.pump_factor ** 2 * self.moments.gamma_sq_max
+
+    def with_pump_factor(self, factor: float) -> "BlockDifferential":
+        """The blocks with every gamma_n scaled by ``factor``: O(1), since
+        only G and the detunings depend on the pump."""
+        return dataclasses.replace(
+            self, pump_factor=self.pump_factor * factor,
+            gamma_sq_sum=self.gamma_sq_sum * factor ** 2)
 
 
 def assemble_blocks(e: Ensemble, kappa: float,
@@ -95,20 +185,14 @@ def assemble_blocks(e: Ensemble, kappa: float,
     """
     if d_variant not in ("identity", "gamma"):
         raise ValidationError(f"unknown d_variant {d_variant!r}")
-    m = response_kernel()
-    K = coupling_matrix(kappa)
     s_sum = e.sum_alpha_beta
-    M = (1.0 - 2.0 * PI * kappa) * np.eye(2) + s_sum * m
-    w_border = -PI * K + s_sum * border_dressing()
-    V = PI * e.alpha[:, None, None] * K[None, :, :]
-    W = e.beta[:, None, None] * w_border[None, :, :]
-    D = np.tile(np.eye(2), (e.n, 1, 1))
-    if d_variant == "gamma":
-        D[:, 1, 1] -= 2.0 * PI ** 2 * e.gamma ** 2
+    M = (1.0 - 2.0 * PI * kappa) * np.eye(2) + s_sum * response_kernel()
+    w_border = -PI * coupling_matrix(kappa) + s_sum * border_dressing()
     return BlockDifferential(
-        M=M, V=V, W=W, D=D, S=s_sum, gamma_sq_sum=e.sum_alpha_beta_gamma2,
-        alpha=e.alpha.copy(), beta=e.beta.copy(), gamma=e.gamma.copy(),
-        kappa=kappa, d_variant=d_variant, w_border=w_border,
+        M=M, S=s_sum, gamma_sq_sum=e.sum_alpha_beta_gamma2,
+        alpha=e.alpha, beta=e.beta, gamma=e.gamma,
+        kappa=kappa, d_variant=d_variant,
+        moments=detuning_moments(e.alpha, e.beta, e.gamma), w_border=w_border,
     )
 
 
@@ -124,12 +208,13 @@ def assemble_full(bd: BlockDifferential,
     dim = 2 + 2 * n
     out = np.zeros((dim, dim))
     out[:2, :2] = bd.M
+    V, W, D = bd.V, bd.W, bd.D
     for i in range(n):
         r = 2 + 2 * i
-        out[r:r + 2, :2] = bd.W[i]
-        out[r:r + 2, r:r + 2] = bd.D[i]
+        out[r:r + 2, :2] = W[i]
+        out[r:r + 2, r:r + 2] = D[i]
         if variant == "full":
-            out[:2, r:r + 2] = bd.V[i]
+            out[:2, r:r + 2] = V[i]
     if variant == "full":
         cross = np.einsum("i,j,ab->iajb", bd.beta, bd.alpha, bd.cross_kernel)
         out[2:, 2:] += cross.reshape(2 * n, 2 * n)
@@ -142,15 +227,46 @@ def assemble_full(bd: BlockDifferential,
 # reduced 2x2 family
 # ---------------------------------------------------------------------------
 
+def _detuned_sum(u: complex, bd: BlockDifferential) -> complex:
+    """sum_n alpha_n beta_n / (u + delta_n): the Laurent series in the moments
+    where it converges to roundoff, else the direct per-molecule sum.  The
+    k = 0 term is S itself, the sum the expanded route and M use."""
+    x = -bd.detuning_max / u
+    if abs(x) <= SERIES_RADIUS:
+        return complex((bd.S + x * np.polyval(bd.moments.ab[:0:-1], x)) / u)
+    det = bd.gamma_detuning()
+    if np.any(np.abs(u + det) < 1e-13):
+        raise NumericsError("mu sits on a pole of the resolvent sums")
+    return complex(np.sum(bd.alpha * bd.beta / (u + det)))
+
+
+def _detuned_norm_sum(u: complex, bd: BlockDifferential) -> float:
+    """sum_n beta_n^2 / |u + delta_n|^2, the same way.
+
+    1/|u + delta|^2 = |u|^-2 sum_k U_k(t) (delta/|u|)^k with t = -Re u/|u|
+    and U_k the Chebyshev polynomials of the second kind (|U_k| <= k + 1).
+    """
+    q = bd.detuning_max / abs(u)
+    if q <= SERIES_RADIUS:
+        t = -u.real / abs(u)
+        total, u_prev, u_k, q_k = 0.0, 0.0, 1.0, 1.0
+        for b_k in bd.moments.bb:
+            total += b_k * u_k * q_k
+            u_prev, u_k = u_k, 2.0 * t * u_k - u_prev
+            q_k *= q
+        return float(total) / abs(u) ** 2
+    det = bd.gamma_detuning()
+    return float(np.sum(bd.beta ** 2 / np.abs(u + det) ** 2))
+
+
 def _resolvent_sums(mu: complex, bd: BlockDifferential,
                     method: Literal["exact", "expanded"]) -> np.ndarray:
     """R(mu) = sum_n alpha_n beta_n (mu - D_n)^{-1}, a diagonal 2x2."""
     u = mu - 1.0
-    det = bd.gamma_detuning()
-    if abs(u) < 1e-13 or np.any(np.abs(u + det) < 1e-13):
+    if abs(u) < 1e-13:
         raise NumericsError("mu sits on a pole of the resolvent sums")
     if method == "exact":
-        t = complex(np.sum(bd.alpha * bd.beta / (u + det)))
+        t = _detuned_sum(u, bd)
     elif method == "expanded":
         g = bd.gamma_sq_sum if bd.d_variant == "gamma" else 0.0
         t = bd.S / u - 2.0 * PI ** 2 * g / u ** 2
@@ -166,9 +282,9 @@ def reduced_matrix(mu: complex, bd: BlockDifferential,
     Eliminating the molecular rows of the block eigenproblem gives
         M(mu) = (M - mu) + pi K (I - R m)^{-1} R Wb,
     Wb the shared border factor (W_n = beta_n Wb).  ``exact`` keeps the
-    per-molecule resolvent sum; ``expanded`` replaces it by its two-term
-    Laurent expansion in 1/(mu-1), valid where 2 pi^2 gamma_n^2/|mu-1| is
-    small.
+    full resolvent sum (its moment series, or the per-molecule sum near the
+    cluster); ``expanded`` replaces it by its two-term Laurent expansion in
+    1/(mu-1), valid where 2 pi^2 gamma_n^2/|mu-1| is small.
     """
     R = _resolvent_sums(mu, bd, method)
     m = bd.cross_kernel.astype(complex)
@@ -311,14 +427,13 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
 # eigenvectors and the verdict
 # ---------------------------------------------------------------------------
 
-def eigvec_back_substitute(mu: complex, bd: BlockDifferential,
-                           null_tol: float = 1e-4) -> np.ndarray:
-    """Unit eigenvector of the block matrix at a root of det M(mu).
+def _null_direction(mu: complex, bd: BlockDifferential, null_tol: float):
+    """(v0, rhs) at a root of det M(mu).
 
-    v0 spans the near-null direction of the reduced 2x2; the molecular parts
-    follow from v_n = (mu - D_n)^{-1} beta_n (-pi K v0 + m P) with P the
-    collective alpha-weighted response.  The Maxwell component v0 never
-    vanishes for roots of the reduced determinant.
+    v0 is the unit near-null vector of the reduced 2x2; the molecular parts of
+    the eigenvector are beta_n rhs_0/(mu - 1) and beta_n rhs_1/(mu - 1 +
+    delta_n), with rhs = Wb v0 + m P and P the collective alpha-weighted
+    response.
     """
     red = reduced_matrix(mu, bd, method="exact")
     _, sing, vh = np.linalg.svd(red)
@@ -332,15 +447,40 @@ def eigvec_back_substitute(mu: complex, bd: BlockDifferential,
     wb = bd.w_border.astype(complex)
     core = np.eye(2, dtype=complex) - R @ m
     P = np.linalg.solve(core, R @ (wb @ v0))
+    return v0, wb @ v0 + m @ P
 
+
+def eigvec_back_substitute(mu: complex, bd: BlockDifferential,
+                           null_tol: float = 1e-4) -> np.ndarray:
+    """Unit eigenvector of the block matrix at a root of det M(mu).
+
+    The molecular parts follow from v_n = (mu - D_n)^{-1} beta_n (-pi K v0 +
+    m P) (see `_null_direction`).  The Maxwell component v0 never vanishes
+    for roots of the reduced determinant.
+    """
+    v0, rhs = _null_direction(mu, bd, null_tol)
     det = bd.gamma_detuning()
     u = mu - 1.0
-    rhs = wb @ v0 + m @ P                 # shared 2-vector, scaled per molecule
     vec = np.empty(2 + 2 * bd.n, dtype=complex)
     vec[:2] = v0
     vec[2::2] = bd.beta * rhs[0] / u
     vec[3::2] = bd.beta * rhs[1] / (u + det)
     return vec / np.linalg.norm(vec)
+
+
+def _maxwell_component(mu: complex, bd: BlockDifferential,
+                       null_tol: float = 1e-4) -> float:
+    """|(a, b)-part| of the unit eigenvector at a root, from the moment sums.
+
+    Equals ``norm(eigvec_back_substitute(mu, bd)[:2])`` without building the
+    2N+2 vector: with |v0| = 1 the squared norm of the unnormalized vector is
+    1 + |rhs_0|^2 sum beta_n^2/|u|^2 + |rhs_1|^2 sum beta_n^2/|u + delta_n|^2.
+    """
+    v0, rhs = _null_direction(mu, bd, null_tol)
+    u = mu - 1.0
+    mol = (abs(rhs[0]) ** 2 * bd.moments.bb[0] / abs(u) ** 2
+           + abs(rhs[1]) ** 2 * _detuned_norm_sum(u, bd))
+    return float(1.0 / np.sqrt(1.0 + mol))
 
 
 @dataclass(frozen=True)
@@ -383,7 +523,7 @@ def _refine_root_exact(mu: complex, bd: BlockDifferential,
 def cluster_guard(bd: BlockDifferential, factor: float = 10.0) -> float:
     """Radius around mu = 1 where the Laurent-expanded polynomial is not a
     valid description (molecular cluster zone)."""
-    return factor * max(float(np.max(bd.gamma_detuning(), initial=0.0)), 1e-12)
+    return factor * max(bd.detuning_max, 1e-12)
 
 
 def _polynomial_spectrum(bd: BlockDifferential):
@@ -393,7 +533,8 @@ def _polynomial_spectrum(bd: BlockDifferential):
     the molecular cluster (true cluster multipliers lie in the hull between
     1 - 2 pi^2 gamma_n^2 and 1); they are reported but carry no eigvector and
     do not enter the verdict.  Valid roots are polished against the exact-sum
-    determinant before back-substitution.
+    determinant; their Maxwell components come from the moment sums, so no
+    eigenvector is built.
     """
     roots = 1.0 + poly_roots(char_polynomial_centered(bd))
     comps = np.full(roots.shape, np.nan)
@@ -406,10 +547,9 @@ def _polynomial_spectrum(bd: BlockDifferential):
         roots[i] = r
         valid[i] = True
         try:
-            vec = eigvec_back_substitute(r, bd)
+            comps[i] = _maxwell_component(r, bd)
         except NumericsError:
-            continue
-        comps[i] = np.linalg.norm(vec[:2])
+            pass    # not a clean null direction: the component stays NaN
     return roots, comps, valid
 
 
@@ -472,18 +612,21 @@ class ThresholdPoint:
 
 
 def threshold_scan(e: Ensemble, kappa: float, pump_grid: Sequence[float],
-                   method: Method = "polynomial",
-                   d_variant: DVariant = "gamma") -> List[ThresholdPoint]:
-    """Sweep the pumping amplitude and record the verdict at each point.
+                   d_variant: DVariant = "gamma",
+                   verdict_tol: float = VERDICT_TOL) -> List[ThresholdPoint]:
+    """Sweep the pumping amplitude and record the polynomial verdict at each
+    point.
 
     gamma_n scales linearly with the pump amplitude; everything else of the
-    sampled medium is held fixed.
+    sampled medium is held fixed.  The blocks and their moment summary are
+    assembled once, and each grid point only rescales the pump-dependent
+    scalars, so a point costs O(1) in N.
     """
+    base = assemble_blocks(e, kappa, d_variant=d_variant)
     points = []
     for ap in pump_grid:
-        scaled = e.with_pump_amplitude(float(ap))
-        bd = assemble_blocks(scaled, kappa, d_variant=d_variant)
-        rep = resonance_verdict(bd, method=method)
+        bd = base.with_pump_factor(e.pump_factor(float(ap)))
+        rep = resonance_verdict(bd, verdict_tol=verdict_tol)
         points.append(ThresholdPoint(
             pump_amplitude=float(ap), max_abs_mu=rep.max_abs_mu,
             resonance=rep.resonance, maxwell_floor=rep.maxwell_floor))

@@ -6,6 +6,7 @@ import pytest
 from mblaser.cli import main
 from mblaser.config import load_config, paper_preset
 from mblaser.errors import ValidationError
+from mblaser.spectrum import DENSE_CAP
 
 DIMLESS = """
 [dimensionless]
@@ -96,6 +97,14 @@ class TestConfig:
         p.write_text(DIMLESS.replace("[run]", "[run]\nbogus_key = 1"))
         with pytest.raises(ValidationError):
             load_config(str(p))
+
+    def test_rejects_negative_verdict_tol(self, tmp_path):
+        p = tmp_path / "tol.cfg"
+        p.write_text(DIMLESS + "verdict_tol = -0.5\n")
+        with pytest.raises(ValidationError):
+            load_config(str(p))
+        p.write_text(DIMLESS + "verdict_tol = 0\n")
+        assert load_config(str(p)).verdict_tol == 0.0
 
     def test_missing_file(self):
         with pytest.raises(ValidationError):
@@ -198,3 +207,65 @@ class TestCli:
                      "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["config"]["params"]["kind"] == "physical"
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--method", "polynomial"],
+        ["threshold-scan", "--pump-min", "1", "--pump-max", "10"],
+    ])
+    def test_negative_verdict_tol_exits_2(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(DIMLESS + "verdict_tol = -0.5\n")
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert "verdict_tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threshold_scan_uses_verdict_tol(self, tmp_path, monkeypatch):
+        import mblaser.cli as cli
+        seen = []
+        real = cli.threshold_scan
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("verdict_tol"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "threshold_scan", spy)
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(DIMLESS + "verdict_tol = 0.25\n")
+        assert main(["threshold-scan", "--config", str(cfg), "--pump-min", "1",
+                     "--pump-max", "10", "--steps", "2",
+                     "--out", str(tmp_path / "scan.csv")]) == 0
+        assert seen == [0.25]
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold-scan", "--pump-min", "1", "--pump-max", "10", "--steps", "0"],
+        ["threshold-scan", "--pump-min", "1", "--pump-max", "10", "--steps", "-3"],
+        ["simulate", "--samples-per-period", "0"],
+    ])
+    def test_degenerate_counts_exit_2(self, argv, dimless_cfg, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--config", dimless_cfg, "--out", str(out)]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_both_above_dense_cap_runs_polynomial(self, tmp_path, capsys):
+        n = DENSE_CAP + 1
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(DIMLESS.replace("n = 40", f"n = {n}"))
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--config", str(cfg), "--method", "both",
+                     "--out", str(out)]) == 0
+        assert "dense route skipped" in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        assert payload["method"] == "polynomial"
+        assert f"N = {n}" in payload["dense_skipped"]
+        assert "cross_method_max_gap" not in payload
+        assert payload["resonance"] is False
+
+    def test_both_within_dense_cap_skips_nothing(self, dimless_cfg, tmp_path, capsys):
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--config", dimless_cfg, "--method", "both",
+                     "--out", str(out)]) == 0
+        assert "skipped" not in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        assert "dense_skipped" not in payload and payload["method"] == "both"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from conftest import desk_params
 from mblaser.ensemble import sample_ensemble
 from mblaser.errors import CapacityError, NumericsError, ValidationError
 from mblaser.kernels import border_dressing
-from mblaser.spectrum import (assemble_blocks, assemble_full,
+from mblaser.spectrum import (SERIES_RADIUS, _detuned_norm_sum,
+                              _maxwell_component, _resolvent_sums,
+                              assemble_blocks, assemble_full,
                               char_polynomial, char_polynomial_centered,
                               cluster_guard, coupling_matrix,
                               eigvec_back_substitute, poly_roots,
@@ -87,9 +90,7 @@ class TestAssembleFull:
         e = _desk(20)
         bd = assemble_blocks(e, e.kappa)
         big = dataclasses.replace(
-            bd, alpha=np.zeros(501), beta=np.zeros(501), gamma=np.zeros(501),
-            V=np.zeros((501, 2, 2)), W=np.zeros((501, 2, 2)),
-            D=np.tile(np.eye(2), (501, 1, 1)))
+            bd, alpha=np.zeros(501), beta=np.zeros(501), gamma=np.zeros(501))
         with pytest.raises(CapacityError):
             assemble_full(big)
 
@@ -276,3 +277,90 @@ class TestVerdict:
         assert all(np.isfinite(p.max_abs_mu) for p in pts)
         assert all(np.isfinite(p.maxwell_floor) for p in pts)
         # max |mu| is recorded per point; monotonicity is not asserted
+
+
+class TestMomentSeries:
+    """The moment-series sums against direct per-molecule sums, across the
+    series radius q = max delta / |mu - 1| <= SERIES_RADIUS and beyond it."""
+
+    QS = (1e-8, 1e-6, 1e-4, 1e-2, 0.05, SERIES_RADIUS,
+          SERIES_RADIUS * (1.0 + 1e-9), 0.15, 0.5)
+    PHASES = (0.0, 0.3, 1.5, 2.9, PI)
+
+    @pytest.fixture(scope="class")
+    def bd(self):
+        # pumped hard enough that the detunings are far above roundoff
+        return assemble_blocks(_desk(50, seed=23), 1e-7).with_pump_factor(1e3)
+
+    def _points(self, bd):
+        """(mu, u = mu - 1) at each q and phase."""
+        for q in self.QS:
+            for phase in self.PHASES:
+                mu = 1.0 + bd.detuning_max / q * np.exp(1j * phase)
+                yield mu, mu - 1.0
+
+    def test_resolvent_sum(self, bd):
+        det = bd.gamma_detuning()
+        for mu, u in self._points(bd):
+            terms = bd.alpha * bd.beta / (u + det)
+            direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            got = _resolvent_sums(mu, bd, "exact")
+            assert abs(got[1, 1] - direct) <= 1e-13 * abs(direct)
+            assert got[0, 0] == bd.S / u
+
+    def test_norm_sum(self, bd):
+        det = bd.gamma_detuning()
+        for _, u in self._points(bd):
+            direct = math.fsum(bd.beta ** 2 / np.abs(u + det) ** 2)
+            assert abs(_detuned_norm_sum(u, bd) - direct) <= 1e-13 * direct
+
+    def test_maxwell_component_matches_eigenvector(self, bd):
+        # null_tol=inf: the identity behind the component holds at any mu
+        for mu, _ in self._points(bd):
+            vec = eigvec_back_substitute(mu, bd, null_tol=np.inf)
+            expect = np.linalg.norm(vec[:2])
+            got = _maxwell_component(mu, bd, null_tol=np.inf)
+            assert abs(got - expect) <= 1e-13 * expect
+
+    def test_maxwell_component_at_roots(self):
+        e = _desk(10, seed=13)
+        bd = assemble_blocks(e, e.kappa)
+        report = resonance_verdict(bd)
+        checked = 0
+        for mu, comp in zip(report.multipliers, report.maxwell_components):
+            if np.isfinite(comp):
+                vec = eigvec_back_substitute(mu, bd)
+                assert abs(comp - np.linalg.norm(vec[:2])) <= 1e-13 * comp
+                checked += 1
+        assert checked == 4
+
+    def test_identity_variant_has_no_detuning(self, small_ensemble):
+        bd = assemble_blocks(small_ensemble, 1e-7, d_variant="identity")
+        assert bd.detuning_max == 0.0
+        mu = 1.01 + 0.02j
+        assert _resolvent_sums(mu, bd, "exact")[1, 1] == bd.S / (mu - 1.0)
+
+
+class TestThresholdScan:
+    def test_matches_per_point_verdicts(self):
+        e = _desk(2000, seed=29)
+        grid = np.geomspace(1e1, 1e4, 7) * e.pump_amplitude
+        points = threshold_scan(e, e.kappa, grid)
+        assert [p.pump_amplitude for p in points] == list(grid)
+        for p, ap in zip(points, grid):
+            bd = assemble_blocks(e.with_pump_amplitude(ap), e.kappa)
+            rep = resonance_verdict(bd)
+            assert p.max_abs_mu == rep.max_abs_mu
+            assert p.resonance == rep.resonance
+            assert abs(p.maxwell_floor - rep.maxwell_floor) <= 1e-12 * rep.maxwell_floor
+
+    def test_verdict_tol_is_used(self, small_ensemble):
+        grid = [1.0, 10.0]
+        assert not any(p.resonance for p in threshold_scan(small_ensemble, 1e-7, grid))
+        # a negative tolerance turns max|mu| = 1 into a resonance
+        loose = threshold_scan(small_ensemble, 1e-7, grid, verdict_tol=-0.5)
+        assert all(p.resonance for p in loose)
+
+    def test_rejects_negative_pump(self, small_ensemble):
+        with pytest.raises(ValidationError):
+            threshold_scan(small_ensemble, 1e-7, [1.0, -1.0])
