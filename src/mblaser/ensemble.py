@@ -126,11 +126,6 @@ class Ensemble:
         """Synchronization sum S (deterministic pairwise reduction)."""
         return float(np.sum(self.alpha * self.beta))
 
-    @property
-    def sum_alpha_beta_gamma2(self) -> float:
-        """The detuning-weighted sum entering the reduced eigenproblem."""
-        return float(np.sum(self.alpha * self.beta * self.gamma ** 2))
-
     def molecules(self) -> Iterator[Molecule]:
         for i in range(self.n):
             yield Molecule(

@@ -66,8 +66,11 @@ SERIES_RADIUS = 0.1
 #: eigenvector norm, terms bounded by (k + 1) q^k) is truncated below 2^-53
 SERIES_TERMS = 18
 #: molecules per block of the moment pass; a block's weights and running
-#: power stay in cache across all SERIES_TERMS powers
+#: power stay in cache across all SERIES_TERMS powers (at N = 1e6, one core:
+#: 32 ms against 100 ms for the same loop over the whole arrays)
 _MOMENT_BLOCK = 16384
+#: largest ratio of the reduced matrix's singular values at an eigenvalue
+_NULL_TOL = 1e-4
 
 
 def coupling_matrix(kappa: float) -> np.ndarray:
@@ -92,12 +95,17 @@ class DetuningMoments:
 
 def detuning_moments(alpha: np.ndarray, beta: np.ndarray,
                      gamma: np.ndarray) -> DetuningMoments:
-    """The moments in one blocked O(N * SERIES_TERMS) pass."""
+    """The moments in one blocked O(N * SERIES_TERMS) pass.
+
+    ``ab[0]`` is S; it is taken as one pairwise sum, rounded exactly as
+    `Ensemble.sum_alpha_beta`, so M and the dense route do not move.
+    """
     g2_max = float(np.max(np.abs(gamma), initial=0.0)) ** 2
+    weights = alpha * beta
     out = np.zeros((2, SERIES_TERMS))
     for start in range(0, gamma.size, _MOMENT_BLOCK):
         block = slice(start, start + _MOMENT_BLOCK)
-        ab = alpha[block] * beta[block]
+        ab = weights[block]
         bb = beta[block] ** 2
         r = gamma[block] ** 2 / g2_max if g2_max > 0 else np.zeros_like(ab)
         p = np.ones_like(r)
@@ -105,6 +113,7 @@ def detuning_moments(alpha: np.ndarray, beta: np.ndarray,
             out[0, k] += ab @ p
             out[1, k] += bb @ p
             p *= r
+    out[0, 0] = np.sum(weights)
     return DetuningMoments(ab=out[0], bb=out[1], gamma_sq_max=g2_max)
 
 
@@ -116,12 +125,12 @@ class BlockDifferential:
     not copied; at this pump level the molecules see ``pump_factor * gamma``.
     The borders are held as these scalars times shared 2x2 kernels (V_n =
     pi alpha_n K, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n)); the
-    (N, 2, 2) arrays ``V``, ``W`` and ``D`` are built on demand.
+    (N, 2, 2) arrays ``V``, ``W`` and ``D`` are built on demand.  S and G are
+    read off the moment summary, so rescaling the pump changes only
+    ``pump_factor``.
     """
 
     M: np.ndarray              # (2, 2)
-    S: float
-    gamma_sq_sum: float        # G = sum alpha_n beta_n gamma_n^2 at this pump
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
@@ -139,6 +148,17 @@ class BlockDifferential:
     @property
     def n(self) -> int:
         return self.alpha.shape[0]
+
+    @property
+    def S(self) -> float:
+        """Synchronization sum S = sum alpha_n beta_n, the k = 0 moment."""
+        return float(self.moments.ab[0])
+
+    @property
+    def gamma_sq_sum(self) -> float:
+        """G = sum alpha_n beta_n gamma_n^2 at this pump, from the k = 1 moment."""
+        return float(self.pump_factor ** 2 * self.moments.gamma_sq_max
+                     * self.moments.ab[1])
 
     @property
     def V(self) -> np.ndarray:
@@ -170,9 +190,7 @@ class BlockDifferential:
     def with_pump_factor(self, factor: float) -> "BlockDifferential":
         """The blocks with every gamma_n scaled by ``factor``: O(1), since
         only G and the detunings depend on the pump."""
-        return dataclasses.replace(
-            self, pump_factor=self.pump_factor * factor,
-            gamma_sq_sum=self.gamma_sq_sum * factor ** 2)
+        return dataclasses.replace(self, pump_factor=self.pump_factor * factor)
 
 
 def assemble_blocks(e: Ensemble, kappa: float,
@@ -185,14 +203,13 @@ def assemble_blocks(e: Ensemble, kappa: float,
     """
     if d_variant not in ("identity", "gamma"):
         raise ValidationError(f"unknown d_variant {d_variant!r}")
-    s_sum = e.sum_alpha_beta
+    moments = detuning_moments(e.alpha, e.beta, e.gamma)
+    s_sum = moments.ab[0]
     M = (1.0 - 2.0 * PI * kappa) * np.eye(2) + s_sum * response_kernel()
     w_border = -PI * coupling_matrix(kappa) + s_sum * border_dressing()
     return BlockDifferential(
-        M=M, S=s_sum, gamma_sq_sum=e.sum_alpha_beta_gamma2,
-        alpha=e.alpha, beta=e.beta, gamma=e.gamma,
-        kappa=kappa, d_variant=d_variant,
-        moments=detuning_moments(e.alpha, e.beta, e.gamma), w_border=w_border,
+        M=M, alpha=e.alpha, beta=e.beta, gamma=e.gamma,
+        kappa=kappa, d_variant=d_variant, moments=moments, w_border=w_border,
     )
 
 
@@ -451,7 +468,7 @@ def _null_direction(mu: complex, bd: BlockDifferential, null_tol: float):
 
 
 def eigvec_back_substitute(mu: complex, bd: BlockDifferential,
-                           null_tol: float = 1e-4) -> np.ndarray:
+                           null_tol: float = _NULL_TOL) -> np.ndarray:
     """Unit eigenvector of the block matrix at a root of det M(mu).
 
     The molecular parts follow from v_n = (mu - D_n)^{-1} beta_n (-pi K v0 +
@@ -468,15 +485,14 @@ def eigvec_back_substitute(mu: complex, bd: BlockDifferential,
     return vec / np.linalg.norm(vec)
 
 
-def _maxwell_component(mu: complex, bd: BlockDifferential,
-                       null_tol: float = 1e-4) -> float:
+def _maxwell_component(mu: complex, bd: BlockDifferential) -> float:
     """|(a, b)-part| of the unit eigenvector at a root, from the moment sums.
 
     Equals ``norm(eigvec_back_substitute(mu, bd)[:2])`` without building the
     2N+2 vector: with |v0| = 1 the squared norm of the unnormalized vector is
     1 + |rhs_0|^2 sum beta_n^2/|u|^2 + |rhs_1|^2 sum beta_n^2/|u + delta_n|^2.
     """
-    v0, rhs = _null_direction(mu, bd, null_tol)
+    v0, rhs = _null_direction(mu, bd, _NULL_TOL)
     u = mu - 1.0
     mol = (abs(rhs[0]) ** 2 * bd.moments.bb[0] / abs(u) ** 2
            + abs(rhs[1]) ** 2 * _detuned_norm_sum(u, bd))

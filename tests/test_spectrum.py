@@ -314,14 +314,6 @@ class TestMomentSeries:
             direct = math.fsum(bd.beta ** 2 / np.abs(u + det) ** 2)
             assert abs(_detuned_norm_sum(u, bd) - direct) <= 1e-13 * direct
 
-    def test_maxwell_component_matches_eigenvector(self, bd):
-        # null_tol=inf: the identity behind the component holds at any mu
-        for mu, _ in self._points(bd):
-            vec = eigvec_back_substitute(mu, bd, null_tol=np.inf)
-            expect = np.linalg.norm(vec[:2])
-            got = _maxwell_component(mu, bd, null_tol=np.inf)
-            assert abs(got - expect) <= 1e-13 * expect
-
     def test_maxwell_component_at_roots(self):
         e = _desk(10, seed=13)
         bd = assemble_blocks(e, e.kappa)
@@ -333,6 +325,13 @@ class TestMomentSeries:
                 assert abs(comp - np.linalg.norm(vec[:2])) <= 1e-13 * comp
                 checked += 1
         assert checked == 4
+
+    def test_s_and_g_from_moments(self, bd):
+        ab = bd.alpha * bd.beta
+        assert bd.S == pytest.approx(math.fsum(ab), rel=1e-14)
+        g = math.fsum(ab * (bd.pump_factor * bd.gamma) ** 2)
+        assert bd.gamma_sq_sum == pytest.approx(g, rel=1e-14)
+        assert bd.with_pump_factor(3.0).gamma_sq_sum == pytest.approx(9.0 * g, rel=1e-14)
 
     def test_identity_variant_has_no_detuning(self, small_ensemble):
         bd = assemble_blocks(small_ensemble, 1e-7, d_variant="identity")
@@ -347,12 +346,23 @@ class TestThresholdScan:
         grid = np.geomspace(1e1, 1e4, 7) * e.pump_amplitude
         points = threshold_scan(e, e.kappa, grid)
         assert [p.pump_amplitude for p in points] == list(grid)
+        base = assemble_blocks(e, e.kappa)
         for p, ap in zip(points, grid):
             bd = assemble_blocks(e.with_pump_amplitude(ap), e.kappa)
             rep = resonance_verdict(bd)
             assert p.max_abs_mu == rep.max_abs_mu
             assert p.resonance == rep.resonance
             assert abs(p.maxwell_floor - rep.maxwell_floor) <= 1e-12 * rep.maxwell_floor
+            # the rescaled blocks give the per-point collective multipliers
+            scaled = base.with_pump_factor(e.pump_factor(ap))
+            assert scaled.gamma_sq_sum == pytest.approx(bd.gamma_sq_sum, rel=1e-14)
+            guard = cluster_guard(bd)
+            want = rep.multipliers[np.abs(rep.multipliers - 1.0) > guard]
+            got = resonance_verdict(scaled).multipliers
+            got = got[np.abs(got - 1.0) > guard]
+            assert want.size == got.size == 4
+            for mu in want:
+                assert np.min(np.abs(got - mu)) <= 1e-12 * abs(mu - 1.0)
 
     def test_verdict_tol_is_used(self, small_ensemble):
         grid = [1.0, 10.0]
