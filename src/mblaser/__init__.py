@@ -7,22 +7,22 @@ scans -- with every closed form validated against an independent numerical
 oracle.
 """
 
-from .model import (DimensionlessParams, FullState, Molecule, PhysicalParams,
+from .model import (DimensionlessParams, FullState, PhysicalParams,
                     ReducedState, derive_dimensionless, ground_state,
                     hopf_project, inversion_from_z, lift_state,
-                    populations_from_z, reduce_state, ruby_params)
+                    perturbed_point, populations_from_z, ruby_params)
 from .kernels import (KernelConstants, constants_AB, constants_J,
                       fundamental_solution, integral_I, quadrature,
                       residual_of_ode)
 from .ensemble import (Ensemble, SumReport, cuboid_mode, sample_ensemble,
                        sum_S, sum_Sigma)
-from .dynamics import (AveragedPropagator, OdeSettings, averaged_propagator,
-                       averaging_error_scaling, integrate, integrate_full,
-                       integrate_reduced, rhs_full, rhs_reduced)
+from .dynamics import (OdeSettings, averaging_error_scaling, integrate,
+                       integrate_full, integrate_reduced, rhs_full,
+                       rhs_reduced, sample_trajectory)
 from .poincare import (MapOutput, NuValue, compute_nu, jacobian_fd,
                        make_numeric_map, poincare_analytic, poincare_numeric)
 from .spectrum import (BlockDifferential, SpectrumReport, assemble_blocks,
-                       assemble_full, char_polynomial, eigvec_back_substitute,
+                       assemble_full, eigvec_back_substitute,
                        poly_roots, reduced_matrix, resonance_verdict,
                        threshold_scan)
 from .config import RunConfig, load_config, paper_preset

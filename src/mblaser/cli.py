@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -31,7 +32,7 @@ from .config import RunConfig, load_config, paper_preset  # noqa: E402
 from .dynamics import simulate_trajectory  # noqa: E402
 from .ensemble import sum_S, sum_Sigma  # noqa: E402
 from .errors import CapacityError, NumericsError, ValidationError  # noqa: E402
-from .model import ground_state  # noqa: E402
+from .model import ground_state, lift_state, perturbed_point  # noqa: E402
 from .poincare import poincare_analytic, poincare_numeric  # noqa: E402
 from .spectrum import (DENSE_CAP, assemble_blocks,  # noqa: E402
                        resonance_verdict, threshold_scan)
@@ -47,10 +48,18 @@ def _load(args) -> RunConfig:
     return load_config(args.config, seed_override=args.seed)
 
 
+def _open_out(path: str):
+    """Open an output file; a path that cannot be opened is a usage error."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: Optional[str], payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _open_out(path) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -88,7 +97,7 @@ def cmd_ensemble(args) -> int:
         "n": e.n,
     }
     if args.out and args.out.endswith(".csv"):
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.write(f"# S_empirical={s_rep.empirical!r} S_analytic={s_rep.analytic!r}\n")
             fh.write(f"# Sigma_empirical={sig_rep.empirical!r} "
                      f"Sigma_analytic={sig_rep.analytic!r}\n")
@@ -106,12 +115,16 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def _require_positive(value: int, flag: str) -> None:
-    if value < 1:
+def _require_positive(value, flag: str) -> None:
+    """Reject a count below 1, or a real that is not positive and finite."""
+    if isinstance(value, int) and value < 1:
         raise ValidationError(f"{flag} must be >= 1, got {value}")
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{flag} must be positive and finite, got {value}")
 
 
 def cmd_simulate(args) -> int:
+    _require_positive(args.periods, "--periods")
     _require_positive(args.samples_per_period, "--samples-per-period")
     cfg = _load(args)
     e = cfg.build_ensemble()
@@ -119,7 +132,7 @@ def cmd_simulate(args) -> int:
     t, a, b, energy, inv = simulate_trajectory(
         state0, args.periods, e, cfg.kappa, cfg.settings,
         samples_per_period=args.samples_per_period)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau", "a", "b", "energy", "mean_inversion"])
         for row in zip(t, a, b, energy, inv):
@@ -129,22 +142,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_poincare(args) -> int:
+    _require_positive(args.epsilon, "--epsilon")
     cfg = _load(args)
     e = cfg.build_ensemble()
-    rng = np.random.default_rng(cfg.seed)
     eps = args.epsilon
-    z0 = eps * rng.uniform(0.2, 1.0, e.n) * np.exp(2j * np.pi * rng.uniform(size=e.n))
-    a0, b0 = (eps * rng.uniform(-1, 1, 2))
+    point = perturbed_point(e.n, eps, np.random.default_rng(cfg.seed))
     payload = {"config": cfg.describe(), "epsilon": eps,
-               "initial": {"a": a0, "b": b0, "z": z0}}
+               "initial": {"a": point.a, "b": point.b, "z": point.z}}
     out_n = out_a = None
     if args.mode in ("numeric", "both"):
-        from .model import lift_state, ReducedState
-        state0 = lift_state(ReducedState(a=a0, b=b0, z=z0))
-        out_n = poincare_numeric(state0, e, cfg.kappa, cfg.settings)
+        out_n = poincare_numeric(lift_state(point), e, cfg.kappa, cfg.settings)
         payload["numeric"] = {"a": out_n.a, "b": out_n.b, "z": out_n.z}
     if args.mode in ("analytic", "both"):
-        out_a = poincare_analytic(a0, b0, z0, e, cfg.kappa)
+        out_a = poincare_analytic(point.a, point.b, point.z, e, cfg.kappa)
         payload["analytic"] = {"a": out_a.a, "b": out_a.b, "z": out_a.z}
     if args.mode == "both":
         payload["discrepancy"] = {
@@ -194,13 +204,15 @@ def cmd_spectrum(args) -> int:
 
 def cmd_threshold_scan(args) -> int:
     _require_positive(args.steps, "--steps")
+    _require_positive(args.pump_min, "--pump-min")
+    _require_positive(args.pump_max, "--pump-max")
+    if args.pump_max <= args.pump_min:
+        raise ValidationError("need 0 < pump-min < pump-max")
     cfg = _load(args)
     e = cfg.build_ensemble()
-    if args.pump_min <= 0 or args.pump_max <= args.pump_min:
-        raise ValidationError("need 0 < pump-min < pump-max")
     grid = np.geomspace(args.pump_min, args.pump_max, args.steps)
     points = threshold_scan(e, cfg.kappa, grid, verdict_tol=cfg.verdict_tol)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["pump_amplitude", "max_abs_mu", "resonance",
                          "maxwell_component_min"])

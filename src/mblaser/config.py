@@ -26,6 +26,7 @@ its own output.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -67,6 +68,12 @@ def _floats(section, keys):
     return out
 
 
+def _count(value: float, key: str) -> int:
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration: parameters, ensemble spec, solver options."""
@@ -93,8 +100,6 @@ class RunConfig:
 
     @property
     def kappa(self) -> float:
-        if isinstance(self.params, PhysicalParams):
-            return self.params.kappa
         return self.params.kappa
 
     def describe(self) -> dict:
@@ -185,11 +190,11 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         missing = _DIMENSIONLESS_KEYS - set(sec.keys())
         if missing:
             raise ValidationError(f"[dimensionless] missing keys: {sorted(missing)}")
-        vals = _floats(sec, _DIMENSIONLESS_KEYS - {"n"})
+        vals = _floats(sec, _DIMENSIONLESS_KEYS)
         params = DimensionlessParams(
             kappa=vals["kappa"], alpha_scale=vals["alpha_scale"],
             beta_scale=vals["beta_scale"], gamma_scale=vals["gamma_scale"],
-            N=int(float(sec["n"])),
+            N=_count(vals["n"], "n"),
         )
 
     ens = parser["ensemble"] if parser.has_section("ensemble") else {}
@@ -200,8 +205,9 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         raise ValidationError(f"hypothesis must be H1 or H2, got {hypothesis!r}")
     n_default = params.N if isinstance(params, DimensionlessParams) \
         else int(min(params.molecule_count, 10 ** 6))
-    n = int(float(ens.get("n", n_default)))
-    seed = int(float(ens.get("seed", 0)))
+    ens_vals = _floats(ens, {"n", "seed", "rescale_alpha_to_s", "active_volume"})
+    n = _count(ens_vals.get("n", n_default), "n")
+    seed = _count(ens_vals.get("seed", 0), "seed")
     if seed_override is not None:
         seed = int(seed_override)
 
@@ -223,12 +229,10 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         params=params, hypothesis=hypothesis, n=n, seed=seed,
         mode_index=_triple(ens["mode_index"], "mode_index", int)
         if "mode_index" in ens else None,
-        rescale_alpha_to_s=float(ens["rescale_alpha_to_s"])
-        if "rescale_alpha_to_s" in ens else None,
+        rescale_alpha_to_s=ens_vals.get("rescale_alpha_to_s"),
         crystal_axis=_triple(ens["crystal_axis"], "crystal_axis")
         if "crystal_axis" in ens else None,
-        active_volume=float(ens["active_volume"])
-        if "active_volume" in ens else None,
+        active_volume=ens_vals.get("active_volume"),
         settings=settings,
         verdict_tol=verdict_tol,
     )

@@ -14,11 +14,16 @@ valid on the branch |z_n| < 1/2 (lower-level neighborhood).  The molecular
 part is skew-adjoint, so |c_n1|^2 + |c_n2|^2 is conserved along exact
 trajectories; the integrator is required to preserve it to ~100x its local
 tolerance over a period.
+
+Each chart's equations are stated once, in the flat kernel the solver calls
+on a packed real vector: (a, b), then the amplitudes as interleaved (Re, Im)
+pairs.  The packing stays in this module; every public function here takes
+and returns `FullState` / `ReducedState`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -29,6 +34,8 @@ from .model import FullState, ReducedState
 
 TWO_PI = 2.0 * np.pi
 CHART_GUARD = 1e-6  # refuse reduced dynamics within this distance of |z| = 1/2
+#: the integrators `scipy.integrate.solve_ivp` accepts by name
+ODE_METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,11 @@ class OdeSettings:
         for name, v in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not 0.0 < v <= 1e-3:
                 raise ValidationError(f"{name} must lie in (0, 1e-3], got {v}")
-        if self.max_step <= 0:
-            raise ValidationError("max_step must be positive")
+        if not self.max_step > 0:
+            raise ValidationError(f"max_step must be positive, got {self.max_step}")
+        if self.method not in ODE_METHODS:
+            raise ValidationError(
+                f"method must be one of {', '.join(ODE_METHODS)}, got {self.method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,49 +88,12 @@ def unpack_reduced(y: np.ndarray, n: int) -> ReducedState:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _full_core(tau: float, a: float, b: float, c: np.ndarray,
-               e: Ensemble, kappa: float):
-    phase = np.exp(-1j * tau)
-    z = np.conj(c[:, 0]) * c[:, 1]
-    j = float(np.sum(e.alpha * np.imag(z * phase)))
-    omega = (e.beta * b + e.gamma * np.cos(tau)) * phase
-    dc = np.empty_like(c)
-    dc[:, 0] = -1j * omega * c[:, 1]
-    dc[:, 1] = -1j * np.conj(omega) * c[:, 0]
-    return b, j - 2.0 * kappa * b - a, dc
-
-
-def rhs_full(state: FullState, tau: float, e: Ensemble, kappa: float) -> FullState:
-    """Time derivative of the full system at (state, tau)."""
-    da, db, dc = _full_core(tau, state.a, state.b, state.c, e, kappa)
-    return FullState(a=da, b=db, c=dc)
-
-
-def _reduced_core(tau: float, a: float, b: float, z: np.ndarray,
-                  e: Ensemble, kappa: float):
-    r2 = 4.0 * np.abs(z) ** 2
-    if np.any(r2 >= (1.0 - 2.0 * CHART_GUARD) ** 2):
-        raise ChartBoundaryError(
-            "reduced chart left its validity region |z| < 1/2 - delta; "
-            "switch to the full dynamics")
-    phase = np.exp(-1j * tau)
-    j = float(np.sum(e.alpha * np.imag(z * phase)))
-    omega = (e.beta * b + e.gamma * np.cos(tau)) * phase
-    dz = -1j * np.conj(omega) * np.sqrt(1.0 - r2)
-    return b, j - 2.0 * kappa * b - a, dz
-
-
-def rhs_reduced(state: ReducedState, tau: float, e: Ensemble, kappa: float) -> ReducedState:
-    """Time derivative in gauge-reduced coordinates (branch |c1| > |c2|)."""
-    da, db, dz = _reduced_core(tau, state.a, state.b, state.z, e, kappa)
-    return ReducedState(a=da, b=db, z=dz)
-
-
 def _flat_rhs_full(e: Ensemble, kappa: float) -> Callable:
     alpha, beta, gamma = e.alpha, e.beta, e.gamma
     two_kappa = 2.0 * kappa
 
     def rhs(tau, y):
+        y = np.ascontiguousarray(y)  # implicit solvers pass strided columns
         c = y[2:].view(np.complex128)
         c1 = c[0::2]
         c2 = c[1::2]
@@ -144,10 +117,13 @@ def _flat_rhs_reduced(e: Ensemble, kappa: float) -> Callable:
     guard = (1.0 - 2.0 * CHART_GUARD) ** 2
 
     def rhs(tau, y):
+        y = np.ascontiguousarray(y)  # implicit solvers pass strided columns
         z = y[2:].view(np.complex128)
         r2 = 4.0 * np.abs(z) ** 2
         if np.any(r2 >= guard):
-            raise ChartBoundaryError("trajectory reached |z| = 1/2 - delta")
+            raise ChartBoundaryError(
+                "reduced chart left its validity region |z| < 1/2 - delta; "
+                "switch to the full dynamics")
         phase = np.exp(-1j * tau)
         j = float(np.sum(alpha * np.imag(z * phase)))
         omega = (beta * y[1] + gamma * np.cos(tau)) * phase
@@ -158,6 +134,18 @@ def _flat_rhs_reduced(e: Ensemble, kappa: float) -> Callable:
         return out
 
     return rhs
+
+
+def rhs_full(state: FullState, tau: float, e: Ensemble, kappa: float) -> FullState:
+    """Time derivative of the full system at (state, tau)."""
+    dy = _flat_rhs_full(e, kappa)(tau, pack_full(state))
+    return unpack_full(dy, state.n_molecules)
+
+
+def rhs_reduced(state: ReducedState, tau: float, e: Ensemble, kappa: float) -> ReducedState:
+    """Time derivative in gauge-reduced coordinates (branch |c1| > |c2|)."""
+    dy = _flat_rhs_reduced(e, kappa)(tau, pack_reduced(state))
+    return unpack_reduced(dy, state.n_molecules)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +187,17 @@ def integrate_reduced(state0: ReducedState, tau0: float, tau1: float, e: Ensembl
     return unpack_reduced(y, state0.n_molecules)
 
 
+def sample_trajectory(state0: FullState, taus: Sequence[float], e: Ensemble,
+                      kappa: float, settings: OdeSettings = OdeSettings()
+                      ) -> Iterator[Tuple[float, FullState]]:
+    """Integrate the full system from ``taus[0]`` and yield (tau, state) at
+    each of ``taus``, unpacking one sample at a time."""
+    t, ys = integrate(_flat_rhs_full(e, kappa), pack_full(state0), taus[0],
+                      taus[-1], settings, t_eval=taus)
+    for i in range(ys.shape[1]):
+        yield t[i], unpack_full(ys[:, i], state0.n_molecules)
+
+
 def simulate_trajectory(state0: FullState, periods: float, e: Ensemble,
                         kappa: float, settings: OdeSettings = OdeSettings(),
                         samples_per_period: int = 64):
@@ -209,16 +208,11 @@ def simulate_trajectory(state0: FullState, periods: float, e: Ensemble,
     """
     n_samp = max(2, int(periods * samples_per_period) + 1)
     taus = np.linspace(0.0, periods * TWO_PI, n_samp)
-    t, ys = integrate(_flat_rhs_full(e, kappa), pack_full(state0), 0.0,
-                      periods * TWO_PI, settings, t_eval=taus)
-    n = state0.n_molecules
-    a = ys[0]
-    b = ys[1]
+    t, a, b, inv = (np.empty(n_samp) for _ in range(4))
+    for i, (tau, s) in enumerate(sample_trajectory(state0, taus, e, kappa, settings)):
+        t[i], a[i], b[i] = tau, s.a, s.b
+        inv[i] = float(np.mean(np.abs(s.c[:, 1]) ** 2 - np.abs(s.c[:, 0]) ** 2))
     energy = 0.5 * (a ** 2 + b ** 2)
-    inv = np.empty_like(a)
-    for i in range(ys.shape[1]):
-        c = np.ascontiguousarray(ys[2:, i]).view(np.complex128).reshape(n, 2)
-        inv[i] = float(np.mean(np.abs(c[:, 1]) ** 2 - np.abs(c[:, 0]) ** 2))
     return t, a, b, energy, inv
 
 
@@ -226,56 +220,6 @@ def gauge_rotate(state: FullState, phases: np.ndarray) -> FullState:
     """Apply the per-molecule U(1) action c_n -> e^{i theta_n} c_n."""
     rot = np.exp(1j * np.asarray(phases))[:, None]
     return FullState(a=state.a, b=state.b, c=state.c * rot)
-
-
-# ---------------------------------------------------------------------------
-# averaged (rotating-wave) propagators
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AveragedPropagator:
-    """Per-molecule averaged two-level propagators U_n(tau)."""
-
-    U: np.ndarray             # (N, 2, 2) complex
-    omega_tilde: np.ndarray   # (N,) complex averaged generator entries
-    s: np.ndarray             # (N,) unit phases omega_tilde/|omega_tilde|
-
-    def unitarity_defect(self) -> float:
-        eye = np.eye(2)
-        defect = 0.0
-        for u in self.U:
-            defect = max(defect, float(np.max(np.abs(np.conj(u.T) @ u - eye))))
-        return defect
-
-
-def averaged_propagator(e: Ensemble, nu: complex, order: int,
-                        tau: float) -> AveragedPropagator:
-    """Propagator of the period-averaged molecular generator.
-
-    order 1: omega_tilde = gamma_n/2 (pumping only);
-    order 2: omega_tilde = beta_n*nu + gamma_n/2, with nu the first-harmonic
-    content of the field response supplied by the period-map module.
-    For omega_tilde = 0 the phase s_n is set to 1 (U is the identity there, so
-    the convention is unobservable).
-    """
-    if order == 1:
-        om = (e.gamma / 2.0).astype(complex)
-    elif order == 2:
-        om = e.beta * complex(nu) + e.gamma / 2.0
-    else:
-        raise ValidationError("order must be 1 or 2")
-    mod = np.abs(om)
-    if np.any(mod > 1e-3):
-        raise ValidationError("averaged generator too large for the slow-rotation regime")
-    s = np.where(mod > 0, om / np.where(mod > 0, mod, 1.0), 1.0 + 0.0j)
-    cos = np.cos(mod * tau)
-    sin = np.sin(mod * tau)
-    U = np.empty((e.n, 2, 2), dtype=complex)
-    U[:, 0, 0] = cos
-    U[:, 0, 1] = -1j * s * sin
-    U[:, 1, 0] = -1j * np.conj(s) * sin
-    U[:, 1, 1] = cos
-    return AveragedPropagator(U=U, omega_tilde=om, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +231,6 @@ def _profile_matrix(profile: Callable[[float], np.ndarray], tau: float) -> np.nd
     if m.shape != (2, 2):
         raise ValidationError("profile must return a 2x2 matrix")
     return m
-
-
-def profile_cosine(tau: float) -> np.ndarray:
-    """Commuting family (pure sigma_x): averaging is EXACT for it, so it can
-    carry a zero-error check but not a slope fit."""
-    return np.array([[0.0, np.cos(tau)], [np.cos(tau), 0.0]], dtype=complex)
 
 
 def profile_pump_cosine(tau: float) -> np.ndarray:

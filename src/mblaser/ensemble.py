@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional, Tuple, Union
+from typing import Literal, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import DimensionlessParams, Molecule, PhysicalParams
+from .model import DimensionlessParams, PhysicalParams
 
 Hypothesis = Literal["H1", "H2"]
 
@@ -80,9 +80,9 @@ def default_mode_amplitude(k: Tuple[int, int, int],
 class Ensemble:
     """Sampled active medium plus everything the dynamics needs.
 
-    Vector data is stored column-wise for the whole ensemble; `molecules()`
-    iterates per-molecule views.  alpha*beta >= 0 holds exactly for every
-    molecule.
+    Per-molecule data is stored column-wise for the whole ensemble: one
+    array per coupling and one (N, 3) array per vector field.  alpha*beta >= 0
+    holds exactly for every molecule.
     """
 
     hypothesis: Hypothesis
@@ -120,20 +120,6 @@ class Ensemble:
     def cavity_volume(self) -> float:
         l1, l2, l3 = self.cavity_dims
         return l1 * l2 * l3
-
-    @property
-    def sum_alpha_beta(self) -> float:
-        """Synchronization sum S (deterministic pairwise reduction)."""
-        return float(np.sum(self.alpha * self.beta))
-
-    def molecules(self) -> Iterator[Molecule]:
-        for i in range(self.n):
-            yield Molecule(
-                dipole=self.dipoles[i], position=self.positions[i],
-                mode_value=self.mode_values[i], pump_value=self.pump_values[i],
-                alpha=float(self.alpha[i]), beta=float(self.beta[i]),
-                gamma=float(self.gamma[i]),
-            )
 
     def pump_factor(self, pump_amplitude: float) -> float:
         """The factor that takes gamma_n (and the pump field) to ``pump_amplitude``."""
@@ -202,6 +188,8 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
     """
     if hypothesis not in ("H1", "H2"):
         raise ValidationError(f"unknown hypothesis {hypothesis!r}")
+    if not 0 <= seed < 2 ** 128:
+        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
 
     if isinstance(params, PhysicalParams):
         dims = params.cavity_dims
@@ -233,6 +221,11 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
 
     if n_eff < 1:
         raise ValidationError("ensemble size must be >= 1")
+    if not v_active > 0:
+        raise ValidationError(f"active volume must be positive, got {v_active!r}")
+    if rescale_alpha_to_s is not None and not 0 < rescale_alpha_to_s < np.inf:
+        raise ValidationError(
+            f"rescale_alpha_to_s must be positive and finite, got {rescale_alpha_to_s!r}")
 
     amp = (default_mode_amplitude(k_idx, dims) if mode_amplitude is None
            else np.asarray(mode_amplitude, dtype=float))

@@ -16,14 +16,15 @@ ways:
 * an adaptive-quadrature oracle (`quadrature`, Gauss-Kronrod) that arbitrates
   every closed form in the test suite and in `verify-integrals`.
 
-The classic leading-order expressions (I1/I2 and the A/B component tables) are
-kept alongside as the ``leading`` variants; their truncation residual is
-O(20-50 kappa^2), measured, so the exact forms are the default everywhere.
+Only the exact forms are computed here.  The classic leading-order
+expressions (e^{-kappa tau} sin tau for E, the truncated I1/I2, and the real
+A/B component tables) live in the tests that pin their O(kappa^2) truncation
+order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,8 +33,6 @@ from .errors import NumericsError, ValidationError
 
 PI = np.pi
 KAPPA_MAX = 0.1  # oscillatory-regime guard for the closed forms
-
-FormName = Literal["exact", "leading"]
 
 
 def _check_kappa(kappa: float) -> None:
@@ -51,21 +50,13 @@ def lam_roots(kappa: float) -> Tuple[complex, complex]:
 # fundamental solution and its analytic derivatives
 # ---------------------------------------------------------------------------
 
-def fundamental_solution(tau, kappa: float, form: FormName = "exact"):
-    """Retarded fundamental solution E(tau); zero for tau < 0.
-
-    ``exact``  : e^{-k tau} sin(w tau)/w with w = sqrt(1-k^2)
-    ``leading``: e^{-k tau} sin(tau)     (error <= ~4 kappa^2 on [0, 2 pi])
-    """
+def fundamental_solution(tau, kappa: float):
+    """Retarded fundamental solution E(tau) = e^{-k tau} sin(w tau)/w with
+    w = sqrt(1-k^2); zero for tau < 0."""
     _check_kappa(kappa)
     tau = np.asarray(tau, dtype=float)
-    if form == "exact":
-        w = np.sqrt(1.0 - kappa * kappa)
-        val = np.exp(-kappa * tau) * np.sin(w * tau) / w
-    elif form == "leading":
-        val = np.exp(-kappa * tau) * np.sin(tau)
-    else:
-        raise ValidationError(f"unknown form {form!r}")
+    w = np.sqrt(1.0 - kappa * kappa)
+    val = np.exp(-kappa * tau) * np.sin(w * tau) / w
     return np.where(tau > 0.0, val, 0.0)
 
 
@@ -95,7 +86,7 @@ def residual_of_ode(tau: float, kappa: float) -> float:
     return float(
         fundamental_solution_deriv(tau, kappa, order=2)
         + 2.0 * kappa * fundamental_solution_deriv(tau, kappa, order=1)
-        + fundamental_solution(tau, kappa, form="exact")
+        + fundamental_solution(tau, kappa)
     )
 
 
@@ -167,15 +158,11 @@ def _kernel_sum(tau: float, kappa: float, weights, moment_args) -> complex:
 # running integrals I1, I2
 # ---------------------------------------------------------------------------
 
-def integral_I(tau: float, kappa: float, which: int,
-               form: FormName = "exact") -> complex:
+def integral_I(tau: float, kappa: float, which: int) -> complex:
     """I1(tau) = int_0^tau e^{-i s} E(tau-s) ds  and
     I2(tau) = int_0^tau (s/2) cos(s) E(tau-s) ds.
 
-    ``exact`` evaluates the antiderivatives with the exact characteristic
-    roots; ``leading`` returns the leading-order expansions.  The leading
-    I1 is O(25 kappa^2) accurate; the leading I2 carries an O(kappa) residual
-    (max coefficient ~5.2 mid-period) that vanishes at tau = 2 pi.
+    The antiderivatives are evaluated with the exact characteristic roots.
     """
     _check_kappa(kappa)
     if not 0.0 <= tau <= 2.0 * PI + 1e-12:
@@ -184,18 +171,6 @@ def integral_I(tau: float, kappa: float, which: int,
         raise ValidationError("which must be 1 or 2")
     if tau == 0.0:
         return 0.0 + 0.0j
-
-    if form == "leading":
-        if which == 1:
-            return (
-                -0.5j * np.sin(tau)
-                + 0.5j * tau * np.exp(-1j * tau)
-                + kappa * ((-np.sin(tau) + tau * np.exp(1j * tau)) / 4.0
-                           - 0.25j * tau * tau * np.exp(-1j * tau))
-            )
-        return complex((tau * tau * np.sin(tau) + tau * np.cos(tau) - np.sin(tau)) / 8.0)
-    if form != "exact":
-        raise ValidationError(f"unknown form {form!r}")
 
     if which == 1:
         return _kernel_sum(
@@ -266,12 +241,7 @@ def constants_J_oracle(kappa: float, tol: float = 1e-11) -> Tuple[complex, compl
 
 @dataclass(frozen=True)
 class KernelConstants:
-    """Exact period constants plus their leading component decompositions.
-
-    A1..B3 are exact (quadrature-grade); the real pairs A11..B22 are the
-    classical O(kappa) components (A1 ~ A11 + i A12 etc., truncation residual
-    O(20-50 kappa^2)) that the block formulas are usually quoted with.
-    """
+    """Exact period constants J1, J2 and A1..B3 (quadrature-grade)."""
 
     kappa: float
     J1: complex
@@ -282,14 +252,6 @@ class KernelConstants:
     B1: complex
     B2: complex
     B3: float
-    A11: float
-    A12: float
-    A21: float
-    A22: float
-    B11: float
-    B12: float
-    B21: float
-    B22: float
 
 
 def constants_AB(kappa: float) -> KernelConstants:
@@ -300,7 +262,7 @@ def constants_AB(kappa: float) -> KernelConstants:
         A3  = Re A2,  B3 = Re B2  (real integrands tau cos(tau) * kernel)
 
     Exact identities: B2 = A1 - i A2;  B1 = -i A1 + E(2pi) with
-    E(2pi) = O(kappa^2) (identically zero for the leading-form kernel).
+    E(2pi) = O(kappa^2).
     """
     _check_kappa(kappa)
     two_pi = 2.0 * PI
@@ -324,18 +286,10 @@ def constants_AB(kappa: float) -> KernelConstants:
     b1 = b_like(0)
     b2 = b_like(1)
     j1, j2 = constants_J(kappa)
-
-    sigma1 = 2.0 * kappa
-    a11 = kappa * PI / 2.0
-    a12 = PI - kappa * PI ** 2
-    a21 = PI / 2.0
-    a22 = PI ** 2 - sigma1 * (PI ** 3 / 3.0 + PI / 4.0)
     return KernelConstants(
         kappa=kappa, J1=j1, J2=j2,
         A1=a1, A2=a2, A3=float(a2.real),
         B1=b1, B2=b2, B3=float(b2.real),
-        A11=a11, A12=a12, A21=a21, A22=a22,
-        B11=a12, B12=-a11, B21=a11 + a22, B22=a12 - a21,
     )
 
 

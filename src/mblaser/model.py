@@ -128,10 +128,10 @@ class DimensionlessParams:
     N: int
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValidationError("kappa must be >= 0")
-        if self.alpha_scale < 0 or self.beta_scale < 0 or self.gamma_scale < 0:
-            raise ValidationError("coupling scales must be >= 0")
+        for name in ("kappa", "alpha_scale", "beta_scale", "gamma_scale"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
         if self.N < 1:
             raise ValidationError("N must be >= 1")
 
@@ -153,19 +153,6 @@ def derive_dimensionless(p: PhysicalParams, n_override: Optional[int] = None) ->
         gamma_scale=p.dipole_magnitude * p.pump_amplitude / (p.planck * p.light_speed),
         N=n,
     )
-
-
-@dataclass(frozen=True)
-class Molecule:
-    """One active molecule: sampled vectors and derived couplings."""
-
-    dipole: np.ndarray        # P, 3-vector, esu*cm
-    position: np.ndarray      # x, 3-vector, cm
-    mode_value: np.ndarray    # X(x), 3-vector, cm^{-3/2}
-    pump_value: np.ndarray    # a_p(x), 3-vector, esu/cm
-    alpha: float
-    beta: float
-    gamma: float
 
 
 def _as_locked(a: np.ndarray) -> np.ndarray:
@@ -214,13 +201,10 @@ class ReducedState:
         return self.z.shape[0]
 
 
-def ground_state(n: int, phases: Optional[np.ndarray] = None) -> FullState:
-    """All molecules in the lower level, zero field; optional gauge phases."""
+def ground_state(n: int) -> FullState:
+    """All molecules in the lower level, zero field."""
     c = np.zeros((n, 2), dtype=complex)
-    if phases is None:
-        c[:, 0] = 1.0
-    else:
-        c[:, 0] = np.exp(1j * np.asarray(phases))
+    c[:, 0] = 1.0
     return FullState(a=0.0, b=0.0, c=c)
 
 
@@ -279,9 +263,13 @@ def lift_from_z(z, branch: BranchName = "upper") -> np.ndarray:
     return c
 
 
-def reduce_state(state: FullState) -> ReducedState:
-    return ReducedState(a=state.a, b=state.b, z=hopf_project(state.c))
-
-
 def lift_state(state: ReducedState, branch: BranchName = "upper") -> FullState:
     return FullState(a=state.a, b=state.b, c=lift_from_z(state.z, branch=branch))
+
+
+def perturbed_point(n: int, eps: float, rng: np.random.Generator) -> ReducedState:
+    """A point near the ground state: |z_n| uniform in [0.2, 1] * eps with
+    uniform phases, then (a, b) uniform in [-eps, eps]^2, drawn in that order."""
+    z = eps * rng.uniform(0.2, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    a, b = eps * rng.uniform(-1, 1, 2)
+    return ReducedState(a=a, b=b, z=z)

@@ -98,7 +98,7 @@ def detuning_moments(alpha: np.ndarray, beta: np.ndarray,
     """The moments in one blocked O(N * SERIES_TERMS) pass.
 
     ``ab[0]`` is S; it is taken as one pairwise sum, rounded exactly as
-    `Ensemble.sum_alpha_beta`, so M and the dense route do not move.
+    `ensemble.sum_S`, so M and the dense route do not move.
     """
     g2_max = float(np.max(np.abs(gamma), initial=0.0)) ** 2
     weights = alpha * beta
@@ -318,18 +318,6 @@ def reduced_matrix(mu: complex, bd: BlockDifferential,
 # characteristic polynomial (degree six)
 # ---------------------------------------------------------------------------
 
-def _poly_mul(p, q):
-    return np.convolve(p, q)
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    out = np.zeros(n)
-    out[n - len(p):] += p
-    out[n - len(q):] += q
-    return out
-
-
 def _det_poly(entries) -> np.ndarray:
     """Determinant of a 4x4 matrix of polynomials (descending coefficients)."""
     import itertools
@@ -344,8 +332,8 @@ def _det_poly(entries) -> np.ndarray:
                     sign = -sign
         term = np.array([float(sign)])
         for row in range(4):
-            term = _poly_mul(term, entries[row][perm[row]])
-        total = _poly_add(total, term)
+            term = np.convolve(term, entries[row][perm[row]])
+        total = np.polyadd(total, term)
     return total
 
 
@@ -378,7 +366,7 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
         for j in range(2):
             p = np.array([m_shift[i, j]])
             if i == j:
-                p = _poly_add(p, np.array([-1.0, 0.0]))
+                p = np.polyadd(p, np.array([-1.0, 0.0]))
             entries[i][j] = p
             entries[i][2 + j] = PI * K[i, j] * one
     # molecular rows: -u^2 R Wb v0 + (u^2 I - u^2 R m) P = 0
@@ -389,7 +377,7 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
             entries[2 + i][j] = -wb[i, j] * rdiag[i]
             p = -m[i, j] * rdiag[i]
             if i == j:
-                p = _poly_add(p, u2)
+                p = np.polyadd(p, u2)
             entries[2 + i][2 + j] = p
 
     coeffs = _det_poly(entries)
@@ -398,23 +386,6 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
     if abs(coeffs[0] - 1.0) > 1e-9:
         raise NumericsError("characteristic polynomial did not come out monic degree 6")
     return coeffs / coeffs[0]
-
-
-def char_polynomial(bd: BlockDifferential) -> np.ndarray:
-    """Degree-6 coefficients in the multiplier itself (descending, monic).
-
-    Reporting form of `char_polynomial_centered`; root finding should use the
-    centered coefficients, which are far better conditioned near mu = 1.
-    """
-    centered = char_polynomial_centered(bd)
-    out = np.zeros(7)
-    # substitute u = mu - 1: binomial expansion of each power
-    from math import comb
-    for i, c in enumerate(centered):
-        k = 6 - i                      # power of u
-        for j in range(k + 1):
-            out[6 - j] += c * comb(k, j) * (-1.0) ** (k - j)
-    return out / out[0]
 
 
 def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
@@ -444,7 +415,7 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
 # eigenvectors and the verdict
 # ---------------------------------------------------------------------------
 
-def _null_direction(mu: complex, bd: BlockDifferential, null_tol: float):
+def _null_direction(mu: complex, bd: BlockDifferential):
     """(v0, rhs) at a root of det M(mu).
 
     v0 is the unit near-null vector of the reduced 2x2; the molecular parts of
@@ -454,7 +425,7 @@ def _null_direction(mu: complex, bd: BlockDifferential, null_tol: float):
     """
     red = reduced_matrix(mu, bd, method="exact")
     _, sing, vh = np.linalg.svd(red)
-    if sing[1] > null_tol * max(sing[0], 1e-30):
+    if sing[1] > _NULL_TOL * max(sing[0], 1e-30):
         raise NumericsError(
             f"mu = {mu} is not an eigenvalue: reduced matrix well conditioned")
     v0 = vh[1].conj()
@@ -467,15 +438,14 @@ def _null_direction(mu: complex, bd: BlockDifferential, null_tol: float):
     return v0, wb @ v0 + m @ P
 
 
-def eigvec_back_substitute(mu: complex, bd: BlockDifferential,
-                           null_tol: float = _NULL_TOL) -> np.ndarray:
+def eigvec_back_substitute(mu: complex, bd: BlockDifferential) -> np.ndarray:
     """Unit eigenvector of the block matrix at a root of det M(mu).
 
     The molecular parts follow from v_n = (mu - D_n)^{-1} beta_n (-pi K v0 +
     m P) (see `_null_direction`).  The Maxwell component v0 never vanishes
     for roots of the reduced determinant.
     """
-    v0, rhs = _null_direction(mu, bd, null_tol)
+    v0, rhs = _null_direction(mu, bd)
     det = bd.gamma_detuning()
     u = mu - 1.0
     vec = np.empty(2 + 2 * bd.n, dtype=complex)
@@ -492,7 +462,7 @@ def _maxwell_component(mu: complex, bd: BlockDifferential) -> float:
     2N+2 vector: with |v0| = 1 the squared norm of the unnormalized vector is
     1 + |rhs_0|^2 sum beta_n^2/|u|^2 + |rhs_1|^2 sum beta_n^2/|u + delta_n|^2.
     """
-    v0, rhs = _null_direction(mu, bd, _NULL_TOL)
+    v0, rhs = _null_direction(mu, bd)
     u = mu - 1.0
     mol = (abs(rhs[0]) ** 2 * bd.moments.bb[0] / abs(u) ** 2
            + abs(rhs[1]) ** 2 * _detuned_norm_sum(u, bd))

@@ -1,0 +1,99 @@
+"""The CLI exit-code contract: any config and any argv end in exit 0, 2 or 3.
+
+Hypothesis draws a small dimensionless config whose numeric keys take finite,
+non-finite or unparsable values, and argv numbers that include 0, negatives,
+NaN and infinities; `cli.main` runs in-process and writes only under tmp_path.
+An exception escaping `main` fails the test.
+"""
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mblaser.cli import main
+from mblaser.dynamics import ODE_METHODS
+
+#: values no numeric key accepts, or that parse but lie outside every range
+BAD = ["nan", "inf", "-inf", "abc", "", "1e", "0x10", "1,2", "--", "-1", "0"]
+SPECIAL_FLOATS = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+def _reals(*values):
+    return st.sampled_from([repr(float(v)) for v in values])
+
+
+#: (section, key, usable values, extra bad values, required)
+KEYS = [
+    ("dimensionless", "kappa", _reals(0.0, 1e-7, 1e-3), ["0.5"], True),
+    ("dimensionless", "alpha_scale", _reals(0.0, 1.155e-23, 1.0), [], True),
+    ("dimensionless", "beta_scale", _reals(0.0, 1.824e-2, 1.0), [], True),
+    ("dimensionless", "gamma_scale", _reals(0.0, 2.149e-7, 1e-3), [], True),
+    ("dimensionless", "n", st.integers(1, 8).map(str), ["2.5"], True),
+    ("ensemble", "n", st.integers(1, 8).map(str), ["2.5"], False),
+    ("ensemble", "seed", st.integers(0, 2 ** 40).map(str), ["-3"], False),
+    ("ensemble", "rescale_alpha_to_s", _reals(1e-5, 1.0), [], False),
+    ("ensemble", "active_volume", _reals(3.4, 48.0), ["100"], False),
+    ("run", "rel_tol", _reals(1e-10, 1e-6), ["1"], False),
+    ("run", "abs_tol", _reals(1e-12, 1e-8), ["1"], False),
+    ("run", "max_step", _reals(1e-2, 1.0, math.inf), [], False),
+    ("run", "verdict_tol", _reals(0.0, 1e-9, 1.0), [], False),
+    ("run", "method", st.sampled_from(ODE_METHODS), ["RK99"], False),
+]
+
+
+@st.composite
+def configs(draw):
+    """An INI text in which at most two keys take a bad value."""
+    bad_keys = draw(st.sets(st.integers(0, len(KEYS) - 1), max_size=2))
+    sections = {"dimensionless": [], "ensemble": [], "run": []}
+    for i, (section, key, usable, extra_bad, required) in enumerate(KEYS):
+        if i in bad_keys:
+            value = draw(st.sampled_from(BAD + extra_bad))
+        elif required or draw(st.booleans()):
+            value = draw(usable)
+        else:
+            continue
+        sections[section].append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "".join(line + "\n" for line in lines)
+                   for name, lines in sections.items())
+
+
+def _real(*finite_range):
+    return st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(*finite_range))
+
+
+@st.composite
+def commands(draw):
+    """argv for one subcommand, without --config and --out."""
+    kind = draw(st.sampled_from(
+        ["ensemble", "spectrum", "poincare", "threshold-scan", "simulate"]))
+    if kind == "spectrum":
+        argv = ["spectrum", "--method", "polynomial"]
+    elif kind == "poincare":
+        argv = ["poincare", "--mode", "analytic",
+                f"--epsilon={draw(_real(1e-8, 1.0))!r}"]
+    elif kind == "threshold-scan":
+        argv = ["threshold-scan", f"--pump-min={draw(_real(1e-3, 1e3))!r}",
+                f"--pump-max={draw(_real(1e3, 1e5))!r}",
+                f"--steps={draw(st.integers(-1, 3))}"]
+    elif kind == "simulate":
+        argv = ["simulate", f"--periods={draw(_real(1e-4, 0.05))!r}",
+                f"--samples-per-period={draw(st.integers(-1, 8))}"]
+    else:
+        argv = ["ensemble"]
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(st.integers(-3, 2 ** 40))}")
+    suffix = ".csv" if kind in ("simulate", "threshold-scan") or draw(st.booleans()) \
+        else ".json"
+    return argv, suffix
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg_text=configs(), command=commands())
+def test_exit_code_contract(cfg_text, command, tmp_path):
+    argv, suffix = command
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / f"out{suffix}")])
+    assert rc in (0, 2, 3)

@@ -5,6 +5,7 @@ import pytest
 
 from mblaser.cli import main
 from mblaser.config import load_config, paper_preset
+from mblaser.ensemble import sum_S
 from mblaser.errors import ValidationError
 from mblaser.spectrum import DENSE_CAP
 
@@ -64,7 +65,7 @@ class TestConfig:
         assert cfg.kappa == 1e-7
         assert cfg.n == 40 and cfg.seed == 7
         e = cfg.build_ensemble()
-        assert e.sum_alpha_beta == pytest.approx(1e-5)
+        assert sum_S(e).empirical == pytest.approx(1e-5)
 
     def test_loads_physical(self, physical_cfg):
         cfg = load_config(physical_cfg)
@@ -114,7 +115,7 @@ class TestConfig:
         cfg = paper_preset(n=50)
         e = cfg.build_ensemble()
         assert e.n == 50
-        assert e.sum_alpha_beta == pytest.approx(1e-5)
+        assert sum_S(e).empirical == pytest.approx(1e-5)
 
 
 class TestCli:
@@ -269,3 +270,56 @@ class TestCli:
         assert "skipped" not in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert "dense_skipped" not in payload and payload["method"] == "both"
+
+
+class TestBadInputs:
+    """Inputs that used to end in a traceback exit 2 with a message."""
+
+    @pytest.mark.parametrize("old,new", [
+        ("hypothesis = H1\nn = 40", "hypothesis = H1\nn = abc"),
+        ("seed = 7", "seed = x"),
+        ("rescale_alpha_to_s = 1e-5", "rescale_alpha_to_s = q"),
+        ("abs_tol = 1e-12", "abs_tol = 1e-12\nmethod = RK99"),
+        ("kappa = 1e-7", "kappa = nan"),
+        ("rescale_alpha_to_s = 1e-5", "rescale_alpha_to_s = nan"),
+        ("rescale_alpha_to_s = 1e-5", "rescale_alpha_to_s = 1e-5\nactive_volume = -1"),
+    ])
+    def test_bad_config_value_exits_2(self, old, new, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        assert old in DIMLESS
+        cfg.write_text(DIMLESS.replace(old, new))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--periods", "0.05",
+                     "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,name", [
+        (["ensemble"], "out.json"),
+        (["ensemble"], "out.csv"),
+        (["spectrum", "--method", "polynomial"], "out.json"),
+        (["poincare", "--mode", "analytic"], "out.json"),
+        (["simulate", "--periods", "0.05"], "out.csv"),
+        (["threshold-scan", "--pump-min", "1", "--pump-max", "10", "--steps", "2"],
+         "out.csv"),
+    ])
+    def test_unwritable_out_exits_2(self, argv, name, dimless_cfg, tmp_path, capsys):
+        out = tmp_path / "missing" / name
+        assert main(argv + ["--config", dimless_cfg, "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--periods", "0"],
+        ["simulate", "--periods", "nan"],
+        ["simulate", "--periods=-1"],
+        ["poincare", "--epsilon", "nan"],
+        ["poincare", "--epsilon", "0"],
+        ["threshold-scan", "--pump-min", "nan", "--pump-max", "10"],
+        ["threshold-scan", "--pump-min", "1", "--pump-max", "inf"],
+        ["threshold-scan", "--pump-min=-inf", "--pump-max", "10"],
+    ])
+    def test_bad_numeric_argument_exits_2(self, argv, dimless_cfg, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--config", dimless_cfg, "--out", str(out)]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,17 +1,74 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from mblaser.dynamics import (OdeSettings, TWO_PI,
-                              averaged_propagator, averaging_error_scaling,
+from mblaser.dynamics import (OdeSettings, TWO_PI, averaging_error_scaling,
                               gauge_rotate, integrate, integrate_full,
-                              integrate_reduced, pack_full, profile_cosine,
-                              profile_pump_cosine, profile_rotating, rhs_full,
-                              rhs_reduced, _flat_rhs_full)
+                              integrate_reduced, profile_pump_cosine,
+                              profile_rotating, rhs_full, rhs_reduced,
+                              sample_trajectory)
+from mblaser.ensemble import Ensemble
 from mblaser.errors import ChartBoundaryError, ValidationError
 from mblaser.model import (FullState, ReducedState, ground_state,
                            hopf_project, lift_state)
 
 TIGHT = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# averaged (rotating-wave) propagators: the approximation the RWA checks test
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AveragedPropagator:
+    """Per-molecule averaged two-level propagators U_n(tau)."""
+
+    U: np.ndarray             # (N, 2, 2) complex
+    omega_tilde: np.ndarray   # (N,) complex averaged generator entries
+    s: np.ndarray             # (N,) unit phases omega_tilde/|omega_tilde|
+
+    def unitarity_defect(self) -> float:
+        eye = np.eye(2)
+        defect = 0.0
+        for u in self.U:
+            defect = max(defect, float(np.max(np.abs(np.conj(u.T) @ u - eye))))
+        return defect
+
+
+def averaged_propagator(e: Ensemble, nu: complex, order: int,
+                        tau: float) -> AveragedPropagator:
+    """Propagator of the period-averaged molecular generator.
+
+    order 1: omega_tilde = gamma_n/2 (pumping only);
+    order 2: omega_tilde = beta_n*nu + gamma_n/2, with nu the first-harmonic
+    content of the field response.  For omega_tilde = 0 the phase s_n is set
+    to 1 (U is the identity there, so the convention is unobservable).
+    """
+    if order == 1:
+        om = (e.gamma / 2.0).astype(complex)
+    elif order == 2:
+        om = e.beta * complex(nu) + e.gamma / 2.0
+    else:
+        raise ValidationError("order must be 1 or 2")
+    mod = np.abs(om)
+    if np.any(mod > 1e-3):
+        raise ValidationError("averaged generator too large for the slow-rotation regime")
+    s = np.where(mod > 0, om / np.where(mod > 0, mod, 1.0), 1.0 + 0.0j)
+    cos = np.cos(mod * tau)
+    sin = np.sin(mod * tau)
+    U = np.empty((e.n, 2, 2), dtype=complex)
+    U[:, 0, 0] = cos
+    U[:, 0, 1] = -1j * s * sin
+    U[:, 1, 0] = -1j * np.conj(s) * sin
+    U[:, 1, 1] = cos
+    return AveragedPropagator(U=U, omega_tilde=om, s=s)
+
+
+def profile_cosine(tau: float) -> np.ndarray:
+    """Commuting family (pure sigma_x): averaging is EXACT for it, so it can
+    carry a zero-error check but not a slope fit."""
+    return np.array([[0.0, np.cos(tau)], [np.cos(tau), 0.0]], dtype=complex)
 
 
 class TestRhsFull:
@@ -85,11 +142,10 @@ class TestIntegrate:
         settings = OdeSettings(rel_tol=1e-10, abs_tol=1e-10)
         state0 = ground_state(e.n)
         taus = np.linspace(0, TWO_PI, 17)
-        _, ys = integrate(_flat_rhs_full(e, e.kappa), pack_full(state0), 0.0,
-                          TWO_PI, settings, t_eval=taus)
-        for i in range(ys.shape[1]):
-            c = np.ascontiguousarray(ys[2:, i]).view(np.complex128).reshape(e.n, 2)
-            assert np.max(np.abs(np.sum(np.abs(c) ** 2, axis=1) - 1.0)) <= 100 * settings.abs_tol
+        samples = list(sample_trajectory(state0, taus, e, e.kappa, settings))
+        assert [t for t, _ in samples] == list(taus)
+        for _, state in samples:
+            assert np.max(np.abs(state.norms() - 1.0)) <= 100 * settings.abs_tol
 
     def test_bad_interval(self):
         with pytest.raises(ValidationError):

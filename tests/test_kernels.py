@@ -8,6 +8,37 @@ PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 
+# leading-order forms, kept here to pin their truncation order
+
+def leading_fundamental_solution(tau, kappa):
+    """e^{-kappa tau} sin(tau) for tau > 0 (error <= ~4 kappa^2 on [0, 2 pi])."""
+    return np.exp(-kappa * tau) * np.sin(tau)
+
+
+def leading_integral_I(tau, kappa, which):
+    """Leading-order I1 (O(25 kappa^2) accurate) and I2 (an O(kappa) residual
+    mid-period, max coefficient ~5.2, that vanishes at tau = 2 pi)."""
+    if which == 1:
+        return (
+            -0.5j * np.sin(tau)
+            + 0.5j * tau * np.exp(-1j * tau)
+            + kappa * ((-np.sin(tau) + tau * np.exp(1j * tau)) / 4.0
+                       - 0.25j * tau * tau * np.exp(-1j * tau))
+        )
+    return complex((tau * tau * np.sin(tau) + tau * np.cos(tau) - np.sin(tau)) / 8.0)
+
+
+def leading_components(kappa):
+    """The classical O(kappa) real components of A1, A2, B1, B2 (A1 ~ A11 +
+    i A12 etc.); the B pairs follow from B1 = -i A1 and B2 = A1 - i A2."""
+    a11 = kappa * PI / 2.0
+    a12 = PI - kappa * PI ** 2
+    a21 = PI / 2.0
+    a22 = PI ** 2 - 2.0 * kappa * (PI ** 3 / 3.0 + PI / 4.0)
+    return {"A1": complex(a11, a12), "A2": complex(a21, a22),
+            "B1": complex(a12, -a11), "B2": complex(a11 + a22, a12 - a21)}
+
+
 class TestFundamentalSolution:
     def test_retardation(self):
         assert kernels.fundamental_solution(-0.5, 1e-3) == 0.0
@@ -18,8 +49,8 @@ class TestFundamentalSolution:
     @pytest.mark.parametrize("kappa", [1e-7, 1e-5, 1e-4, 1e-3])
     def test_exact_vs_leading(self, kappa):
         tau = np.linspace(1e-6, TWO_PI, 300)
-        gap = np.max(np.abs(kernels.fundamental_solution(tau, kappa, "exact")
-                            - kernels.fundamental_solution(tau, kappa, "leading")))
+        gap = np.max(np.abs(kernels.fundamental_solution(tau, kappa)
+                            - leading_fundamental_solution(tau, kappa)))
         assert gap <= 10.0 * kappa ** 2
 
     @pytest.mark.parametrize("tau,kappa", [(1.0, 1e-7), (3.0, 1e-3), (6.0, 0.0)])
@@ -90,7 +121,7 @@ class TestRunningIntegrals:
         for kappa in (1e-5, 1e-3):
             for tau in (1.0, 3.0, TWO_PI):
                 gap = abs(kernels.integral_I(tau, kappa, 1)
-                          - kernels.integral_I(tau, kappa, 1, form="leading"))
+                          - leading_integral_I(tau, kappa, 1))
                 assert gap <= 50.0 * kappa ** 2
 
     def test_leading_i2_residual_orders(self):
@@ -98,11 +129,11 @@ class TestRunningIntegrals:
         # second order again at the full period
         for kappa in (1e-5, 1e-3):
             mid = max(abs(kernels.integral_I(t, kappa, 2)
-                          - kernels.integral_I(t, kappa, 2, form="leading"))
+                          - leading_integral_I(t, kappa, 2))
                       for t in (1.0, 3.0, 4.6))
             assert mid <= 6.0 * kappa
             end = abs(kernels.integral_I(TWO_PI, kappa, 2)
-                      - kernels.integral_I(TWO_PI, kappa, 2, form="leading"))
+                      - leading_integral_I(TWO_PI, kappa, 2))
             assert end <= 50.0 * kappa ** 2
 
 
@@ -154,9 +185,6 @@ class TestPeriodConstants:
         assert abs(kc.B2 - (kc.A1 - 1j * kc.A2)) <= 1e-13
         e2pi = kernels.fundamental_solution(TWO_PI, kappa)
         assert abs(kc.B1 - (-1j * kc.A1 + e2pi)) <= 1e-13
-        # the leading components satisfy them by construction
-        assert kc.B11 == kc.A12 and kc.B12 == -kc.A11
-        assert kc.B21 == kc.A11 + kc.A22 and kc.B22 == kc.A12 - kc.A21
 
     def test_b3_sign_decided_by_oracle(self):
         # Re B2, not -Im B2
@@ -167,10 +195,8 @@ class TestPeriodConstants:
     @pytest.mark.parametrize("kappa", [1e-5, 1e-3])
     def test_leading_components_are_second_order(self, kappa):
         kc = kernels.constants_AB(kappa)
-        assert abs(kc.A1 - complex(kc.A11, kc.A12)) <= 50.0 * kappa ** 2
-        assert abs(kc.A2 - complex(kc.A21, kc.A22)) <= 50.0 * kappa ** 2
-        assert abs(kc.B1 - complex(kc.B11, kc.B12)) <= 50.0 * kappa ** 2
-        assert abs(kc.B2 - complex(kc.B21, kc.B22)) <= 50.0 * kappa ** 2
+        for name, value in leading_components(kappa).items():
+            assert abs(getattr(kc, name) - value) <= 50.0 * kappa ** 2, name
 
 
 class TestCollectiveKernels:

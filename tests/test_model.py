@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mblaser.dynamics import gauge_rotate
 from mblaser.errors import ValidationError
 from mblaser.model import (DimensionlessParams, PhysicalParams,
                            derive_dimensionless, ground_state, hopf_project,
@@ -115,7 +116,7 @@ class TestLift:
         assert np.max(np.abs(hopf_project(c) - z)) <= 1e-14
 
     def test_ground_state_phases(self):
-        gs = ground_state(3, phases=np.array([0.0, np.pi / 2, np.pi]))
+        gs = gauge_rotate(ground_state(3), np.array([0.0, np.pi / 2, np.pi]))
         assert np.allclose(np.abs(gs.c[:, 0]), 1.0)
         assert np.allclose(gs.c[:, 1], 0.0)
 

@@ -8,19 +8,13 @@ from conftest import desk_params
 from mblaser.dynamics import OdeSettings, TWO_PI
 from mblaser.ensemble import sample_ensemble
 from mblaser.kernels import constants_AB
-from mblaser.model import FullState, ReducedState, ground_state, lift_state
+from mblaser.model import (FullState, ReducedState, ground_state, lift_state,
+                           perturbed_point)
 from mblaser.poincare import (compute_nu, jacobian_fd, make_numeric_map,
                               poincare_analytic, poincare_numeric,
                               reduced_to_vector, vector_to_reduced)
 
 TIGHT = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
-
-
-def _perturb(e, eps, seed):
-    rng = np.random.default_rng(seed)
-    z = eps * rng.uniform(0.2, 1, e.n) * np.exp(2j * np.pi * rng.uniform(size=e.n))
-    a0, b0 = eps * rng.uniform(-1, 1, 2)
-    return a0, b0, z
 
 
 class TestComputeNu:
@@ -88,10 +82,9 @@ class TestPeriodMaps:
         eps = 1e-4
         worst = 0.0
         for trial in range(10):
-            a0, b0, z0 = _perturb(e, eps, 50 + trial)
-            numeric = poincare_numeric(
-                lift_state(ReducedState(a=a0, b=b0, z=z0)), e, e.kappa, TIGHT)
-            analytic = poincare_analytic(a0, b0, z0, e, e.kappa)
+            point = perturbed_point(e.n, eps, np.random.default_rng(50 + trial))
+            numeric = poincare_numeric(lift_state(point), e, e.kappa, TIGHT)
+            analytic = poincare_analytic(point.a, point.b, point.z, e, e.kappa)
             worst = max(worst, numeric.distance(analytic))
         om = float(np.max(np.abs(e.gamma))) / 2.0 + 1e-6
         assert worst <= 10.0 * (eps ** 2 + om ** 2)
@@ -100,8 +93,7 @@ class TestPeriodMaps:
         # the projected map is blind to the gauge of the lifted initial data
         from mblaser.dynamics import gauge_rotate
         e = small_ensemble
-        a0, b0, z0 = _perturb(e, 1e-2, 9)
-        state0 = lift_state(ReducedState(a=a0, b=b0, z=z0))
+        state0 = lift_state(perturbed_point(e.n, 1e-2, np.random.default_rng(9)))
         base = poincare_numeric(state0, e, e.kappa, TIGHT)
         rng = np.random.default_rng(10)
         for _ in range(20):
@@ -152,14 +144,14 @@ class TestJacobianFD:
         assert np.max(np.abs(jac - np.eye(2 + 2 * e.n))) <= 1e-8
 
     def test_maxwell_columns_scale_with_alpha(self, tiny_ensemble):
-        # da/dz_n' = alpha_n' (A12, A11): linear in the current weight
+        # da/dz_n' = alpha_n' (Im A1, Re A1): linear in the current weight
         e = tiny_ensemble
         kc = constants_AB(e.kappa)
         pmap = make_numeric_map(e, e.kappa, OdeSettings(rel_tol=1e-12, abs_tol=1e-14))
         jac = jacobian_fd(pmap, np.zeros(2 + 2 * e.n), h=1e-5)
         for i in range(e.n):
             col = jac[0, 2 + 2 * i:4 + 2 * i]
-            expect = e.alpha[i] * np.array([kc.A12, kc.A11])
+            expect = e.alpha[i] * np.array([kc.A1.imag, kc.A1.real])
             assert np.max(np.abs(col - expect)) <= 1e-9 + 1e-4 * abs(e.alpha[i])
 
     def test_richardson_and_step_validation(self):
