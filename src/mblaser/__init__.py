@@ -19,7 +19,7 @@ from .ensemble import (Ensemble, SumReport, cuboid_mode, sample_ensemble,
 from .dynamics import (OdeSettings, averaging_error_scaling, integrate,
                        integrate_full, integrate_reduced, rhs_full,
                        rhs_reduced, sample_trajectory)
-from .poincare import (MapOutput, NuValue, compute_nu, jacobian_fd,
+from .poincare import (NuValue, compute_nu, jacobian_fd,
                        make_numeric_map, poincare_analytic, poincare_numeric)
 from .spectrum import (BlockDifferential, SpectrumReport, assemble_blocks,
                        assemble_full, eigvec_back_substitute,

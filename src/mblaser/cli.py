@@ -31,12 +31,13 @@ from . import kernels  # noqa: E402
 from .config import RunConfig, load_config, paper_preset  # noqa: E402
 from .dynamics import simulate_trajectory  # noqa: E402
 from .ensemble import sum_S, sum_Sigma  # noqa: E402
-from .errors import CapacityError, NumericsError, ValidationError  # noqa: E402
+from .errors import (CapacityError, NumericsError,  # noqa: E402
+                     ValidationError, require_capacity)
 from .model import ground_state, lift_state, perturbed_point  # noqa: E402
 from .poincare import poincare_analytic, poincare_numeric  # noqa: E402
 from .spectrum import (DENSE_CAP, assemble_blocks,  # noqa: E402
                        resonance_verdict, threshold_scan)
-from .verify import run_all  # noqa: E402
+from .verify import ab_gap_table, run_all  # noqa: E402
 
 
 def _load(args) -> RunConfig:
@@ -116,9 +117,10 @@ def cmd_ensemble(args) -> int:
 
 
 def _require_positive(value, flag: str) -> None:
-    """Reject a count below 1, or a real that is not positive and finite."""
-    if isinstance(value, int) and value < 1:
-        raise ValidationError(f"{flag} must be >= 1, got {value}")
+    """Reject a count outside [1, 2**63), the range of numpy's sizes, or a
+    real that is not positive and finite."""
+    if isinstance(value, int) and not 1 <= value < 2 ** 63:
+        raise ValidationError(f"{flag} must be >= 1 and < 2**63, got {value}")
     if not 0 < value < math.inf:
         raise ValidationError(f"{flag} must be positive and finite, got {value}")
 
@@ -204,6 +206,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_threshold_scan(args) -> int:
     _require_positive(args.steps, "--steps")
+    require_capacity(8 * args.steps, f"a pump grid of {args.steps} points")
     _require_positive(args.pump_min, "--pump-min")
     _require_positive(args.pump_max, "--pump-max")
     if args.pump_max <= args.pump_min:
@@ -227,20 +230,10 @@ def cmd_threshold_scan(args) -> int:
 
 def cmd_verify_integrals(args) -> int:
     kap = args.kappa
-    kc = kernels.constants_AB(kap)
-    oracle = kernels.constants_AB_oracle(kap)
-    tol = 10.0 * kap ** 2 + 1e-10
-    rows = []
-    closed = {"A1": kc.A1, "A2": kc.A2, "A3": kc.A3,
-              "B1": kc.B1, "B2": kc.B2, "B3": kc.B3}
-    for name, val in closed.items():
-        gap = abs(val - oracle[name])
-        rows.append({"name": name, "closed": complex(val),
-                     "oracle": complex(oracle[name]), "abs_gap": gap,
-                     "tol": tol, "pass": bool(gap <= tol)})
+    rows = ab_gap_table(kap)
     j1o, j2o = kernels.constants_J_oracle(kap)
     jtol = 10.0 * kap ** 2 + 1e-9
-    for name, val, orc in (("J1", kc.J1, j1o), ("J2", kc.J2, j2o)):
+    for name, val, orc in zip(("J1", "J2"), kernels.constants_J(kap), (j1o, j2o)):
         gap = abs(val - orc)
         rows.append({"name": name, "closed": complex(val), "oracle": complex(orc),
                      "abs_gap": gap, "tol": jtol, "pass": bool(gap <= jtol)})

@@ -10,7 +10,7 @@ and the gauge-reduced form in z_n = conj(c_n1) c_n2:
 
     z_n' = -i conj(omega_n) sqrt(1 - 4 |z_n|^2)
 
-valid on the branch |z_n| < 1/2 (lower-level neighborhood).  The molecular
+valid for |z_n| < 1/2 (lower-level neighborhood).  The molecular
 part is skew-adjoint, so |c_n1|^2 + |c_n2|^2 is conserved along exact
 trajectories; the integrator is required to preserve it to ~100x its local
 tolerance over a period.
@@ -29,7 +29,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .ensemble import Ensemble
-from .errors import ChartBoundaryError, NumericsError, ValidationError
+from .errors import (ChartBoundaryError, NumericsError, ValidationError,
+                     require_capacity)
 from .model import FullState, ReducedState
 
 TWO_PI = 2.0 * np.pi
@@ -143,7 +144,7 @@ def rhs_full(state: FullState, tau: float, e: Ensemble, kappa: float) -> FullSta
 
 
 def rhs_reduced(state: ReducedState, tau: float, e: Ensemble, kappa: float) -> ReducedState:
-    """Time derivative in gauge-reduced coordinates (branch |c1| > |c2|)."""
+    """Time derivative in gauge-reduced coordinates (where |c1| > |c2|)."""
     dy = _flat_rhs_reduced(e, kappa)(tau, pack_reduced(state))
     return unpack_reduced(dy, state.n_molecules)
 
@@ -206,6 +207,10 @@ def simulate_trajectory(state0: FullState, periods: float, e: Ensemble,
     Returns (tau, a, b, field_energy, mean_inversion) arrays for streaming to
     CSV; the energy is the bare oscillator quadratic form (a^2 + b^2)/2.
     """
+    samples = periods * samples_per_period + 1
+    # the solver's (2 + 4N) x samples array plus the sample grid
+    require_capacity(8.0 * (3 + 4 * state0.n_molecules) * samples,
+                     f"a trajectory of {samples:.3g} samples")
     n_samp = max(2, int(periods * samples_per_period) + 1)
     taus = np.linspace(0.0, periods * TWO_PI, n_samp)
     t, a, b, inv = (np.empty(n_samp) for _ in range(4))

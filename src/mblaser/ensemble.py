@@ -20,7 +20,7 @@ from typing import Literal, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_capacity
 from .model import DimensionlessParams, PhysicalParams
 
 Hypothesis = Literal["H1", "H2"]
@@ -221,6 +221,8 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
 
     if n_eff < 1:
         raise ValidationError("ensemble size must be >= 1")
+    # alpha, beta, gamma and the four (N, 3) arrays, in float64
+    require_capacity(8 * 15 * n_eff, f"an ensemble of {n_eff} molecules")
     if not v_active > 0:
         raise ValidationError(f"active volume must be positive, got {v_active!r}")
     if rescale_alpha_to_s is not None and not 0 < rescale_alpha_to_s < np.inf:

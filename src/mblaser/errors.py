@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size cap behind
+`CapacityError`."""
 
 
 class MBLaserError(Exception):
@@ -19,3 +20,15 @@ class ChartBoundaryError(NumericsError):
 
 class CapacityError(MBLaserError):
     """Requested problem size exceeds a hard cap (e.g. dense eigensolve)."""
+
+
+#: largest allocation one request may ask for, in bytes
+MEMORY_CAP_BYTES = 8 * 2 ** 30
+
+
+def require_capacity(n_bytes: float, what: str) -> None:
+    """Raise CapacityError, before allocating, if ``what`` is estimated to
+    need more than MEMORY_CAP_BYTES."""
+    if n_bytes > MEMORY_CAP_BYTES:
+        raise CapacityError(f"{what} needs {n_bytes / 2 ** 30:.3g} GiB, above the "
+                            f"{MEMORY_CAP_BYTES / 2 ** 30:g} GiB cap")

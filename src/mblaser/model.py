@@ -15,7 +15,7 @@ always, since both factors contain the same projection P_n . X(x_n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +34,6 @@ RUBY_SIGMA1 = 1.0e-7                  # dimensionless damping c*sigma/Omega_p
 RUBY_CAVITY = (12.0, 2.0, 2.0)        # cm
 RUBY_ACTIVE_VOLUME = 3.4              # cm^3 (cylindrical lamp r=0.3, l=12)
 RUBY_N = 1.0e20
-
-BranchName = Literal["upper", "lower"]
 
 
 @dataclass(frozen=True)
@@ -200,6 +198,11 @@ class ReducedState:
     def n_molecules(self) -> int:
         return self.z.shape[0]
 
+    def distance(self, other: "ReducedState") -> float:
+        """Largest absolute gap over a, b and the z_n."""
+        return max(abs(self.a - other.a), abs(self.b - other.b),
+                   float(np.max(np.abs(self.z - other.z))) if self.z.size else 0.0)
+
 
 def ground_state(n: int) -> FullState:
     """All molecules in the lower level, zero field."""
@@ -220,51 +223,43 @@ def hopf_project(c) -> np.ndarray:
     return np.conj(c[..., 0]) * c[..., 1]
 
 
-def populations_from_z(z, branch: BranchName = "upper", tol: float = 1e-9):
+def populations_from_z(z, tol: float = 1e-9):
     """Level populations (|c1|^2, |c2|^2) from the Hopf coordinate.
 
-    4|c1|^2 = 2 + 2*sqrt(1 - 4|z|^2) on the branch containing the lower-level
-    point (``upper`` means |c1| > |c2|); the other branch swaps the pair.
-    The map is smooth for |z| < 1/2 and its gradient vanishes at z = 0.
+    4|c1|^2 = 2 + 2*sqrt(1 - 4|z|^2) on the Bloch hemisphere |c1| >= |c2|
+    that contains the lower-level point; on the other hemisphere the pair is
+    swapped.  The map is smooth for |z| < 1/2 and its gradient vanishes at
+    z = 0.
     """
     z = np.asarray(z, dtype=complex)
     r2 = 4.0 * np.abs(z) ** 2
     if np.any(r2 > 1.0 + 4.0 * tol):
         raise ValidationError("populations_from_z: |z| exceeds 1/2")
     root = np.sqrt(np.clip(1.0 - r2, 0.0, None))
-    p_big = 0.5 * (1.0 + root)
-    p_small = 0.5 * (1.0 - root)
-    if branch == "upper":
-        return p_big, p_small
-    if branch == "lower":
-        return p_small, p_big
-    raise ValidationError(f"unknown branch {branch!r}")
+    return 0.5 * (1.0 + root), 0.5 * (1.0 - root)
 
 
-def inversion_from_z(z, branch: BranchName = "upper") -> np.ndarray:
-    """Population inversion |c2|^2 - |c1|^2; equals -sqrt(1-4|z|^2) near the
-    ground state (upper branch)."""
-    p1, p2 = populations_from_z(z, branch=branch)
+def inversion_from_z(z) -> np.ndarray:
+    """Population inversion |c2|^2 - |c1|^2 = -sqrt(1-4|z|^2) near the
+    ground state."""
+    p1, p2 = populations_from_z(z)
     return p2 - p1
 
 
-def lift_from_z(z, branch: BranchName = "upper") -> np.ndarray:
-    """A unit-sphere representative (c1, c2) of z with c1 real >= 0.
+def lift_from_z(z) -> np.ndarray:
+    """A unit-sphere representative (c1, c2) of z with c1 real >= 1/sqrt(2).
 
-    Inverse of ``hopf_project`` up to gauge.  On the chosen branch c1 never
-    vanishes for |z| < 1/2, so c2 = z / c1 is well defined.
+    Inverse of ``hopf_project`` up to gauge on the hemisphere |c1| >= |c2|,
+    where c2 = z / c1 is always defined.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    p1, _ = populations_from_z(z, branch=branch)
+    p1, _ = populations_from_z(z)
     c1 = np.sqrt(p1)
-    if np.any(c1 == 0.0):
-        raise ValidationError("lift undefined: |c1| = 0 on this branch")
-    c = np.stack([c1.astype(complex), z / c1], axis=-1)
-    return c
+    return np.stack([c1.astype(complex), z / c1], axis=-1)
 
 
-def lift_state(state: ReducedState, branch: BranchName = "upper") -> FullState:
-    return FullState(a=state.a, b=state.b, c=lift_from_z(state.z, branch=branch))
+def lift_state(state: ReducedState) -> FullState:
+    return FullState(a=state.a, b=state.b, c=lift_from_z(state.z))
 
 
 def perturbed_point(n: int, eps: float, rng: np.random.Generator) -> ReducedState:

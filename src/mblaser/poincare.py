@@ -30,7 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import OdeSettings, integrate_full
+from .dynamics import (CHART_GUARD, OdeSettings, integrate_full, pack_reduced,
+                       unpack_reduced)
 from .ensemble import Ensemble
 from .errors import ValidationError
 from .kernels import constants_AB, fundamental_solution, fundamental_solution_deriv
@@ -50,24 +51,6 @@ class NuValue:
     nu2: float
 
 
-@dataclass(frozen=True)
-class MapOutput:
-    """Image of one period-map application, in reduced coordinates."""
-
-    a: float
-    b: float
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-
-    def distance(self, other: "MapOutput") -> float:
-        return max(abs(self.a - other.a), abs(self.b - other.b),
-                   float(np.max(np.abs(self.z - other.z))) if self.z.size else 0.0)
-
-
 def compute_nu(a0: float, b0: float, e: Ensemble, kappa: float,
                init_z) -> NuValue:
     """nu = (1/2pi) int_0^2pi adot^(1) e^{-i tau} d tau in closed form."""
@@ -81,17 +64,17 @@ def compute_nu(a0: float, b0: float, e: Ensemble, kappa: float,
 
 
 def poincare_numeric(state0: FullState, e: Ensemble, kappa: float,
-                     settings: OdeSettings = OdeSettings()) -> MapOutput:
+                     settings: OdeSettings = OdeSettings()) -> ReducedState:
     """One-period image of the full dynamics, projected to the gauge quotient."""
     final = integrate_full(state0, 0.0, TWO_PI, e, kappa, settings)
-    return MapOutput(a=final.a, b=final.b, z=hopf_project(final.c))
+    return ReducedState(a=final.a, b=final.b, z=hopf_project(final.c))
 
 
 def poincare_analytic(a0: float, b0: float, z0, e: Ensemble,
-                      kappa: float) -> MapOutput:
-    """Second-order closed-form image near the ground state (branch |c1|>|c2|)."""
+                      kappa: float) -> ReducedState:
+    """Second-order closed-form image near the ground state (where |c1| > |c2|)."""
     z0 = np.asarray(z0, dtype=complex)
-    if np.any(np.abs(z0) >= 0.5 - 1e-6):
+    if np.any(np.abs(z0) >= 0.5 - CHART_GUARD):
         raise ValidationError("analytic map requires |z0| < 1/2 - delta")
     kc = constants_AB(kappa)
     nu = compute_nu(a0, b0, e, kappa, z0).nu
@@ -116,45 +99,31 @@ def poincare_analytic(a0: float, b0: float, z0, e: Ensemble,
              + 0.5 * float(np.sum(ag_g)) * kc.B3)
 
     z_img = z0 + TWO_PI * 1j * (e.beta * nu_bar + e.gamma / 2.0) * inv
-    return MapOutput(a=float(a_img), b=float(b_img), z=z_img)
+    return ReducedState(a=float(a_img), b=float(b_img), z=z_img)
 
 
 # ---------------------------------------------------------------------------
-# reduced-coordinate packing and the finite-difference differential
+# the flat numeric map and its finite-difference differential
 # ---------------------------------------------------------------------------
-
-def reduced_to_vector(state: ReducedState) -> np.ndarray:
-    """(a, b, Re z_1, Im z_1, ...) layout shared with the spectrum module."""
-    x = np.empty(2 + 2 * state.n_molecules)
-    x[0], x[1] = state.a, state.b
-    x[2::2] = state.z.real
-    x[3::2] = state.z.imag
-    return x
-
-
-def vector_to_reduced(x: np.ndarray) -> ReducedState:
-    return ReducedState(a=float(x[0]), b=float(x[1]), z=x[2::2] + 1j * x[3::2])
-
-
-def map_output_to_vector(out: MapOutput) -> np.ndarray:
-    return reduced_to_vector(ReducedState(a=out.a, b=out.b, z=out.z))
-
 
 def make_numeric_map(e: Ensemble, kappa: float,
                      settings: OdeSettings = OdeSettings()) -> Callable:
-    """The numeric period map as a flat function on reduced coordinates."""
+    """The numeric period map as a flat function on reduced coordinates.
+
+    The vector layout is `dynamics.pack_reduced`'s: (a, b, Re z_1, Im z_1,
+    ...), the row and column order of the block differential.
+    """
 
     def period_map(x: np.ndarray) -> np.ndarray:
-        state = lift_state(vector_to_reduced(x))
-        out = poincare_numeric(state, e, kappa, settings)
-        return map_output_to_vector(out)
+        state = lift_state(unpack_reduced(x, e.n))
+        return pack_reduced(poincare_numeric(state, e, kappa, settings))
 
     return period_map
 
 
-def jacobian_fd(period_map: Callable, base_point: np.ndarray, h: float = 1e-5,
-                richardson: bool = False) -> np.ndarray:
-    """Central-difference Jacobian of a flat map; optional Richardson step.
+def jacobian_fd(period_map: Callable, base_point: np.ndarray,
+                h: float = 1e-5) -> np.ndarray:
+    """Central-difference Jacobian of a flat map.
 
     Columns are independent map evaluations, so the integrator tolerance sets
     the noise floor at ~tol/h per entry; use tight tolerances in the map when
@@ -164,21 +133,13 @@ def jacobian_fd(period_map: Callable, base_point: np.ndarray, h: float = 1e-5,
         raise ValidationError("finite-difference step h must lie in [1e-7, 1e-3]")
     base_point = np.asarray(base_point, dtype=float)
     dim = base_point.size
-
-    def one(step):
-        jac = np.empty((dim, dim))
-        for k in range(dim):
-            dx = np.zeros(dim)
-            dx[k] = step
-            fp = period_map(base_point + dx)
-            fm = period_map(base_point - dx)
-            if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-                raise ValidationError("period map returned non-finite values")
-            jac[:, k] = (fp - fm) / (2.0 * step)
-        return jac
-
-    jac = one(h)
-    if richardson:
-        jac_half = one(h / 2.0)
-        jac = (4.0 * jac_half - jac) / 3.0
+    jac = np.empty((dim, dim))
+    for k in range(dim):
+        dx = np.zeros(dim)
+        dx[k] = h
+        fp = period_map(base_point + dx)
+        fm = period_map(base_point - dx)
+        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+            raise ValidationError("period map returned non-finite values")
+        jac[:, k] = (fp - fm) / (2.0 * h)
     return jac

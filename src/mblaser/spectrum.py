@@ -24,7 +24,10 @@ Eliminating the molecular rows reduces the eigenproblem to a 2x2 family
 
 whose determinant, cleared of the (mu-1)^2 denominators using the expansion
 sum_n alpha_n beta_n/(mu-1+delta_n) ~ S/(mu-1) - 2 pi^2 G/(mu-1)^2
-(G = sum alpha_n beta_n gamma_n^2), is a degree-six polynomial.  One root
+(G = sum alpha_n beta_n gamma_n^2), is a degree-six polynomial.  It is the
+determinant of a 4x4 polynomial system whose field-row/molecular-column block
+pi K is constant and invertible, so it is computed as the Schur form
+det(pi K) det(C - D (pi K)^{-1} A), a 2x2 determinant of cubics.  One root
 always sits exactly at mu = 1 (two when all gamma_n = 0): the nontrivial
 content is a quartic, and the remaining multipliers of the full matrix
 cluster near 1 and near the eigenvalues of D_n.
@@ -213,11 +216,8 @@ def assemble_blocks(e: Ensemble, kappa: float,
     )
 
 
-def assemble_full(bd: BlockDifferential,
-                  variant: Literal["full", "triangle"] = "full") -> np.ndarray:
-    """Dense (2N+2)^2 differential; triangle variant drops the field-mediated
-    feedback onto molecules (V and the cross blocks), making the spectrum
-    eig(M) union eig(D_n) exactly."""
+def assemble_full(bd: BlockDifferential) -> np.ndarray:
+    """Dense (2N+2)^2 differential."""
     n = bd.n
     if n > DENSE_CAP:
         raise CapacityError(
@@ -230,13 +230,9 @@ def assemble_full(bd: BlockDifferential,
         r = 2 + 2 * i
         out[r:r + 2, :2] = W[i]
         out[r:r + 2, r:r + 2] = D[i]
-        if variant == "full":
-            out[:2, r:r + 2] = V[i]
-    if variant == "full":
-        cross = np.einsum("i,j,ab->iajb", bd.beta, bd.alpha, bd.cross_kernel)
-        out[2:, 2:] += cross.reshape(2 * n, 2 * n)
-    elif variant != "triangle":
-        raise ValidationError(f"unknown variant {variant!r}")
+        out[:2, r:r + 2] = V[i]
+    cross = np.einsum("i,j,ab->iajb", bd.beta, bd.alpha, bd.cross_kernel)
+    out[2:, 2:] += cross.reshape(2 * n, 2 * n)
     return out
 
 
@@ -247,7 +243,7 @@ def assemble_full(bd: BlockDifferential,
 def _detuned_sum(u: complex, bd: BlockDifferential) -> complex:
     """sum_n alpha_n beta_n / (u + delta_n): the Laurent series in the moments
     where it converges to roundoff, else the direct per-molecule sum.  The
-    k = 0 term is S itself, the sum the expanded route and M use."""
+    k = 0 term is S itself, the sum M uses."""
     x = -bd.detuning_max / u
     if abs(x) <= SERIES_RADIUS:
         return complex((bd.S + x * np.polyval(bd.moments.ab[:0:-1], x)) / u)
@@ -276,34 +272,23 @@ def _detuned_norm_sum(u: complex, bd: BlockDifferential) -> float:
     return float(np.sum(bd.beta ** 2 / np.abs(u + det) ** 2))
 
 
-def _resolvent_sums(mu: complex, bd: BlockDifferential,
-                    method: Literal["exact", "expanded"]) -> np.ndarray:
+def _resolvent_sums(mu: complex, bd: BlockDifferential) -> np.ndarray:
     """R(mu) = sum_n alpha_n beta_n (mu - D_n)^{-1}, a diagonal 2x2."""
     u = mu - 1.0
     if abs(u) < 1e-13:
         raise NumericsError("mu sits on a pole of the resolvent sums")
-    if method == "exact":
-        t = _detuned_sum(u, bd)
-    elif method == "expanded":
-        g = bd.gamma_sq_sum if bd.d_variant == "gamma" else 0.0
-        t = bd.S / u - 2.0 * PI ** 2 * g / u ** 2
-    else:
-        raise ValidationError(f"unknown method {method!r}")
-    return np.array([[bd.S / u, 0.0], [0.0, t]], dtype=complex)
+    return np.array([[bd.S / u, 0.0], [0.0, _detuned_sum(u, bd)]], dtype=complex)
 
 
-def reduced_matrix(mu: complex, bd: BlockDifferential,
-                   method: Literal["exact", "expanded"] = "exact") -> np.ndarray:
+def reduced_matrix(mu: complex, bd: BlockDifferential) -> np.ndarray:
     """The 2x2 family whose singular points are the nontrivial multipliers.
 
     Eliminating the molecular rows of the block eigenproblem gives
         M(mu) = (M - mu) + pi K (I - R m)^{-1} R Wb,
-    Wb the shared border factor (W_n = beta_n Wb).  ``exact`` keeps the
-    full resolvent sum (its moment series, or the per-molecule sum near the
-    cluster); ``expanded`` replaces it by its two-term Laurent expansion in
-    1/(mu-1), valid where 2 pi^2 gamma_n^2/|mu-1| is small.
+    Wb the shared border factor (W_n = beta_n Wb), with the full resolvent
+    sum (its moment series, or the per-molecule sum near the cluster).
     """
-    R = _resolvent_sums(mu, bd, method)
+    R = _resolvent_sums(mu, bd)
     m = bd.cross_kernel.astype(complex)
     K = coupling_matrix(bd.kappa).astype(complex)
     core = np.eye(2, dtype=complex) - R @ m
@@ -318,71 +303,39 @@ def reduced_matrix(mu: complex, bd: BlockDifferential,
 # characteristic polynomial (degree six)
 # ---------------------------------------------------------------------------
 
-def _det_poly(entries) -> np.ndarray:
-    """Determinant of a 4x4 matrix of polynomials (descending coefficients)."""
-    import itertools
-
-    total = np.zeros(1)
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        seen = list(perm)
-        for i in range(4):      # permutation parity by counting inversions
-            for j in range(i + 1, 4):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = np.array([float(sign)])
-        for row in range(4):
-            term = np.convolve(term, entries[row][perm[row]])
-        total = np.polyadd(total, term)
-    return total
-
-
 def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
     """Degree-6 polynomial in the shifted variable u = mu - 1.
 
     Determinant of the collective 4x4 system after clearing the (mu-1)^2
-    denominators with the expanded resolvent sums; assembled natively in u so
-    the coefficients carry the small coupling scales without cancellation
-    (the multipliers sit within O(sqrt(S)) of 1).  Descending, monic,
-    length 7; the constant coefficient vanishes identically (one exact root
-    at mu = 1, two when all gamma_n = 0).
+    denominators with the expanded resolvent sums,
+
+        [ A  B ]   A = (M - I) - u I             B = pi K
+        [ C  D ],  C = -u^2 R(u) Wb              D = u^2 I - u^2 R(u) m,
+
+    with u^2 R = diag(S u, S u - 2 pi^2 G).  The field-row/molecular-column
+    block B is constant and invertible, so det = det(B) det(C - D B^{-1} A),
+    a 2x2 determinant of cubics.  Assembled natively in u so the coefficients
+    carry the small coupling scales without cancellation (the multipliers sit
+    within O(sqrt(S)) of 1).  Descending, monic, length 7; the constant
+    coefficient vanishes identically (one exact root at mu = 1, two when all
+    gamma_n = 0).
     """
-    m = bd.cross_kernel
-    K = coupling_matrix(bd.kappa)
     g = bd.gamma_sq_sum if bd.d_variant == "gamma" else 0.0
-
-    # polynomials in u, descending coefficients
-    one = np.array([1.0])
-    u2 = np.array([1.0, 0.0, 0.0])
-
-    # u^2 R = diag(S u, S u - 2 pi^2 G)
-    r11 = np.array([bd.S, 0.0])
-    r22 = np.array([bd.S, -2.0 * PI ** 2 * g])
-
-    m_shift = bd.M - np.eye(2)            # M - I, carries the S and kappa scales
-    entries = [[None] * 4 for _ in range(4)]
-    # field rows: ((M - I) - u) v0 + pi K P = 0
-    for i in range(2):
-        for j in range(2):
-            p = np.array([m_shift[i, j]])
-            if i == j:
-                p = np.polyadd(p, np.array([-1.0, 0.0]))
-            entries[i][j] = p
-            entries[i][2 + j] = PI * K[i, j] * one
-    # molecular rows: -u^2 R Wb v0 + (u^2 I - u^2 R m) P = 0
-    wb = bd.w_border
-    rdiag = (r11, r22)
-    for i in range(2):
-        for j in range(2):
-            entries[2 + i][j] = -wb[i, j] * rdiag[i]
-            p = -m[i, j] * rdiag[i]
-            if i == j:
-                p = np.polyadd(p, u2)
-            entries[2 + i][2 + j] = p
-
-    coeffs = _det_poly(entries)
-    if len(coeffs) != 7:
-        coeffs = np.concatenate([np.zeros(7 - len(coeffs)), coeffs])
+    B = PI * coupling_matrix(bd.kappa)
+    b_inv = np.linalg.inv(B)
+    # coefficient matrices, highest power of u first
+    r1 = np.diag([bd.S, bd.S])                     # u^2 R = r1 u + r0
+    r0 = np.diag([0.0, -2.0 * PI ** 2 * g])
+    e1, e0 = -b_inv, b_inv @ (bd.M - np.eye(2))    # B^{-1} A
+    d1, d0 = -r1 @ bd.cross_kernel, -r0 @ bd.cross_kernel   # D = u^2 I + d1 u + d0
+    schur = np.stack([                             # C - D B^{-1} A, a cubic
+        -e1,
+        -(e0 + d1 @ e1),
+        -r1 @ bd.w_border - (d1 @ e0 + d0 @ e1),
+        -r0 @ bd.w_border - d0 @ e0,
+    ])
+    coeffs = np.linalg.det(B) * (np.convolve(schur[:, 0, 0], schur[:, 1, 1])
+                                 - np.convolve(schur[:, 0, 1], schur[:, 1, 0]))
     if abs(coeffs[0] - 1.0) > 1e-9:
         raise NumericsError("characteristic polynomial did not come out monic degree 6")
     return coeffs / coeffs[0]
@@ -423,14 +376,14 @@ def _null_direction(mu: complex, bd: BlockDifferential):
     delta_n), with rhs = Wb v0 + m P and P the collective alpha-weighted
     response.
     """
-    red = reduced_matrix(mu, bd, method="exact")
+    red = reduced_matrix(mu, bd)
     _, sing, vh = np.linalg.svd(red)
     if sing[1] > _NULL_TOL * max(sing[0], 1e-30):
         raise NumericsError(
             f"mu = {mu} is not an eigenvalue: reduced matrix well conditioned")
     v0 = vh[1].conj()
 
-    R = _resolvent_sums(mu, bd, "exact")
+    R = _resolvent_sums(mu, bd)
     m = bd.cross_kernel.astype(complex)
     wb = bd.w_border.astype(complex)
     core = np.eye(2, dtype=complex) - R @ m
@@ -493,9 +446,9 @@ def _refine_root_exact(mu: complex, bd: BlockDifferential,
     """Newton-polish a root of the expanded polynomial against the exact-sum
     reduced determinant (removes the Laurent-expansion bias at larger gamma)."""
     for _ in range(steps):
-        f = np.linalg.det(reduced_matrix(mu, bd, method="exact"))
+        f = np.linalg.det(reduced_matrix(mu, bd))
         h = 1e-7 * (abs(mu - 1.0) + 1e-9)
-        fp = np.linalg.det(reduced_matrix(mu + h, bd, method="exact"))
+        fp = np.linalg.det(reduced_matrix(mu + h, bd))
         deriv = (fp - f) / h
         if abs(deriv) < 1e-30:
             break

@@ -22,8 +22,9 @@ from .model import (DimensionlessParams, derive_dimensionless, ground_state,
                     hopf_project, lift_state, perturbed_point, ruby_params)
 from .poincare import (compute_nu, jacobian_fd, make_numeric_map,
                        poincare_analytic, poincare_numeric)
-from .spectrum import (assemble_blocks, assemble_full, eigvec_back_substitute,
-                       char_polynomial_centered, poly_roots, threshold_scan)
+from .spectrum import (assemble_blocks, assemble_full, char_polynomial_centered,
+                       cluster_guard, eigvec_back_substitute, poly_roots,
+                       threshold_scan)
 
 TWO_PI = 2.0 * np.pi
 
@@ -56,24 +57,33 @@ def desk_ensemble(n: int, seed: int = 7, s_target: float = 1e-5, **kw):
 # criteria
 # ---------------------------------------------------------------------------
 
+def ab_gap_table(kappa: float) -> List[dict]:
+    """A1..B3 closed forms against their quadrature oracle, one row each,
+    passing within 10 kappa^2 + 1e-10."""
+    kc = kernels.constants_AB(kappa)
+    oracle = kernels.constants_AB_oracle(kappa)
+    tol = 10.0 * kappa ** 2 + 1e-10
+    rows = []
+    for name in ("A1", "A2", "A3", "B1", "B2", "B3"):
+        val = getattr(kc, name)
+        gap = abs(val - oracle[name])
+        rows.append({"name": name, "closed": complex(val),
+                     "oracle": complex(oracle[name]), "abs_gap": gap,
+                     "tol": tol, "pass": bool(gap <= tol)})
+    return rows
+
+
 def criterion_1_integral_constants() -> CriterionResult:
     """J1/J2 at kappa=1e-7; A/B closed forms vs quadrature at 1e-5, 1e-3."""
     t0 = time.perf_counter()
     j1, j2 = kernels.constants_J(1e-7)
     ok = abs(j1) <= 1e-6 and abs(j2 - np.pi ** 2 / 12.0) <= 1e-6
-    worst = max(abs(j1), abs(j2 - np.pi ** 2 / 12.0))
     details = [f"|J1|={abs(j1):.2e} |J2-pi^2/12|={abs(j2 - np.pi**2/12):.2e}"]
     for kap in (1e-3, 1e-5):
-        kc = kernels.constants_AB(kap)
-        oracle = kernels.constants_AB_oracle(kap)
-        tol = 10.0 * kap ** 2 + 1e-10
-        gaps = {
-            "A1": abs(kc.A1 - oracle["A1"]), "A2": abs(kc.A2 - oracle["A2"]),
-            "A3": abs(kc.A3 - oracle["A3"]), "B1": abs(kc.B1 - oracle["B1"]),
-            "B2": abs(kc.B2 - oracle["B2"]), "B3": abs(kc.B3 - oracle["B3"]),
-        }
-        ok = ok and all(g <= tol for g in gaps.values())
-        details.append(f"kappa={kap}: max gap {max(gaps.values()):.2e} (tol {tol:.2e})")
+        rows = ab_gap_table(kap)
+        ok = ok and all(r["pass"] for r in rows)
+        details.append(f"kappa={kap}: max gap {max(r['abs_gap'] for r in rows):.2e} "
+                       f"(tol {rows[0]['tol']:.2e})")
     return CriterionResult(1, "integral constants vs oracle", ok,
                            "; ".join(details), time.perf_counter() - t0)
 
@@ -191,7 +201,7 @@ def criterion_7_spectrum_reduction() -> CriterionResult:
         full = assemble_full(bd)
         dense = np.linalg.eigvals(full)
         roots = 1.0 + poly_roots(char_polynomial_centered(bd))
-        guard = 100.0 * float(np.max(bd.gamma_detuning()))
+        guard = cluster_guard(bd, factor=100.0)
         outside = dense[np.abs(dense - 1.0) > guard]
         for mu in outside:
             worst_match = max(worst_match, float(np.min(np.abs(roots - mu))))

@@ -2,7 +2,9 @@
 
 Hypothesis draws a small dimensionless config whose numeric keys take finite,
 non-finite or unparsable values, and argv numbers that include 0, negatives,
-NaN and infinities; `cli.main` runs in-process and writes only under tmp_path.
+NaN and infinities.  Sizes (N, --periods, --samples-per-period, --steps) are
+small or above the memory cap, so no example allocates much.  `cli.main` runs
+in-process and writes only under tmp_path.
 An exception escaping `main` fails the test.
 """
 import math
@@ -16,10 +18,21 @@ from mblaser.dynamics import ODE_METHODS
 #: values no numeric key accepts, or that parse but lie outside every range
 BAD = ["nan", "inf", "-inf", "abc", "", "1e", "0x10", "1,2", "--", "-1", "0"]
 SPECIAL_FLOATS = [0.0, -1.0, math.nan, math.inf, -math.inf]
+#: sizes whose estimated memory is above the 8 GiB cap for any other drawn value
+#: (at least one molecule, --periods >= 1e-4, --samples-per-period >= 1)
+HUGE_N = ["1e9", "1e15", "1e300"]
+HUGE_PERIODS = [1e12, 1e300]
+HUGE_SAMPLES = [10 ** 13, 10 ** 18]
+HUGE_STEPS = [2 ** 31, 10 ** 12]
 
 
 def _reals(*values):
     return st.sampled_from([repr(float(v)) for v in values])
+
+
+def _counts(largest, huge):
+    """1..largest, or a value above the memory cap."""
+    return st.one_of(st.integers(1, largest).map(str), st.sampled_from(huge))
 
 
 #: (section, key, usable values, extra bad values, required)
@@ -28,8 +41,8 @@ KEYS = [
     ("dimensionless", "alpha_scale", _reals(0.0, 1.155e-23, 1.0), [], True),
     ("dimensionless", "beta_scale", _reals(0.0, 1.824e-2, 1.0), [], True),
     ("dimensionless", "gamma_scale", _reals(0.0, 2.149e-7, 1e-3), [], True),
-    ("dimensionless", "n", st.integers(1, 8).map(str), ["2.5"], True),
-    ("ensemble", "n", st.integers(1, 8).map(str), ["2.5"], False),
+    ("dimensionless", "n", _counts(8, HUGE_N), ["2.5"], True),
+    ("ensemble", "n", _counts(8, HUGE_N), ["2.5"], False),
     ("ensemble", "seed", st.integers(0, 2 ** 40).map(str), ["-3"], False),
     ("ensemble", "rescale_alpha_to_s", _reals(1e-5, 1.0), [], False),
     ("ensemble", "active_volume", _reals(3.4, 48.0), ["100"], False),
@@ -58,8 +71,9 @@ def configs(draw):
                    for name, lines in sections.items())
 
 
-def _real(*finite_range):
-    return st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(*finite_range))
+def _real(*finite_range, huge=()):
+    return st.one_of(st.sampled_from(SPECIAL_FLOATS + list(huge)),
+                     st.floats(*finite_range))
 
 
 @st.composite
@@ -75,10 +89,12 @@ def commands(draw):
     elif kind == "threshold-scan":
         argv = ["threshold-scan", f"--pump-min={draw(_real(1e-3, 1e3))!r}",
                 f"--pump-max={draw(_real(1e3, 1e5))!r}",
-                f"--steps={draw(st.integers(-1, 3))}"]
+                f"--steps={draw(st.one_of(st.integers(-1, 3), st.sampled_from(HUGE_STEPS)))}"]
     elif kind == "simulate":
-        argv = ["simulate", f"--periods={draw(_real(1e-4, 0.05))!r}",
-                f"--samples-per-period={draw(st.integers(-1, 8))}"]
+        argv = ["simulate",
+                f"--periods={draw(_real(1e-4, 0.05, huge=HUGE_PERIODS))!r}",
+                f"--samples-per-period="
+                f"{draw(st.one_of(st.integers(-1, 8), st.sampled_from(HUGE_SAMPLES)))}"]
     else:
         argv = ["ensemble"]
     if draw(st.booleans()):

@@ -5,14 +5,13 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from conftest import desk_params
-from mblaser.dynamics import OdeSettings, TWO_PI
+from mblaser.dynamics import OdeSettings, TWO_PI, pack_reduced, unpack_reduced
 from mblaser.ensemble import sample_ensemble
 from mblaser.kernels import constants_AB
 from mblaser.model import (FullState, ReducedState, ground_state, lift_state,
                            perturbed_point)
 from mblaser.poincare import (compute_nu, jacobian_fd, make_numeric_map,
-                              poincare_analytic, poincare_numeric,
-                              reduced_to_vector, vector_to_reduced)
+                              poincare_analytic, poincare_numeric)
 
 TIGHT = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -154,19 +153,28 @@ class TestJacobianFD:
             expect = e.alpha[i] * np.array([kc.A1.imag, kc.A1.real])
             assert np.max(np.abs(col - expect)) <= 1e-9 + 1e-4 * abs(e.alpha[i])
 
-    def test_richardson_and_step_validation(self):
+    def test_central_difference_and_step_validation(self):
         f = lambda x: np.array([np.sin(x[0]) + x[1] ** 3, x[0] * x[1]])
         base = np.array([0.3, 0.7])
-        jac = jacobian_fd(f, base, h=1e-4, richardson=True)
+        h = 1e-4
+        jac = jacobian_fd(f, base, h=h)
         expect = np.array([[np.cos(0.3), 3 * 0.7 ** 2], [0.7, 0.3]])
-        assert np.max(np.abs(jac - expect)) <= 1e-10
+        # the central-difference error is h^2/6 times a third derivative (<= 6)
+        assert np.max(np.abs(jac - expect)) <= h ** 2 + 1e-10
         with pytest.raises(Exception):
             jacobian_fd(f, base, h=1.0)
 
 
-def test_reduced_vector_roundtrip():
+def test_reduced_vector_roundtrip(tiny_ensemble):
     state = ReducedState(a=0.1, b=-0.2, z=np.array([0.1 + 0.2j, -0.3j]))
-    x = reduced_to_vector(state)
-    back = vector_to_reduced(x)
+    x = pack_reduced(state)
+    assert np.array_equal(x, [0.1, -0.2, 0.1, 0.2, 0.0, -0.3])
+    back = unpack_reduced(x, state.n_molecules)
     assert back.a == state.a and back.b == state.b
     assert np.array_equal(back.z, state.z)
+    # the numeric map reads and writes that layout
+    e = tiny_ensemble
+    point = perturbed_point(e.n, 1e-3, np.random.default_rng(4))
+    out = make_numeric_map(e, e.kappa, TIGHT)(pack_reduced(point))
+    direct = poincare_numeric(lift_state(point), e, e.kappa, TIGHT)
+    assert np.array_equal(out, pack_reduced(direct))

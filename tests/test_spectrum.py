@@ -8,7 +8,7 @@ from conftest import desk_params
 from mblaser.ensemble import sample_ensemble
 from mblaser.errors import CapacityError, NumericsError, ValidationError
 from mblaser.kernels import border_dressing
-from mblaser.spectrum import (SERIES_RADIUS, _detuned_norm_sum,
+from mblaser.spectrum import (SERIES_RADIUS, _detuned_norm_sum, _detuned_sum,
                               _maxwell_component, _resolvent_sums,
                               assemble_blocks, assemble_full,
                               char_polynomial_centered,
@@ -68,12 +68,22 @@ class TestAssembleBlocks:
             assemble_blocks(small_ensemble, 1e-7, d_variant="bogus")
 
 
+def _triangle(bd):
+    """The dense differential without the field-mediated feedback onto the
+    molecules (V and the cross blocks): block lower triangular."""
+    tri = assemble_full(bd)
+    tri[:2, 2:] = 0.0
+    tri[2:, 2:] = 0.0
+    for i in range(bd.n):
+        tri[2 + 2 * i:4 + 2 * i, 2 + 2 * i:4 + 2 * i] = bd.D[i]
+    return tri
+
+
 class TestAssembleFull:
     def test_triangle_spectrum_is_union(self):
         e = _desk(60)
         bd = assemble_blocks(e, e.kappa)
-        tri = assemble_full(bd, variant="triangle")
-        vals = np.sort_complex(np.linalg.eigvals(tri))
+        vals = np.sort_complex(np.linalg.eigvals(_triangle(bd)))
         expect = list(np.linalg.eigvals(bd.M))
         for i in range(e.n):
             expect.extend(np.linalg.eigvals(bd.D[i]))
@@ -84,7 +94,7 @@ class TestAssembleFull:
         params = dataclasses.replace(desk_params(5), alpha_scale=0.0)
         e = sample_ensemble(params, "H1", seed=0)
         bd = assemble_blocks(e, e.kappa)
-        assert np.array_equal(assemble_full(bd), assemble_full(bd, "triangle"))
+        assert np.array_equal(assemble_full(bd), _triangle(bd))
 
     def test_capacity_cap(self):
         e = _desk(20)
@@ -120,8 +130,9 @@ class TestReducedMatrix:
         for mu in (1.0 + 0.01j, 1.0 - 0.005 + 0.008j):
             u = abs(mu - 1.0)
             assert u >= 100.0 * float(np.max(small_ensemble.gamma)) ** 2
-            gap = np.max(np.abs(reduced_matrix(mu, bd, "exact")
-                                - reduced_matrix(mu, bd, "expanded")))
+            # the two-term Laurent expansion the polynomial is built from
+            expanded = bd.S / (mu - 1.0) - 2.0 * PI ** 2 * bd.gamma_sq_sum / (mu - 1.0) ** 2
+            gap = abs(_detuned_sum(mu - 1.0, bd) - expanded)
             # next Laurent term: pi^2-weighted sum alpha beta delta^2 / u^3
             bound = 10.0 * PI ** 2 * bd.S * dmax ** 2 / u ** 3 + 1e-18
             assert gap <= bound
@@ -165,6 +176,22 @@ class TestCharPolynomial:
         # the mu^5 coefficient of p(u) with u = mu - 1 is centered[1] - 6; at
         # S -> 0 it is -(4 + tr M), and finite-S corrections are O(S)
         assert abs(centered[1] - 6 - (-(4.0 + np.trace(bd.M)))) <= 10.0 * bd.S
+
+    @pytest.mark.parametrize("pump", [1.0, 1e4])
+    def test_matches_determinant_of_u_matrix(self, pump):
+        # independent oracle for the Schur-complement expansion: the 4x4
+        # system in u = mu - 1 evaluated at a point and handed to LU
+        bd = assemble_blocks(_desk(30, seed=3), 1e-7).with_pump_factor(pump)
+        coeffs = char_polynomial_centered(bd)
+        for r in (1e-3, 1e-2, 1e-1, 1.0):
+            for phase in (0.4, 2.5):
+                u = r * np.exp(1j * phase)
+                u2r = np.diag([bd.S * u, bd.S * u - 2 * PI ** 2 * bd.gamma_sq_sum])
+                mat = np.block([
+                    [bd.M - np.eye(2) - u * np.eye(2), PI * coupling_matrix(bd.kappa)],
+                    [-u2r @ bd.w_border, u ** 2 * np.eye(2) - u2r @ bd.cross_kernel]])
+                scale = np.polyval(np.abs(coeffs), r)
+                assert abs(np.polyval(coeffs, u) - np.linalg.det(mat)) <= 1e-13 * scale
 
     def test_roots_match_dense(self):
         e = _desk(10, seed=13)
@@ -301,7 +328,7 @@ class TestMomentSeries:
         for mu, u in self._points(bd):
             terms = bd.alpha * bd.beta / (u + det)
             direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
-            got = _resolvent_sums(mu, bd, "exact")
+            got = _resolvent_sums(mu, bd)
             assert abs(got[1, 1] - direct) <= 1e-13 * abs(direct)
             assert got[0, 0] == bd.S / u
 
@@ -334,7 +361,7 @@ class TestMomentSeries:
         bd = assemble_blocks(small_ensemble, 1e-7, d_variant="identity")
         assert bd.detuning_max == 0.0
         mu = 1.01 + 0.02j
-        assert _resolvent_sums(mu, bd, "exact")[1, 1] == bd.S / (mu - 1.0)
+        assert _resolvent_sums(mu, bd)[1, 1] == bd.S / (mu - 1.0)
 
 
 class TestThresholdScan:
