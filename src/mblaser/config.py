@@ -136,6 +136,9 @@ class RunConfig:
             },
             "run": {
                 "rel_tol": self.settings.rel_tol, "abs_tol": self.settings.abs_tol,
+                # null for the unbounded default keeps the JSON strict
+                "max_step": None if math.isinf(self.settings.max_step)
+                else self.settings.max_step,
                 "method": self.settings.method, "verdict_tol": self.verdict_tol,
             },
         }

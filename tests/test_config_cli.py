@@ -123,6 +123,21 @@ class TestCli:
         assert main(["ensemble"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("run_line,expect", [("", None), ("max_step = 0.1\n", 0.1)])
+    def test_poincare_json_embeds_max_step(self, run_line, expect, tmp_path):
+        cfg = tmp_path / "step.cfg"
+        cfg.write_text(DIMLESS + run_line)
+        out = tmp_path / "p.json"
+        assert main(["poincare", "--config", str(cfg), "--mode", "numeric",
+                     "--out", str(out)]) == 0
+        run = json.loads(out.read_text(), parse_constant=pytest.fail)["config"]["run"]
+        assert run["max_step"] == expect
+        # the embedded [run] section reproduces the solver settings
+        again = tmp_path / "again.cfg"
+        again.write_text(DIMLESS.split("[run]")[0] + "[run]\n" + "".join(
+            f"{k} = {v}\n" for k, v in run.items() if v is not None))
+        assert load_config(str(again)).settings == load_config(str(cfg)).settings
+
     def test_verify_integrals(self, capsys):
         assert main(["verify-integrals", "--kappa", "1e-7"]) == 0
         out = capsys.readouterr().out
