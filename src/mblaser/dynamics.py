@@ -208,8 +208,9 @@ def simulate_trajectory(state0: FullState, periods: float, e: Ensemble,
     CSV; the energy is the bare oscillator quadratic form (a^2 + b^2)/2.
     """
     samples = periods * samples_per_period + 1
-    # the solver's (2 + 4N) x samples array plus the sample grid
-    require_capacity(8.0 * (3 + 4 * state0.n_molecules) * samples,
+    # solve_ivp holds its (2 + 4N) x samples array twice (the per-sample list
+    # and the stacked copy), plus the sample grid
+    require_capacity(8.0 * (5 + 8 * state0.n_molecules) * samples,
                      f"a trajectory of {samples:.3g} samples")
     n_samp = max(2, int(periods * samples_per_period) + 1)
     taus = np.linspace(0.0, periods * TWO_PI, n_samp)

@@ -221,8 +221,9 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
 
     if n_eff < 1:
         raise ValidationError("ensemble size must be >= 1")
-    # alpha, beta, gamma and the four (N, 3) arrays, in float64
-    require_capacity(8 * 15 * n_eff, f"an ensemble of {n_eff} molecules")
+    # the peak while sampling: 15 float64 kept per molecule (alpha, beta,
+    # gamma and four (N, 3) arrays) plus temporaries, measured at 184 bytes
+    require_capacity(8 * 24 * n_eff, f"an ensemble of {n_eff} molecules")
     if not v_active > 0:
         raise ValidationError(f"active volume must be positive, got {v_active!r}")
     if rescale_alpha_to_s is not None and not 0 < rescale_alpha_to_s < np.inf:

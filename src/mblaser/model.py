@@ -223,7 +223,7 @@ def hopf_project(c) -> np.ndarray:
     return np.conj(c[..., 0]) * c[..., 1]
 
 
-def populations_from_z(z, tol: float = 1e-9):
+def populations_from_z(z):
     """Level populations (|c1|^2, |c2|^2) from the Hopf coordinate.
 
     4|c1|^2 = 2 + 2*sqrt(1 - 4|z|^2) on the Bloch hemisphere |c1| >= |c2|
@@ -233,7 +233,7 @@ def populations_from_z(z, tol: float = 1e-9):
     """
     z = np.asarray(z, dtype=complex)
     r2 = 4.0 * np.abs(z) ** 2
-    if np.any(r2 > 1.0 + 4.0 * tol):
+    if np.any(r2 > 1.0 + 4e-9):     # |z| up to 1/2 + 1e-9 passes as roundoff
         raise ValidationError("populations_from_z: |z| exceeds 1/2")
     root = np.sqrt(np.clip(1.0 - r2, 0.0, None))
     return 0.5 * (1.0 + root), 0.5 * (1.0 - root)

@@ -18,8 +18,9 @@ from .dynamics import (OdeSettings, averaging_error_scaling, gauge_rotate,
                        profile_pump_cosine, profile_rotating,
                        sample_trajectory)
 from .ensemble import analytic_s_for_count, sample_ensemble, sum_S, sum_Sigma
-from .model import (DimensionlessParams, derive_dimensionless, ground_state,
-                    hopf_project, lift_state, perturbed_point, ruby_params)
+from .model import (DimensionlessParams, ReducedState, derive_dimensionless,
+                    ground_state, hopf_project, lift_state, perturbed_point,
+                    ruby_params)
 from .poincare import (compute_nu, jacobian_fd, make_numeric_map,
                        poincare_analytic, poincare_numeric)
 from .spectrum import (assemble_blocks, assemble_full, char_polynomial_centered,
@@ -57,20 +58,21 @@ def desk_ensemble(n: int, seed: int = 7, s_target: float = 1e-5, **kw):
 # criteria
 # ---------------------------------------------------------------------------
 
+def gap_rows(closed: dict, oracle: dict, tol: float) -> List[dict]:
+    """One row per closed form: its value, the oracle's, their gap and
+    whether the gap is within ``tol``."""
+    return [{"name": name, "closed": complex(val), "oracle": complex(oracle[name]),
+             "abs_gap": abs(val - oracle[name]), "tol": tol,
+             "pass": bool(abs(val - oracle[name]) <= tol)}
+            for name, val in closed.items()]
+
+
 def ab_gap_table(kappa: float) -> List[dict]:
-    """A1..B3 closed forms against their quadrature oracle, one row each,
-    passing within 10 kappa^2 + 1e-10."""
+    """A1..B3 closed forms against their quadrature oracle, passing within
+    10 kappa^2 + 1e-10."""
     kc = kernels.constants_AB(kappa)
-    oracle = kernels.constants_AB_oracle(kappa)
-    tol = 10.0 * kappa ** 2 + 1e-10
-    rows = []
-    for name in ("A1", "A2", "A3", "B1", "B2", "B3"):
-        val = getattr(kc, name)
-        gap = abs(val - oracle[name])
-        rows.append({"name": name, "closed": complex(val),
-                     "oracle": complex(oracle[name]), "abs_gap": gap,
-                     "tol": tol, "pass": bool(gap <= tol)})
-    return rows
+    closed = {name: getattr(kc, name) for name in ("A1", "A2", "A3", "B1", "B2", "B3")}
+    return gap_rows(closed, kernels.constants_AB_oracle(kappa), 10.0 * kappa ** 2 + 1e-10)
 
 
 def criterion_1_integral_constants() -> CriterionResult:
@@ -261,12 +263,10 @@ def criterion_9_ground_state_fixed_point() -> CriterionResult:
     t0 = time.perf_counter()
     params = dataclasses.replace(desk_params(200), gamma_scale=0.0)
     e = sample_ensemble(params, "H1", seed=4, rescale_alpha_to_s=1e-5)
-    state0 = ground_state(e.n)
-    numeric = poincare_numeric(state0, e, e.kappa,
-                               OdeSettings(rel_tol=1e-11, abs_tol=1e-13))
-    num_gap = max(abs(numeric.a), abs(numeric.b), float(np.max(np.abs(numeric.z))))
-    analytic = poincare_analytic(0.0, 0.0, np.zeros(e.n), e, e.kappa)
-    ana_gap = max(abs(analytic.a), abs(analytic.b), float(np.max(np.abs(analytic.z))))
+    ground = ReducedState(a=0.0, b=0.0, z=np.zeros(e.n))
+    num_gap = poincare_numeric(ground_state(e.n), e, e.kappa, OdeSettings(
+        rel_tol=1e-11, abs_tol=1e-13)).distance(ground)
+    ana_gap = poincare_analytic(0.0, 0.0, ground.z, e, e.kappa).distance(ground)
     ok = num_gap <= 1e-8 and ana_gap <= 1e-8
     return CriterionResult(9, "ground state fixed point", ok,
                            f"numeric {num_gap:.2e}, analytic {ana_gap:.2e}",

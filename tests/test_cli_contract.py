@@ -30,9 +30,9 @@ def _reals(*values):
     return st.sampled_from([repr(float(v)) for v in values])
 
 
-def _counts(largest, huge):
-    """1..largest, or a value above the memory cap."""
-    return st.one_of(st.integers(1, largest).map(str), st.sampled_from(huge))
+def _counts(lo, hi, huge):
+    """An integer in [lo, hi], or a size above the memory cap, as text."""
+    return st.one_of(st.integers(lo, hi), st.sampled_from(huge)).map(str)
 
 
 #: (section, key, usable values, extra bad values, required)
@@ -41,8 +41,8 @@ KEYS = [
     ("dimensionless", "alpha_scale", _reals(0.0, 1.155e-23, 1.0), [], True),
     ("dimensionless", "beta_scale", _reals(0.0, 1.824e-2, 1.0), [], True),
     ("dimensionless", "gamma_scale", _reals(0.0, 2.149e-7, 1e-3), [], True),
-    ("dimensionless", "n", _counts(8, HUGE_N), ["2.5"], True),
-    ("ensemble", "n", _counts(8, HUGE_N), ["2.5"], False),
+    ("dimensionless", "n", _counts(1, 8, HUGE_N), ["2.5"], True),
+    ("ensemble", "n", _counts(1, 8, HUGE_N), ["2.5"], False),
     ("ensemble", "seed", st.integers(0, 2 ** 40).map(str), ["-3"], False),
     ("ensemble", "rescale_alpha_to_s", _reals(1e-5, 1.0), [], False),
     ("ensemble", "active_volume", _reals(3.4, 48.0), ["100"], False),
@@ -89,12 +89,11 @@ def commands(draw):
     elif kind == "threshold-scan":
         argv = ["threshold-scan", f"--pump-min={draw(_real(1e-3, 1e3))!r}",
                 f"--pump-max={draw(_real(1e3, 1e5))!r}",
-                f"--steps={draw(st.one_of(st.integers(-1, 3), st.sampled_from(HUGE_STEPS)))}"]
+                f"--steps={draw(_counts(-1, 3, HUGE_STEPS))}"]
     elif kind == "simulate":
         argv = ["simulate",
                 f"--periods={draw(_real(1e-4, 0.05, huge=HUGE_PERIODS))!r}",
-                f"--samples-per-period="
-                f"{draw(st.one_of(st.integers(-1, 8), st.sampled_from(HUGE_SAMPLES)))}"]
+                f"--samples-per-period={draw(_counts(-1, 8, HUGE_SAMPLES))}"]
     else:
         argv = ["ensemble"]
     if draw(st.booleans()):

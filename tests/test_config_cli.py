@@ -339,20 +339,20 @@ class TestBadInputs:
         assert "must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,old,new", [
-        (["simulate", "--periods", "1e300"], None, None),
-        (["simulate", "--samples-per-period", "100000000000"], None, None),
+    @pytest.mark.parametrize("argv,cfg_text", [
+        (["simulate", "--periods", "1e300"], DIMLESS),
+        (["simulate", "--samples-per-period", "100000000000"], DIMLESS),
         (["threshold-scan", "--pump-min", "1", "--pump-max", "10",
-          "--steps", "1000000000000"], None, None),
-        (["ensemble"], "hypothesis = H1\nn = 40", "hypothesis = H1\nn = 1e15"),
+          "--steps", "1000000000000"], DIMLESS),
+        (["ensemble"], DIMLESS.replace("hypothesis = H1\nn = 40",
+                                       "hypothesis = H1\nn = 1e15")),
     ])
-    def test_oversized_request_exits_2(self, argv, old, new, tmp_path, capsys):
+    def test_oversized_request_exits_2(self, argv, cfg_text, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
-        cfg.write_text(DIMLESS if old is None else DIMLESS.replace(old, new))
+        cfg.write_text(cfg_text)
         out = tmp_path / "out.csv"
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "GiB, above the 8 GiB cap" in err
+        assert "GiB, above the 8 GiB cap" in capsys.readouterr().err
         assert not out.exists()
 
     def test_count_beyond_int64_exits_2(self, dimless_cfg, tmp_path, capsys):
