@@ -186,6 +186,8 @@ def cmd_spectrum(args) -> int:
         "S": bd.S,
         "gamma_sq_sum": bd.gamma_sq_sum,
         "max_abs_mu": rep.max_abs_mu,
+        "collective_max_abs_mu": (rep.collective_max_abs_mu
+                                  if np.isfinite(rep.collective_max_abs_mu) else None),
         "resonance": rep.resonance,
         "multipliers": rep.multipliers,
         # None marks roots standing in for the molecular cluster, which carry
@@ -206,8 +208,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_threshold_scan(args) -> int:
     _require_positive(args.steps, "--steps")
-    # the grid and one ThresholdPoint per point: measured at 184 bytes
-    require_capacity(184 * args.steps, f"a pump scan of {args.steps} points")
+    # the grid and one ThresholdPoint per point: measured at 200 bytes
+    require_capacity(200 * args.steps, f"a pump scan of {args.steps} points")
     _require_positive(args.pump_min, "--pump-min")
     _require_positive(args.pump_max, "--pump-max")
     if args.pump_max <= args.pump_min:
@@ -219,10 +221,11 @@ def cmd_threshold_scan(args) -> int:
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["pump_amplitude", "max_abs_mu", "resonance",
-                         "maxwell_component_min"])
+                         "maxwell_component_min", "collective_max_abs_mu"])
         for p in points:
             writer.writerow([repr(float(p.pump_amplitude)), repr(float(p.max_abs_mu)),
-                             int(p.resonance), repr(float(p.maxwell_floor))])
+                             int(p.resonance), repr(float(p.maxwell_floor)),
+                             repr(float(p.collective_max_abs_mu))])
     flips = sum(1 for i in range(1, len(points))
                 if points[i].resonance != points[i - 1].resonance)
     print(f"wrote {args.out} ({flips} verdict flip(s))")

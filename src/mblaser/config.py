@@ -44,7 +44,7 @@ _ENSEMBLE_KEYS = {
     "hypothesis", "n", "seed", "mode_index", "rescale_alpha_to_s",
     "crystal_axis", "active_volume",
 }
-_RUN_KEYS = {"rel_tol", "abs_tol", "max_step", "method", "verdict_tol"}
+_RUN_KEYS = {"rel_tol", "abs_tol", "max_step", "verdict_tol"}
 
 
 def _triple(raw: str, name: str, cast=float) -> Tuple:
@@ -89,9 +89,9 @@ class RunConfig:
     settings: OdeSettings = field(default_factory=OdeSettings)
     verdict_tol: float = 1e-9
 
-    def build_ensemble(self, seed: Optional[int] = None) -> Ensemble:
+    def build_ensemble(self) -> Ensemble:
         return sample_ensemble(
-            self.params, self.hypothesis, self.seed if seed is None else seed,
+            self.params, self.hypothesis, self.seed,
             n=self.n, mode_index=self.mode_index,
             crystal_axis=self.crystal_axis,
             rescale_alpha_to_s=self.rescale_alpha_to_s,
@@ -139,7 +139,7 @@ class RunConfig:
                 # null for the unbounded default keeps the JSON strict
                 "max_step": None if math.isinf(self.settings.max_step)
                 else self.settings.max_step,
-                "method": self.settings.method, "verdict_tol": self.verdict_tol,
+                "verdict_tol": self.verdict_tol,
             },
         }
 
@@ -217,12 +217,11 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     run = parser["run"] if parser.has_section("run") else {}
     if run:
         _check_keys(run, _RUN_KEYS, "run")
-    vals = _floats(run, _RUN_KEYS - {"method"})
+    vals = _floats(run, _RUN_KEYS)
     settings = OdeSettings(
         rel_tol=vals.get("rel_tol", 1e-10),
         abs_tol=vals.get("abs_tol", 1e-10),
         max_step=vals.get("max_step", float("inf")),
-        method=run.get("method", "DOP853").strip(),
     )
     verdict_tol = vals.get("verdict_tol", 1e-9)
     if not verdict_tol >= 0.0:
@@ -241,10 +240,9 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     )
 
 
-def paper_preset(n: int = 1000, seed: int = 0,
-                 rescale_alpha_to_s: Optional[float] = 1e-5) -> RunConfig:
-    """Ruby-laser constants with a desk-sized rescaled ensemble."""
+def paper_preset(n: int = 1000, seed: int = 0) -> RunConfig:
+    """Ruby-laser constants with a desk-sized ensemble rescaled to S = 1e-5."""
     return RunConfig(
         params=ruby_params(), hypothesis="H1", n=n, seed=seed,
-        rescale_alpha_to_s=rescale_alpha_to_s,
+        rescale_alpha_to_s=1e-5,
     )

@@ -103,7 +103,6 @@ class Ensemble:
     pump_amplitude: float      # a_p (1.0 for dimensionless ensembles)
     sum_weight: float          # 2/(Omega_p hbar): S = sum_weight * sum (P.X)^2
     crystal_dipole: Optional[np.ndarray] = None  # unit axis, H2 only
-    alpha_rescale: float = 1.0  # applied desk-scale factor on alpha
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "positions", "dipoles",
@@ -273,7 +272,6 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
         active_volume=v_active, dipole_magnitude=dipole_mag,
         pump_amplitude=pump_amp, sum_weight=sum_weight * rescale,
         crystal_dipole=None if hypothesis == "H1" else dip_dirs[0].copy(),
-        alpha_rescale=rescale,
     )
 
 

@@ -16,7 +16,8 @@ ways:
 * an adaptive-quadrature oracle (`quadrature`, Gauss-Kronrod) that arbitrates
   every closed form in the test suite and in `verify-integrals`.
 
-Only the exact forms are computed here.  The classic leading-order
+Only the exact forms are computed here, except J1 and J2, whose closed forms
+(`constants_J`) hold to O(kappa^2).  The classic leading-order
 expressions (e^{-kappa tau} sin tau for E, the truncated I1/I2, and the real
 A/B component tables) live in the tests that pin their O(kappa^2) truncation
 order.
@@ -143,7 +144,7 @@ def _exp_moment(c: complex, n: int, upper: float) -> complex:
     return (upper ** n) * np.exp(x) / c - (n / c) * _exp_moment(c, n - 1, upper)
 
 
-def _kernel_sum(tau: float, kappa: float, weights, moment_args) -> complex:
+def _kernel_sum(kappa: float, weights, moment_args) -> complex:
     """sum over the two characteristic roots of w_pm * M_n(c_pm, tau)."""
     lam_p, lam_m = lam_roots(kappa)
     dl = lam_p - lam_m
@@ -174,12 +175,12 @@ def integral_I(tau: float, kappa: float, which: int) -> complex:
 
     if which == 1:
         return _kernel_sum(
-            tau, kappa,
+            kappa,
             weights=lambda lam: np.exp(lam * tau),
             moment_args=lambda lam: _exp_moment(-(1j + lam), 0, tau),
         )
     return _kernel_sum(
-        tau, kappa,
+        kappa,
         weights=lambda lam: np.exp(lam * tau),
         moment_args=lambda lam: 0.25 * (_exp_moment(1j - lam, 1, tau)
                                         + _exp_moment(-1j - lam, 1, tau)),
@@ -241,7 +242,8 @@ def constants_J_oracle(kappa: float, tol: float = 1e-11) -> Tuple[complex, compl
 
 @dataclass(frozen=True)
 class KernelConstants:
-    """Exact period constants J1, J2 and A1..B3 (quadrature-grade)."""
+    """Period constants: A1..B3 exact (quadrature-grade), J1 and J2 the
+    O(kappa^2) closed forms of `constants_J`."""
 
     kappa: float
     J1: complex
@@ -269,14 +271,14 @@ def constants_AB(kappa: float) -> KernelConstants:
 
     def a_like(n):
         return _kernel_sum(
-            two_pi, kappa,
+            kappa,
             weights=lambda lam: np.exp(lam * two_pi),
             moment_args=lambda lam: _exp_moment(-(1j + lam), n, two_pi),
         )
 
     def b_like(n):
         return _kernel_sum(
-            two_pi, kappa,
+            kappa,
             weights=lambda lam: lam * np.exp(lam * two_pi),
             moment_args=lambda lam: _exp_moment(-(1j + lam), n, two_pi),
         )

@@ -10,12 +10,12 @@ The differential has a bordered block structure in the reduced coordinates
 
 with K = [[1-kappa pi, kappa/2], [-kappa/2, 1-kappa pi]], S = sum alpha_n
 beta_n, and m the real representation of the one-period response coefficient
-xi = -pi^2/2 - i pi/4 (kernels.RESPONSE_XI).  D_n is the local molecular
-propagator block: the identity, or diag(1, 1 - delta_n) with the
-second-order pumping correction delta_n = 2 pi^2 gamma_n^2.  Every block is
-pinned against the finite-difference Jacobian of the numerically integrated
-period map.  The blocks are kept as the per-molecule scalars times the shared
-2x2 kernels; the (N, 2, 2) arrays are built only for dense assembly.
+xi = -pi^2/2 - i pi/4 (kernels.RESPONSE_XI).  D_n = diag(1, 1 - delta_n) is
+the local molecular propagator block, with the second-order pumping
+correction delta_n = 2 pi^2 gamma_n^2.  Every block is pinned against the
+finite-difference Jacobian of the numerically integrated period map.  The
+blocks are kept as the per-molecule scalars times the shared 2x2 kernels;
+the (N, 2, 2) arrays are built only for dense assembly.
 
 Eliminating the molecular rows reduces the eigenproblem to a 2x2 family
 
@@ -46,7 +46,8 @@ near the molecular cluster fall back to the direct O(N) sums.  A whole
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Literal, Optional, Sequence
 
 import numpy as np
@@ -133,20 +134,12 @@ class BlockDifferential:
     ``pump_factor``.
     """
 
-    M: np.ndarray              # (2, 2)
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
     kappa: float
-    d_variant: DVariant
     moments: DetuningMoments
     pump_factor: float = 1.0
-    cross_kernel: np.ndarray = field(default_factory=response_kernel)  # m (2, 2)
-    w_border: Optional[np.ndarray] = None   # shared 2x2: W_n = beta_n * w_border
-
-    def __post_init__(self):
-        if self.w_border is None:
-            object.__setattr__(self, "w_border", -PI * coupling_matrix(self.kappa))
 
     @property
     def n(self) -> int:
@@ -163,6 +156,22 @@ class BlockDifferential:
         return float(self.pump_factor ** 2 * self.moments.gamma_sq_max
                      * self.moments.ab[1])
 
+    @cached_property
+    def M(self) -> np.ndarray:
+        """The (2, 2) field block (1 - 2 pi kappa) I + S m."""
+        return (1.0 - 2.0 * PI * self.kappa) * np.eye(2) + self.S * self.cross_kernel
+
+    @cached_property
+    def w_border(self) -> np.ndarray:
+        """-pi K + S * border_dressing(), W_n = beta_n * w_border; the O(S)
+        dressing matters for entrywise agreement with the FD Jacobian."""
+        return -PI * coupling_matrix(self.kappa) + self.S * border_dressing()
+
+    @cached_property
+    def cross_kernel(self) -> np.ndarray:
+        """m, the (2, 2) real form of the one-period response coefficient."""
+        return response_kernel()
+
     @property
     def V(self) -> np.ndarray:
         return PI * self.alpha[:, None, None] * coupling_matrix(self.kappa)[None, :, :]
@@ -178,16 +187,12 @@ class BlockDifferential:
         return d
 
     def gamma_detuning(self) -> np.ndarray:
-        """Cluster detunings 2 pi^2 gamma_n^2 (zero in the identity variant)."""
-        if self.d_variant == "identity":
-            return np.zeros(self.n)
+        """Cluster detunings delta_n = 2 pi^2 gamma_n^2 at this pump."""
         return 2.0 * PI ** 2 * (self.pump_factor * self.gamma) ** 2
 
     @property
     def detuning_max(self) -> float:
         """max_n delta_n, from the moment summary (no pass over molecules)."""
-        if self.d_variant == "identity":
-            return 0.0
         return 2.0 * PI ** 2 * self.pump_factor ** 2 * self.moments.gamma_sq_max
 
     def with_pump_factor(self, factor: float) -> "BlockDifferential":
@@ -200,20 +205,14 @@ def assemble_blocks(e: Ensemble, kappa: float,
                     d_variant: DVariant = "gamma") -> BlockDifferential:
     """Block differential from the ensemble couplings.
 
-    The molecular border carries the collective dressing
-    W_n = beta_n (-pi K + S * border_dressing()); the dressing is O(S)
-    relative but matters for entrywise comparison with the FD Jacobian.
+    ``d_variant="identity"`` gives the unpumped blocks (D_n = I, G = 0), the
+    same as ``with_pump_factor(0.0)``: M, V and W do not depend on gamma.
     """
     if d_variant not in ("identity", "gamma"):
         raise ValidationError(f"unknown d_variant {d_variant!r}")
-    moments = detuning_moments(e.alpha, e.beta, e.gamma)
-    s_sum = moments.ab[0]
-    M = (1.0 - 2.0 * PI * kappa) * np.eye(2) + s_sum * response_kernel()
-    w_border = -PI * coupling_matrix(kappa) + s_sum * border_dressing()
-    return BlockDifferential(
-        M=M, alpha=e.alpha, beta=e.beta, gamma=e.gamma,
-        kappa=kappa, d_variant=d_variant, moments=moments, w_border=w_border,
-    )
+    bd = BlockDifferential(alpha=e.alpha, beta=e.beta, gamma=e.gamma, kappa=kappa,
+                           moments=detuning_moments(e.alpha, e.beta, e.gamma))
+    return bd.with_pump_factor(0.0) if d_variant == "identity" else bd
 
 
 def assemble_full(bd: BlockDifferential) -> np.ndarray:
@@ -320,7 +319,7 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
     coefficient vanishes identically (one exact root at mu = 1, two when all
     gamma_n = 0).
     """
-    g = bd.gamma_sq_sum if bd.d_variant == "gamma" else 0.0
+    g = bd.gamma_sq_sum
     B = PI * coupling_matrix(bd.kappa)
     b_inv = np.linalg.inv(B)
     # coefficient matrices, highest power of u first
@@ -428,6 +427,9 @@ class SpectrumReport:
 
     multipliers: np.ndarray
     max_abs_mu: float
+    #: max |mu| outside the cluster guard (NaN if none); ``max_abs_mu`` also
+    #: counts the polynomial route's cluster roots, as |mu| = 1
+    collective_max_abs_mu: float
     resonance: bool
     maxwell_components: np.ndarray   # |(a,b)-part| per reported eigenvector
     polynomial_roots: Optional[np.ndarray]
@@ -514,31 +516,26 @@ def resonance_verdict(bd: BlockDifferential, method: Method = "polynomial",
         # cluster roots stand in for multipliers bounded by |mu| <= 1 exactly
         max_mu = float(max(np.max(np.abs(mult[valid]), initial=0.0),
                            1.0 if not valid.all() else 0.0))
-        near_one = int(np.sum(~valid))
-    elif method == "dense":
+    elif method in ("dense", "both"):
+        proots = _polynomial_spectrum(bd)[0] if method == "both" else None
         mult, comps = _dense_spectrum(bd)
-        proots = None
+        valid = np.abs(mult - 1.0) > cluster_guard(bd)
         max_mu = float(np.max(np.abs(mult)))
-        near_one = int(np.sum(np.abs(mult - 1.0) <= cluster_guard(bd)))
-    elif method == "both":
-        proots, _, pvalid = _polynomial_spectrum(bd)
-        mult, comps = _dense_spectrum(bd)
-        guard = cluster_guard(bd, factor=100.0)
-        outside = mult[np.abs(mult - 1.0) > guard]
-        cross = 0.0
-        for mu in outside:
-            cross = max(cross, float(np.min(np.abs(proots - mu))))
-        max_mu = float(np.max(np.abs(mult)))
-        near_one = int(np.sum(np.abs(mult - 1.0) <= cluster_guard(bd)))
+        if proots is not None:
+            outside = mult[np.abs(mult - 1.0) > cluster_guard(bd, factor=100.0)]
+            cross = max((float(np.min(np.abs(proots - mu))) for mu in outside),
+                        default=0.0)
     else:
         raise ValidationError(f"unknown method {method!r}")
 
+    collective = np.abs(mult[valid])
     return SpectrumReport(
         multipliers=mult, max_abs_mu=max_mu,
+        collective_max_abs_mu=float(np.max(collective)) if collective.size else np.nan,
         resonance=bool(max_mu > 1.0 + verdict_tol),
         maxwell_components=comps,
         polynomial_roots=proots, method=method, cross_discrepancy=cross,
-        roots_near_one=near_one,
+        roots_near_one=int(np.sum(~valid)),
     )
 
 
@@ -548,10 +545,10 @@ class ThresholdPoint:
     max_abs_mu: float
     resonance: bool
     maxwell_floor: float
+    collective_max_abs_mu: float
 
 
 def threshold_scan(e: Ensemble, kappa: float, pump_grid: Sequence[float],
-                   d_variant: DVariant = "gamma",
                    verdict_tol: float = VERDICT_TOL) -> List[ThresholdPoint]:
     """Sweep the pumping amplitude and record the polynomial verdict at each
     point.
@@ -561,12 +558,13 @@ def threshold_scan(e: Ensemble, kappa: float, pump_grid: Sequence[float],
     assembled once, and each grid point only rescales the pump-dependent
     scalars, so a point costs O(1) in N.
     """
-    base = assemble_blocks(e, kappa, d_variant=d_variant)
+    base = assemble_blocks(e, kappa)
     points = []
     for ap in pump_grid:
         bd = base.with_pump_factor(e.pump_factor(float(ap)))
         rep = resonance_verdict(bd, verdict_tol=verdict_tol)
         points.append(ThresholdPoint(
             pump_amplitude=float(ap), max_abs_mu=rep.max_abs_mu,
-            resonance=rep.resonance, maxwell_floor=rep.maxwell_floor))
+            resonance=rep.resonance, maxwell_floor=rep.maxwell_floor,
+            collective_max_abs_mu=rep.collective_max_abs_mu))
     return points

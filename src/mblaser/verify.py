@@ -180,7 +180,7 @@ def criterion_6_differential_oracle() -> CriterionResult:
     pmap = make_numeric_map(e, e.kappa, settings)
     h = 1e-5
     jac = jacobian_fd(pmap, np.zeros(2 + 2 * e.n), h=h)
-    analytic = assemble_full(assemble_blocks(e, e.kappa, d_variant="gamma"))
+    analytic = assemble_full(assemble_blocks(e, e.kappa))
     scale = float(np.max(np.abs(analytic)))
     tol = max(10.0 * h ** 2, 1e-6 * scale)
     gap = float(np.max(np.abs(jac - analytic)))
@@ -199,7 +199,7 @@ def criterion_7_spectrum_reduction() -> CriterionResult:
     min_maxwell = np.inf
     for seed in range(5):
         e = desk_ensemble(100, seed=20 + seed)
-        bd = assemble_blocks(e, e.kappa, d_variant="gamma")
+        bd = assemble_blocks(e, e.kappa)
         full = assemble_full(bd)
         dense = np.linalg.eigvals(full)
         roots = 1.0 + poly_roots(char_polynomial_centered(bd))
@@ -294,7 +294,9 @@ def criterion_10_threshold_scan() -> CriterionResult:
     ok = flips >= 1 and recorded
     detail = (f"{flips} flip(s) [>=1 required]; recorded={recorded}; "
               f"max|mu| range [{min(p.max_abs_mu for p in points):.9f}, "
-              f"{max(p.max_abs_mu for p in points):.9f}]"
+              f"{max(p.max_abs_mu for p in points):.9f}]; collective max|mu| "
+              f"range [{min(p.collective_max_abs_mu for p in points):.12f}, "
+              f"{max(p.collective_max_abs_mu for p in points):.12f}]"
               + ("" if ok else "; no flip: the differential is "
                  "contractive at every pump level"))
     return CriterionResult(10, "pumping threshold scan", ok, detail,

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mblaser.cli import main
-from mblaser.dynamics import ODE_METHODS
 
 #: values no numeric key accepts, or that parse but lie outside every range
 BAD = ["nan", "inf", "-inf", "abc", "", "1e", "0x10", "1,2", "--", "-1", "0"]
@@ -50,7 +49,6 @@ KEYS = [
     ("run", "abs_tol", _reals(1e-12, 1e-8), ["1"], False),
     ("run", "max_step", _reals(1e-2, 1.0, math.inf), [], False),
     ("run", "verdict_tol", _reals(0.0, 1e-9, 1.0), [], False),
-    ("run", "method", st.sampled_from(ODE_METHODS), ["RK99"], False),
 ]
 
 

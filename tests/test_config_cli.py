@@ -175,6 +175,7 @@ class TestCli:
                      "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["resonance"] is False
+        assert payload["collective_max_abs_mu"] < 1.0
         assert payload["cross_method_max_gap"] <= 1e-8
         assert len(payload["multipliers"]) == 2 * 40 + 2
 
@@ -205,11 +206,13 @@ class TestCli:
                          "--steps", "7", "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().splitlines()
-        assert lines[0].startswith("pump_amplitude,max_abs_mu,resonance")
+        assert lines[0] == ("pump_amplitude,max_abs_mu,resonance,"
+                            "maxwell_component_min,collective_max_abs_mu")
         assert len(lines) == 8
         for line in lines[1:]:
             cols = line.split(",")
             assert float(cols[1]) >= 0.99 and cols[2] in ("0", "1")
+            assert 0.99 <= float(cols[4]) <= float(cols[1])
             float(cols[0]); float(cols[3])
 
     def test_bad_scan_range_exits_2(self, dimless_cfg, tmp_path):
@@ -307,6 +310,19 @@ class TestBadInputs:
         assert main(["simulate", "--config", str(cfg), "--periods", "0.05",
                      "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method,n", [("DOP853", "40"), ("Radau", "1e5")])
+    def test_method_key_is_unknown(self, method, n, tmp_path, capsys):
+        """DOP853 is the only integrator: naming any method, even that one,
+        is an unknown key, rejected before the medium is sampled."""
+        cfg = tmp_path / "method.cfg"
+        cfg.write_text(DIMLESS.replace("n = 40", f"n = {n}")
+                       + f"method = {method}\n")
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(cfg), "--periods", "1",
+                     "--out", str(out)]) == 2
+        assert "unknown keys in [run]: ['method']" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,name", [

@@ -15,6 +15,7 @@ from mblaser.spectrum import (SERIES_RADIUS, _detuned_norm_sum, _detuned_sum,
                               cluster_guard, coupling_matrix,
                               eigvec_back_substitute, poly_roots,
                               reduced_matrix, resonance_verdict, threshold_scan)
+from mblaser.verify import desk_ensemble
 
 PI = np.pi
 
@@ -64,6 +65,11 @@ class TestAssembleBlocks:
         expect = 1.0 - 2 * PI ** 2 * small_ensemble.gamma ** 2
         assert np.allclose(bd_g.D[:, 1, 1], expect)
         assert np.allclose(bd_g.D[:, 0, 0], 1.0)
+        # the identity variant is the unpumped blocks
+        zero = bd_g.with_pump_factor(0.0)
+        for method in ("polynomial", "dense"):
+            assert np.array_equal(resonance_verdict(bd_id, method).multipliers,
+                                  resonance_verdict(zero, method).multipliers)
         with pytest.raises(ValidationError):
             assemble_blocks(small_ensemble, 1e-7, d_variant="bogus")
 
@@ -387,6 +393,22 @@ class TestThresholdScan:
             assert want.size == got.size == 4
             for mu in want:
                 assert np.min(np.abs(got - mu)) <= 1e-12 * abs(mu - 1.0)
+
+    def test_collective_max_abs_mu_on_criterion_10_medium(self):
+        """Cluster roots make max_abs_mu read 1 at every point; the
+        collective column is the largest |mu| of the valid roots."""
+        e = desk_ensemble(300, seed=9)
+        grid = np.geomspace(1e1, 1e4, 25)
+        points = threshold_scan(e, 1e-7, grid)
+        collective = np.array([p.collective_max_abs_mu for p in points])
+        assert np.all(collective < 1.0)
+        assert np.ptp(collective) > 0.0
+        base = assemble_blocks(e, 1e-7)
+        for p, ap in zip(points, grid):
+            bd = base.with_pump_factor(e.pump_factor(ap))
+            mult = resonance_verdict(bd).multipliers
+            valid = np.abs(mult - 1.0) > cluster_guard(bd)
+            assert p.collective_max_abs_mu == np.max(np.abs(mult[valid]))
 
     def test_verdict_tol_is_used(self, small_ensemble):
         grid = [1.0, 10.0]
