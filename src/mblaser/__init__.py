@@ -12,8 +12,7 @@ from .model import (DimensionlessParams, FullState, PhysicalParams,
                     hopf_project, inversion_from_z, lift_state,
                     perturbed_point, populations_from_z, ruby_params)
 from .kernels import (KernelConstants, constants_AB, constants_J,
-                      fundamental_solution, integral_I, quadrature,
-                      residual_of_ode)
+                      fundamental_solution, quadrature, residual_of_ode)
 from .ensemble import (Ensemble, SumReport, cuboid_mode, sample_ensemble,
                        sum_S, sum_Sigma)
 from .dynamics import (OdeSettings, averaging_error_scaling, integrate,

@@ -33,7 +33,8 @@ from .dynamics import simulate_trajectory  # noqa: E402
 from .ensemble import sum_S, sum_Sigma  # noqa: E402
 from .errors import (CapacityError, NumericsError,  # noqa: E402
                      ValidationError, require_capacity)
-from .model import ground_state, lift_state, perturbed_point  # noqa: E402
+from .model import (PhysicalParams, ground_state, lift_state,  # noqa: E402
+                    perturbed_point)
 from .poincare import poincare_analytic, poincare_numeric  # noqa: E402
 from .spectrum import (DENSE_CAP, assemble_blocks,  # noqa: E402
                        resonance_verdict, threshold_scan)
@@ -229,6 +230,14 @@ def cmd_threshold_scan(args) -> int:
     flips = sum(1 for i in range(1, len(points))
                 if points[i].resonance != points[i - 1].resonance)
     print(f"wrote {args.out} ({flips} verdict flip(s))")
+    bare = sum(1 for p in points if math.isnan(p.collective_max_abs_mu))
+    if bare:
+        unit = "esu/cm" if isinstance(cfg.params, PhysicalParams) else "dimensionless"
+        print(f"warning: {bare} of {len(points)} scan point(s) have no root outside "
+              f"the cluster guard, so their verdict rests on no collective root; "
+              f"--pump-min/--pump-max are absolute amplitudes and this config's "
+              f"reference pump_amplitude is {e.pump_amplitude!r} ({unit})",
+              file=sys.stderr)
     return 0
 
 
@@ -307,8 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold-scan", help="sweep the pumping amplitude")
     add_common(p, needs_out=False)
-    p.add_argument("--pump-min", type=float, required=True)
-    p.add_argument("--pump-max", type=float, required=True)
+    pump_help = ("pump amplitude, in the config's pump_amplitude units: "
+                 "dimensionless (reference 1.0) for [dimensionless], esu/cm "
+                 "for [physical] and --paper-constants")
+    p.add_argument("--pump-min", type=float, required=True, help=pump_help)
+    p.add_argument("--pump-max", type=float, required=True, help=pump_help)
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_threshold_scan)

@@ -17,8 +17,11 @@ tolerance over a period.
 
 Each chart's equations are stated once, in the flat kernel the solver calls
 on a packed real vector: (a, b), then the amplitudes as interleaved (Re, Im)
-pairs.  The packing stays in this module; every public function here takes
-and returns `FullState` / `ReducedState`.
+pairs.  The reduced kernel works on those pairs in real arithmetic; it carries
+the numeric period map (`poincare.make_numeric_map`), and the full chart
+carries trajectories, the map's fallback at the chart edge and the
+gauge-equivariance checks.  The packing stays in this module; every public
+function here takes and returns `FullState` / `ReducedState`.
 """
 from __future__ import annotations
 
@@ -111,19 +114,27 @@ def _flat_rhs_reduced(e: Ensemble, kappa: float) -> Callable:
     guard = (1.0 - 2.0 * CHART_GUARD) ** 2
 
     def rhs(tau, y):
-        z = y[2:].view(np.complex128)
-        r2 = 4.0 * np.abs(z) ** 2
+        # real arithmetic: -i conj(omega_n) = (sin tau - i cos tau) w_n with
+        # w_n = beta_n b + gamma_n cos tau, and Im{z e^{-i tau}} = c Im z - s Re z
+        zr = y[2::2]
+        zi = y[3::2]
+        r2 = zr * zr
+        r2 += zi * zi
+        r2 *= 4.0
         if np.any(r2 >= guard):
             raise ChartBoundaryError(
                 "reduced chart left its validity region |z| < 1/2 - delta; "
                 "switch to the full dynamics")
-        phase = np.exp(-1j * tau)
-        j = float(np.sum(alpha * np.imag(z * phase)))
-        omega = (beta * y[1] + gamma * np.cos(tau)) * phase
+        c, s = np.cos(tau), np.sin(tau)
+        w = beta * y[1]
+        w += gamma * c
+        w *= np.sqrt(1.0 - r2)
+        j = c * np.dot(alpha, zi) - s * np.dot(alpha, zr)
         out = np.empty_like(y)
         out[0] = y[1]
         out[1] = j - two_kappa * y[1] - y[0]
-        out[2:].view(np.complex128)[:] = -1j * np.conj(omega) * np.sqrt(1.0 - r2)
+        np.multiply(w, s, out=out[2::2])
+        np.multiply(w, -c, out=out[3::2])
         return out
 
     return rhs

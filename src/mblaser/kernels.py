@@ -20,7 +20,8 @@ Only the exact forms are computed here, except J1 and J2, whose closed forms
 (`constants_J`) hold to O(kappa^2).  The classic leading-order
 expressions (e^{-kappa tau} sin tau for E, the truncated I1/I2, and the real
 A/B component tables) live in the tests that pin their O(kappa^2) truncation
-order.
+order, as do the running integrals I1(tau), I2(tau) and the oracles of the
+collective constants, which only the tests evaluate.
 """
 from __future__ import annotations
 
@@ -156,50 +157,6 @@ def _kernel_sum(kappa: float, weights, moment_args) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# running integrals I1, I2
-# ---------------------------------------------------------------------------
-
-def integral_I(tau: float, kappa: float, which: int) -> complex:
-    """I1(tau) = int_0^tau e^{-i s} E(tau-s) ds  and
-    I2(tau) = int_0^tau (s/2) cos(s) E(tau-s) ds.
-
-    The antiderivatives are evaluated with the exact characteristic roots.
-    """
-    _check_kappa(kappa)
-    if not 0.0 <= tau <= 2.0 * PI + 1e-12:
-        raise ValidationError("tau must lie in [0, 2 pi]")
-    if which not in (1, 2):
-        raise ValidationError("which must be 1 or 2")
-    if tau == 0.0:
-        return 0.0 + 0.0j
-
-    if which == 1:
-        return _kernel_sum(
-            kappa,
-            weights=lambda lam: np.exp(lam * tau),
-            moment_args=lambda lam: _exp_moment(-(1j + lam), 0, tau),
-        )
-    return _kernel_sum(
-        kappa,
-        weights=lambda lam: np.exp(lam * tau),
-        moment_args=lambda lam: 0.25 * (_exp_moment(1j - lam, 1, tau)
-                                        + _exp_moment(-1j - lam, 1, tau)),
-    )
-
-
-def integral_I_oracle(tau: float, kappa: float, which: int,
-                      tol: float = 1e-12) -> complex:
-    """Quadrature evaluation of the defining integral (exact E)."""
-    if tau == 0.0:
-        return 0.0 + 0.0j
-    if which == 1:
-        f = lambda s: np.exp(-1j * s) * fundamental_solution(tau - s, kappa)
-    else:
-        f = lambda s: 0.5 * s * np.cos(s) * fundamental_solution(tau - s, kappa)
-    return quadrature(f, 0.0, tau, tol=tol)
-
-
-# ---------------------------------------------------------------------------
 # period constants J1, J2 and A/B
 # ---------------------------------------------------------------------------
 
@@ -329,18 +286,6 @@ def response_kernel() -> np.ndarray:
                      [RESPONSE_XI.imag, RESPONSE_XI.real]])
 
 
-def response_kernel_oracle(tol: float = 1e-10) -> complex:
-    """Double-quadrature oracle for RESPONSE_XI (kappa = 0)."""
-    def inner(t):
-        if t <= 0:
-            return 0.0 + 0.0j
-        return quadrature(lambda s: np.exp(-1j * s)
-                          * fundamental_solution_deriv(t - s, 0.0), 0.0, t, tol=1e-12)
-
-    g = quadrature(lambda t: np.exp(1j * t) * inner(t), 0.0, 2 * PI, tol=tol)
-    return -0.5 * g
-
-
 #: One-period dressing of the molecular response to the field by the
 #: collective current it excites on the way (per unit synchronization sum S).
 #: For a unit perturbation along a0 (free field mode -E) or b0 (mode E'),
@@ -357,34 +302,3 @@ def border_dressing() -> np.ndarray:
     """Real 2x2 kernel [[Re wa, Re wb], [Im wa, Im wb]] of the W dressing."""
     return np.array([[W_DRESS_A.real, W_DRESS_B.real],
                      [W_DRESS_A.imag, W_DRESS_B.imag]])
-
-
-def border_dressing_oracle(column: str = "a", n_grid: int = 8192) -> complex:
-    """Grid-quadrature oracle for the W dressing constants (kappa = 0).
-
-    Chains the three response integrals on a uniform grid with trapezoid
-    cumulative sums; accuracy ~ (2 pi / n_grid)^2.
-    """
-    from scipy.integrate import cumulative_trapezoid
-
-    tau = np.linspace(0.0, 2.0 * PI, n_grid + 1)
-    if column == "a":
-        b0 = -np.sin(tau)          # free response mode for a0 at kappa = 0
-    elif column == "b":
-        b0 = np.cos(tau)           # mode for b0
-    else:
-        raise ValidationError("column must be 'a' or 'b'")
-    F = cumulative_trapezoid(b0 * np.exp(1j * tau), tau, initial=0.0)
-    j = -np.real(np.exp(-1j * tau) * F)
-    # db1(t) = int_0^t j(s) E'(t-s) ds via one cumulative pass per output point
-    db1 = np.empty_like(tau)
-    ed = np.cos(tau)               # E'(s) at kappa = 0
-    h = tau[1] - tau[0]
-    for i, t in enumerate(tau):
-        if i == 0:
-            db1[0] = 0.0
-            continue
-        integrand = j[:i + 1] * ed[i::-1]
-        db1[i] = np.trapezoid(integrand, dx=h)
-    w = -1j * np.trapezoid(db1 * np.exp(1j * tau), tau)
-    return complex(w)

@@ -1,7 +1,10 @@
 """The period map in two realizations, and its finite-difference differential.
 
 ``poincare_numeric`` integrates the full system over one pumping period and
-projects to gauge-reduced coordinates.  ``poincare_analytic`` evaluates the
+projects to gauge-reduced coordinates.  The flat map of ``make_numeric_map``
+integrates the gauge-reduced chart itself, at half the state, and falls back
+to ``poincare_numeric`` where a trajectory reaches the chart's edge
+|z_n| = 1/2.  ``poincare_analytic`` evaluates the
 second-order closed form built from the damped-kernel period constants: the
 field image is
 
@@ -30,10 +33,10 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (CHART_GUARD, OdeSettings, integrate_full, pack_reduced,
-                       unpack_reduced)
+from .dynamics import (CHART_GUARD, OdeSettings, integrate_full,
+                       integrate_reduced, pack_reduced, unpack_reduced)
 from .ensemble import Ensemble
-from .errors import ValidationError
+from .errors import ChartBoundaryError, ValidationError
 from .kernels import constants_AB, fundamental_solution, fundamental_solution_deriv
 from .model import FullState, ReducedState, hopf_project, inversion_from_z, \
     lift_state
@@ -111,12 +114,19 @@ def make_numeric_map(e: Ensemble, kappa: float,
     """The numeric period map as a flat function on reduced coordinates.
 
     The vector layout is `dynamics.pack_reduced`'s: (a, b, Re z_1, Im z_1,
-    ...), the row and column order of the block differential.
+    ...), the row and column order of the block differential.  The map
+    integrates the gauge-reduced chart, half the state of the full system;
+    where the trajectory reaches the chart's edge |z_n| = 1/2 - delta it
+    returns `poincare_numeric` of the lifted point instead.
     """
 
     def period_map(x: np.ndarray) -> np.ndarray:
-        state = lift_state(unpack_reduced(x, e.n))
-        return pack_reduced(poincare_numeric(state, e, kappa, settings))
+        state = unpack_reduced(x, e.n)
+        try:
+            image = integrate_reduced(state, 0.0, TWO_PI, e, kappa, settings)
+        except ChartBoundaryError:
+            image = poincare_numeric(lift_state(state), e, kappa, settings)
+        return pack_reduced(image)
 
     return period_map
 

@@ -1,0 +1,54 @@
+"""The summary of `tools/bench_pairs.py` on canned perfbench result lines;
+no benchmark process is started."""
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import bench_pairs  # noqa: E402
+
+
+def _lines(ops, rss, correct=True):
+    record = {"record": {"workload": "period-map-1e5"}}
+    result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1,
+              "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                          "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    return [record, result]
+
+
+RUNS = {"parent": [_lines(1.0, 220.0), _lines(0.9, 210.0), _lines(1.1, 215.0)],
+        "change": [_lines(2.0, 200.0), _lines(1.8, 212.0), _lines(0.8, 190.0)]}
+BETTER = {"ops_per_s": "higher", "peak_rss_mb": "lower"}
+
+
+def test_medians_ratio_and_wins():
+    s = bench_pairs.summarize(RUNS, BETTER)
+    assert s["pairs"] == 3 and s["all_correct"] is True
+    ops = s["metrics"]["ops_per_s"]
+    assert ops["parent_median"] == 1.0 and ops["change_median"] == 1.8
+    assert ops["ratio"] == pytest.approx(1.8)
+    assert ops["change_wins"] == 2  # the third pair is slower
+    rss = s["metrics"]["peak_rss_mb"]
+    assert rss["parent"] == [220.0, 210.0, 215.0]
+    assert rss["change_median"] == 200.0 and rss["change_wins"] == 2
+
+
+def test_unknown_direction_and_failed_run():
+    runs = {"parent": RUNS["parent"], "change": RUNS["change"][:2] + [_lines(1.0, 1.0, False)]}
+    s = bench_pairs.summarize(runs, {})
+    assert s["all_correct"] is False
+    assert "change_wins" not in s["metrics"]["ops_per_s"]
+    text = bench_pairs.format_summary(s)
+    assert "all runs correct: False" in text
+    assert text.splitlines()[2].split()[0] == "ops_per_s"
+
+
+def test_directions_read_from_benchmark_spec(tmp_path):
+    assert bench_pairs.directions(tmp_path) == {}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
+    assert bench_pairs.directions(tmp_path) == BETTER

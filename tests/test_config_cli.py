@@ -215,6 +215,25 @@ class TestCli:
             assert 0.99 <= float(cols[4]) <= float(cols[1])
             float(cols[0]); float(cols[3])
 
+    def test_scan_warns_when_no_collective_root(self, tmp_path, capsys):
+        # the preset reads the pump in esu/cm (ruby is 1.7e-6), so this grid
+        # lies far above ruby and every root falls inside the cluster guard
+        out = tmp_path / "paper.csv"
+        assert main(["threshold-scan", "--paper-constants", "--pump-min", "10",
+                     "--pump-max", "1e4", "--steps", "3", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[4] for r in rows] == ["nan"] * 3
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "3 of 3 scan point(s)" in err
+        assert "pump_amplitude is 1.7e-06 (esu/cm)" in err
+
+    def test_scan_quiet_with_collective_roots(self, dimless_cfg, tmp_path, capsys):
+        assert main(["threshold-scan", "--config", dimless_cfg, "--pump-min", "1",
+                     "--pump-max", "1000", "--steps", "3",
+                     "--out", str(tmp_path / "scan.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_bad_scan_range_exits_2(self, dimless_cfg, tmp_path):
         assert main(["threshold-scan", "--config", dimless_cfg,
                      "--pump-min", "10", "--pump-max", "1",

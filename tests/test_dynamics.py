@@ -185,6 +185,26 @@ class TestReducedChart:
         assert abs(red1.a - full1.a) <= 1e-10
         assert np.max(np.abs(red1.z - hopf_project(full1.c))) <= 1e-9
 
+    def test_kernel_matches_full_chain_rule(self, small_ensemble):
+        # oracle: z = conj(c1) c2 on the lift, so z' = conj(c1') c2 + conj(c1) c2'
+        # from the full right-hand side; a' and b' are the same expressions
+        e = small_ensemble
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            z = (0.3 * np.sqrt(rng.uniform(size=e.n))
+                 * np.exp(2j * np.pi * rng.uniform(size=e.n)))
+            state = ReducedState(a=rng.uniform(-0.1, 0.1), b=rng.uniform(-0.1, 0.1), z=z)
+            tau = rng.uniform(0.0, TWO_PI)
+            full = lift_state(state)
+            dfull = rhs_full(full, tau, e, e.kappa)
+            chain = (np.conj(dfull.c[:, 0]) * full.c[:, 1]
+                     + np.conj(full.c[:, 0]) * dfull.c[:, 1])
+            dred = rhs_reduced(state, tau, e, e.kappa)
+            scale = float(np.max(np.abs(chain)))
+            assert np.max(np.abs(dred.z - chain)) <= 1e-14 * scale
+            assert dred.a == dfull.a
+            assert abs(dred.b - dfull.b) <= 1e-14 * abs(dfull.b)
+
     def test_chart_boundary_error(self, small_ensemble):
         e = small_ensemble
         z = np.zeros(e.n, dtype=complex)

@@ -8,6 +8,93 @@ PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 
+# running integrals and the oracles of the collective constants: only tests
+# evaluate them (test_poincare imports integral_I from here)
+
+def integral_I(tau: float, kappa: float, which: int) -> complex:
+    """I1(tau) = int_0^tau e^{-i s} E(tau-s) ds  and
+    I2(tau) = int_0^tau (s/2) cos(s) E(tau-s) ds.
+
+    The antiderivatives are evaluated with the exact characteristic roots.
+    """
+    kernels._check_kappa(kappa)
+    if not 0.0 <= tau <= TWO_PI + 1e-12:
+        raise ValidationError("tau must lie in [0, 2 pi]")
+    if which not in (1, 2):
+        raise ValidationError("which must be 1 or 2")
+    if tau == 0.0:
+        return 0.0 + 0.0j
+
+    if which == 1:
+        return kernels._kernel_sum(
+            kappa,
+            weights=lambda lam: np.exp(lam * tau),
+            moment_args=lambda lam: kernels._exp_moment(-(1j + lam), 0, tau),
+        )
+    return kernels._kernel_sum(
+        kappa,
+        weights=lambda lam: np.exp(lam * tau),
+        moment_args=lambda lam: 0.25 * (kernels._exp_moment(1j - lam, 1, tau)
+                                        + kernels._exp_moment(-1j - lam, 1, tau)),
+    )
+
+
+def integral_I_oracle(tau: float, kappa: float, which: int,
+                      tol: float = 1e-12) -> complex:
+    """Quadrature evaluation of the defining integral (exact E)."""
+    if tau == 0.0:
+        return 0.0 + 0.0j
+    if which == 1:
+        f = lambda s: np.exp(-1j * s) * kernels.fundamental_solution(tau - s, kappa)
+    else:
+        f = lambda s: 0.5 * s * np.cos(s) * kernels.fundamental_solution(tau - s, kappa)
+    return kernels.quadrature(f, 0.0, tau, tol=tol)
+
+
+def response_kernel_oracle(tol: float = 1e-10) -> complex:
+    """Double-quadrature oracle for RESPONSE_XI (kappa = 0)."""
+    def inner(t):
+        if t <= 0:
+            return 0.0 + 0.0j
+        return kernels.quadrature(lambda s: np.exp(-1j * s)
+                                  * kernels.fundamental_solution_deriv(t - s, 0.0),
+                                  0.0, t, tol=1e-12)
+
+    g = kernels.quadrature(lambda t: np.exp(1j * t) * inner(t), 0.0, TWO_PI, tol=tol)
+    return -0.5 * g
+
+
+def border_dressing_oracle(column: str = "a", n_grid: int = 8192) -> complex:
+    """Grid-quadrature oracle for the W dressing constants (kappa = 0).
+
+    Chains the three response integrals on a uniform grid with trapezoid
+    cumulative sums; accuracy ~ (2 pi / n_grid)^2.
+    """
+    from scipy.integrate import cumulative_trapezoid
+
+    tau = np.linspace(0.0, TWO_PI, n_grid + 1)
+    if column == "a":
+        b0 = -np.sin(tau)          # free response mode for a0 at kappa = 0
+    elif column == "b":
+        b0 = np.cos(tau)           # mode for b0
+    else:
+        raise ValidationError("column must be 'a' or 'b'")
+    F = cumulative_trapezoid(b0 * np.exp(1j * tau), tau, initial=0.0)
+    j = -np.real(np.exp(-1j * tau) * F)
+    # db1(t) = int_0^t j(s) E'(t-s) ds via one cumulative pass per output point
+    db1 = np.empty_like(tau)
+    ed = np.cos(tau)               # E'(s) at kappa = 0
+    h = tau[1] - tau[0]
+    for i, t in enumerate(tau):
+        if i == 0:
+            db1[0] = 0.0
+            continue
+        integrand = j[:i + 1] * ed[i::-1]
+        db1[i] = np.trapezoid(integrand, dx=h)
+    w = -1j * np.trapezoid(db1 * np.exp(1j * tau), tau)
+    return complex(w)
+
+
 # leading-order forms, kept here to pin their truncation order
 
 def leading_fundamental_solution(tau, kappa):
@@ -97,30 +184,30 @@ class TestQuadrature:
 
 class TestRunningIntegrals:
     def test_empty_range(self):
-        assert kernels.integral_I(0.0, 1e-3, 1) == 0.0
-        assert kernels.integral_I(0.0, 1e-3, 2) == 0.0
+        assert integral_I(0.0, 1e-3, 1) == 0.0
+        assert integral_I(0.0, 1e-3, 2) == 0.0
 
     def test_i2_full_period_undamped(self):
         # quadrature of (tau'/2) cos tau' sin(2pi - tau') gives pi/4
-        val = kernels.integral_I(TWO_PI, 0.0, 2)
+        val = integral_I(TWO_PI, 0.0, 2)
         assert val.real == pytest.approx(PI / 4, abs=1e-12)
         assert abs(val.imag) <= 1e-14
 
     def test_i1_full_period_undamped(self):
-        assert abs(kernels.integral_I(TWO_PI, 0.0, 1) - PI * 1j) <= 1e-12
+        assert abs(integral_I(TWO_PI, 0.0, 1) - PI * 1j) <= 1e-12
 
     @pytest.mark.parametrize("kappa", [0.0, 1e-5, 1e-3])
     @pytest.mark.parametrize("which", [1, 2])
     def test_exact_matches_oracle(self, kappa, which):
         for tau in (0.7, 2.5, TWO_PI):
-            closed = kernels.integral_I(tau, kappa, which)
-            oracle = kernels.integral_I_oracle(tau, kappa, which)
+            closed = integral_I(tau, kappa, which)
+            oracle = integral_I_oracle(tau, kappa, which)
             assert abs(closed - oracle) <= 10.0 * kappa ** 2 + 1e-10
 
     def test_leading_i1_is_second_order(self):
         for kappa in (1e-5, 1e-3):
             for tau in (1.0, 3.0, TWO_PI):
-                gap = abs(kernels.integral_I(tau, kappa, 1)
+                gap = abs(integral_I(tau, kappa, 1)
                           - leading_integral_I(tau, kappa, 1))
                 assert gap <= 50.0 * kappa ** 2
 
@@ -128,11 +215,11 @@ class TestRunningIntegrals:
         # the leading I2 drops its damping prefactor: O(kappa) mid-period,
         # second order again at the full period
         for kappa in (1e-5, 1e-3):
-            mid = max(abs(kernels.integral_I(t, kappa, 2)
+            mid = max(abs(integral_I(t, kappa, 2)
                           - leading_integral_I(t, kappa, 2))
                       for t in (1.0, 3.0, 4.6))
             assert mid <= 6.0 * kappa
-            end = abs(kernels.integral_I(TWO_PI, kappa, 2)
+            end = abs(integral_I(TWO_PI, kappa, 2)
                       - leading_integral_I(TWO_PI, kappa, 2))
             assert end <= 50.0 * kappa ** 2
 
@@ -201,10 +288,10 @@ class TestPeriodConstants:
 
 class TestCollectiveKernels:
     def test_response_kernel_oracle(self):
-        assert abs(kernels.response_kernel_oracle() - kernels.RESPONSE_XI) <= 1e-9
+        assert abs(response_kernel_oracle() - kernels.RESPONSE_XI) <= 1e-9
 
     def test_border_dressing_oracle(self):
-        wa = kernels.border_dressing_oracle("a")
-        wb = kernels.border_dressing_oracle("b")
+        wa = border_dressing_oracle("a")
+        wb = border_dressing_oracle("b")
         assert abs(wa - kernels.W_DRESS_A) <= 1e-5
         assert abs(wb - kernels.W_DRESS_B) <= 1e-5

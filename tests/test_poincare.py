@@ -105,9 +105,9 @@ class TestFirstOrderAmplitudeChain:
     def test_kernel_formula_matches_driven_oscillator(self, tiny_ensemble):
         # first-order field amplitude: the frozen-state current convolved with
         # the damped kernel equals direct integration of the driven oscillator
-        from mblaser.kernels import (fundamental_solution,
-                                     fundamental_solution_deriv, integral_I)
+        from mblaser.kernels import fundamental_solution, fundamental_solution_deriv
         from mblaser.model import inversion_from_z
+        from test_kernels import integral_I
         e = tiny_ensemble
         kappa = 1e-3
         rng = np.random.default_rng(31)
@@ -172,9 +172,24 @@ def test_reduced_vector_roundtrip(tiny_ensemble):
     back = unpack_reduced(x, state.n_molecules)
     assert back.a == state.a and back.b == state.b
     assert np.array_equal(back.z, state.z)
-    # the numeric map reads and writes that layout
+    # the numeric map reads and writes that layout; it integrates the reduced
+    # chart, so it agrees with the full chart's image to the solver tolerance
     e = tiny_ensemble
     point = perturbed_point(e.n, 1e-3, np.random.default_rng(4))
     out = make_numeric_map(e, e.kappa, TIGHT)(pack_reduced(point))
-    direct = poincare_numeric(lift_state(point), e, e.kappa, TIGHT)
-    assert np.array_equal(out, pack_reduced(direct))
+    full = pack_reduced(poincare_numeric(lift_state(point), e, e.kappa, TIGHT))
+    assert np.max(np.abs(out[:2] - full[:2])) <= 1e-10
+    assert np.max(np.abs(out[2:] - full[2:])) <= 1e-9
+
+
+def test_numeric_map_falls_back_at_chart_edge(tiny_ensemble):
+    # a molecule inside the guard band leaves the reduced chart at once; the
+    # map then returns the full chart's image, bit for bit
+    e = tiny_ensemble
+    point = perturbed_point(e.n, 1e-3, np.random.default_rng(4))
+    z = point.z.copy()
+    z[0] = 0.4999997
+    point = ReducedState(a=point.a, b=point.b, z=z)
+    out = make_numeric_map(e, e.kappa, TIGHT)(pack_reduced(point))
+    full = pack_reduced(poincare_numeric(lift_state(point), e, e.kappa, TIGHT))
+    assert np.array_equal(out, full)

@@ -1,0 +1,128 @@
+"""Paired benchmark runs of two checkouts: a change against its parent.
+
+    python tools/bench_pairs.py --parent DIR --change DIR --workload W \\
+        --seeds 801 802 803 [--seconds 40] [--out FILE]
+
+For each seed it runs ``python3 perfbench/run.py --trace 0`` once in each
+checkout, one process at a time.  The order alternates from pair to pair
+(parent first, then change first), so a drift in the machine's speed falls
+on both trees alike.  Single runs on a small shared machine spread by tens of
+percent, so compare medians over pairs, never one run with another.
+
+It prints, per end-to-end metric, the median over the seeds of each tree,
+the change/parent ratio of the medians, and on how many pairs the change is
+better, reading the direction from ``BENCHMARK.json`` in the change checkout.
+With ``--out`` it writes both trees' two result lines (the record and the
+metrics) of every run to one JSON file.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+TREES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> list:
+    """One untraced perfbench run in ``checkout``: its record and result lines."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          timeout=10 * seconds + 600)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"{checkout}: perfbench exited {proc.returncode}\n"
+                         f"{proc.stderr[-2000:]}")
+    return [json.loads(line) for line in lines[-2:]]
+
+
+def directions(checkout: Path) -> dict:
+    """{metric: "higher" or "lower"} from the checkout's BENCHMARK.json."""
+    path = checkout / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+
+
+def summarize(runs: dict, better: dict) -> dict:
+    """Medians, ratio and wins per metric over paired runs.
+
+    ``runs`` maps each tree to its list of [record, result] pairs, in seed
+    order; pair i of the parent is compared with pair i of the change.
+    """
+    results = {tree: [result for _, result in runs[tree]] for tree in TREES}
+    names = list(results["parent"][0]["metrics"])
+    metrics = {}
+    for name in names:
+        values = {tree: [r["metrics"][name]["value"] for r in results[tree]]
+                  for tree in TREES}
+        med = {tree: statistics.median(values[tree]) for tree in TREES}
+        entry = {"unit": results["parent"][0]["metrics"][name]["unit"],
+                 "parent": values["parent"], "change": values["change"],
+                 "parent_median": med["parent"], "change_median": med["change"],
+                 "ratio": med["change"] / med["parent"] if med["parent"] else None}
+        if name in better:
+            sign = 1.0 if better[name] == "higher" else -1.0
+            entry["better"] = better[name]
+            entry["change_wins"] = sum(
+                1 for p, c in zip(values["parent"], values["change"])
+                if sign * (c - p) > 0)
+        metrics[name] = entry
+    return {"pairs": len(results["parent"]),
+            "all_correct": all(r["correct"] for tree in TREES for r in results[tree]),
+            "metrics": metrics}
+
+
+def format_summary(summary: dict) -> str:
+    rows = [f"{summary['pairs']} pair(s), all runs correct: {summary['all_correct']}",
+            f"{'metric':<14} {'parent':>12} {'change':>12} {'ratio':>8}  wins"]
+    for name, m in summary["metrics"].items():
+        ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "-"
+        wins = (f"{m['change_wins']}/{summary['pairs']}"
+                if "change_wins" in m else "-")
+        rows.append(f"{name:<14} {m['parent_median']:>12.4g} "
+                    f"{m['change_median']:>12.4g} {ratio:>8}  {wins}")
+    return "\n".join(rows)
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    p.add_argument("--change", type=Path, required=True, help="changed checkout")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--seconds", type=float, default=40.0,
+                   help="timed op seconds per run")
+    p.add_argument("--out", type=Path, help="JSON file for every run's lines")
+    return p.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = {tree: [] for tree in TREES}
+    for i, seed in enumerate(args.seeds):
+        for tree in (TREES if i % 2 == 0 else TREES[::-1]):
+            runs[tree].append(run_once(checkouts[tree], args.workload, seed,
+                                       args.seconds))
+            result = runs[tree][-1][1]
+            print(f"seed {seed} {tree}: " + ", ".join(
+                f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
+                file=sys.stderr, flush=True)
+    summary = summarize(runs, directions(checkouts["change"]))
+    print(format_summary(summary))
+    if args.out is not None:
+        payload = {"workload": args.workload, "seconds": args.seconds,
+                   "seeds": args.seeds, "order": "alternating, parent first on even pairs",
+                   "summary": summary, **runs}
+        args.out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
