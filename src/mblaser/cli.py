@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 validation/usage error, 3 numeric failure (including
 a failing acceptance criterion in ``verify-all``).  Outputs carry no
 timestamps, so re-running with the same config and seed reproduces them
-byte for byte.  Set MBLASER_THREADS to pin the BLAS/OpenMP thread count.
+byte for byte.  The BLAS thread count follows the standard
+``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` variables, which numpy reads
+when it is first imported.
 """
 from __future__ import annotations
 
@@ -11,34 +13,22 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from typing import Optional
 
 import numpy as np
 
-
-def _apply_thread_env() -> None:
-    n = os.environ.get("MBLASER_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
-_apply_thread_env()
-
-from . import kernels  # noqa: E402
-from .config import RunConfig, load_config, paper_preset  # noqa: E402
-from .dynamics import simulate_trajectory  # noqa: E402
-from .ensemble import sum_S, sum_Sigma  # noqa: E402
-from .errors import (CapacityError, NumericsError,  # noqa: E402
-                     ValidationError, require_capacity)
-from .model import (PhysicalParams, ground_state, lift_state,  # noqa: E402
-                    perturbed_point)
-from .poincare import poincare_analytic, poincare_numeric  # noqa: E402
-from .spectrum import (DENSE_CAP, assemble_blocks,  # noqa: E402
-                       resonance_verdict, threshold_scan)
-from .verify import ab_gap_table, gap_rows, run_all  # noqa: E402
+from . import kernels
+from .config import RunConfig, load_config, paper_preset
+from .dynamics import simulate_trajectory
+from .ensemble import sum_S, sum_Sigma
+from .errors import (CapacityError, NumericsError, ValidationError,
+                     require_capacity)
+from .model import PhysicalParams, ground_state, lift_state, perturbed_point
+from .poincare import poincare_analytic, poincare_numeric
+from .spectrum import (DENSE_CAP, assemble_blocks, resonance_verdict,
+                       threshold_scan)
+from .verify import ab_gap_table, gap_rows, run_all
 
 
 def _load(args) -> RunConfig:

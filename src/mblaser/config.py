@@ -34,6 +34,7 @@ from .dynamics import OdeSettings
 from .ensemble import Ensemble, sample_ensemble
 from .errors import ValidationError
 from .model import DimensionlessParams, PhysicalParams, ruby_params
+from .spectrum import VERDICT_TOL
 
 _PHYSICAL_KEYS = {
     "pump_frequency", "pump_amplitude", "dipole_magnitude", "conductivity",
@@ -44,7 +45,8 @@ _ENSEMBLE_KEYS = {
     "hypothesis", "n", "seed", "mode_index", "rescale_alpha_to_s",
     "crystal_axis", "active_volume",
 }
-_RUN_KEYS = {"rel_tol", "abs_tol", "max_step", "verdict_tol"}
+_ODE_KEYS = {"rel_tol", "abs_tol", "max_step"}
+_RUN_KEYS = _ODE_KEYS | {"verdict_tol"}
 
 
 def _triple(raw: str, name: str, cast=float) -> Tuple:
@@ -87,7 +89,7 @@ class RunConfig:
     crystal_axis: Optional[Tuple[float, float, float]] = None
     active_volume: Optional[float] = None
     settings: OdeSettings = field(default_factory=OdeSettings)
-    verdict_tol: float = 1e-9
+    verdict_tol: float = VERDICT_TOL
 
     def build_ensemble(self) -> Ensemble:
         return sample_ensemble(
@@ -218,12 +220,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     if run:
         _check_keys(run, _RUN_KEYS, "run")
     vals = _floats(run, _RUN_KEYS)
-    settings = OdeSettings(
-        rel_tol=vals.get("rel_tol", 1e-10),
-        abs_tol=vals.get("abs_tol", 1e-10),
-        max_step=vals.get("max_step", float("inf")),
-    )
-    verdict_tol = vals.get("verdict_tol", 1e-9)
+    settings = OdeSettings(**{k: v for k, v in vals.items() if k in _ODE_KEYS})
+    verdict_tol = vals.get("verdict_tol", VERDICT_TOL)
     if not verdict_tol >= 0.0:
         raise ValidationError(f"verdict_tol must be >= 0, got {verdict_tol!r}")
 

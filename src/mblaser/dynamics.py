@@ -140,18 +140,6 @@ def _flat_rhs_reduced(e: Ensemble, kappa: float) -> Callable:
     return rhs
 
 
-def rhs_full(state: FullState, tau: float, e: Ensemble, kappa: float) -> FullState:
-    """Time derivative of the full system at (state, tau)."""
-    dy = _flat_rhs_full(e, kappa)(tau, pack_full(state))
-    return unpack_full(dy, state.n_molecules)
-
-
-def rhs_reduced(state: ReducedState, tau: float, e: Ensemble, kappa: float) -> ReducedState:
-    """Time derivative in gauge-reduced coordinates (where |c1| > |c2|)."""
-    dy = _flat_rhs_reduced(e, kappa)(tau, pack_reduced(state))
-    return unpack_reduced(dy, state.n_molecules)
-
-
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ Hypothesis = Literal["H1", "H2"]
 DEFAULT_CAVITY = (12.0, 2.0, 2.0)
 DEFAULT_ACTIVE_VOLUME = 3.4
 
+#: Peak bytes per molecule while sampling: 16 float64 live as the mode is
+#: evaluated (positions, dipoles, mode values, 6 trig columns, pump projection),
+#: 128 by tracemalloc, plus one float64 of headroom.  The ensemble keeps 5.
+SAMPLING_BYTES_PER_MOLECULE = 136
+
 
 def cuboid_mode(x, k: Tuple[int, int, int], dims: Tuple[float, float, float],
                 amp) -> np.ndarray:
@@ -55,10 +60,12 @@ def cuboid_mode(x, k: Tuple[int, int, int], dims: Tuple[float, float, float],
     c1 = np.cos(wave[0] * x[:, 0]); s1 = np.sin(wave[0] * x[:, 0])
     c2 = np.cos(wave[1] * x[:, 1]); s2 = np.sin(wave[1] * x[:, 1])
     c3 = np.cos(wave[2] * x[:, 2]); s3 = np.sin(wave[2] * x[:, 2])
-    norm = np.sqrt(8.0 / (dims[0] * dims[1] * dims[2]))
-    out = norm * np.stack([amp[0] * c1 * s2 * s3,
-                           amp[1] * s1 * c2 * s3,
-                           amp[2] * s1 * s2 * c3], axis=1)
+    out = np.empty((x.shape[0], 3))  # filled in place: no (N, 3) temporaries
+    for j, (f, g, h) in enumerate(((c1, s2, s3), (s1, c2, s3), (s1, s2, c3))):
+        np.multiply(amp[j], f, out=out[:, j])
+        out[:, j] *= g
+        out[:, j] *= h
+    out *= np.sqrt(8.0 / (dims[0] * dims[1] * dims[2]))
     return out[0] if single else out
 
 
@@ -80,33 +87,29 @@ def default_mode_amplitude(k: Tuple[int, int, int],
 class Ensemble:
     """Sampled active medium plus everything the dynamics needs.
 
-    Per-molecule data is stored column-wise for the whole ensemble: one
-    array per coupling and one (N, 3) array per vector field.  alpha*beta >= 0
-    holds exactly for every molecule.
+    A molecule enters the collective sums only through the projections of its
+    unit dipole direction onto the mode and onto its pumping direction, so
+    those two (N,) arrays sit next to the couplings and no per-molecule
+    geometry is kept.  alpha*beta >= 0 holds exactly for every molecule.
     """
 
     hypothesis: Hypothesis
-    seed: int
     kappa: float
     alpha: np.ndarray          # (N,)
     beta: np.ndarray           # (N,)
     gamma: np.ndarray          # (N,)
-    positions: np.ndarray      # (N, 3) cm
-    dipoles: np.ndarray        # (N, 3) esu*cm (unit magnitude if dimensionless)
-    mode_values: np.ndarray    # (N, 3) cm^{-3/2}
-    pump_values: np.ndarray    # (N, 3) esu/cm (unit magnitude if dimensionless)
+    proj_mode: np.ndarray      # (N,) Phat_n . X(x_n), cm^{-3/2}
+    proj_pump: np.ndarray      # (N,) Phat_n . phat_n, dimensionless
     mode_amplitude: np.ndarray  # (3,) unit vector
-    mode_index: Tuple[int, int, int]
     cavity_dims: Tuple[float, float, float]
-    active_volume: float
     dipole_magnitude: float    # |P| (1.0 for dimensionless ensembles)
     pump_amplitude: float      # a_p (1.0 for dimensionless ensembles)
     sum_weight: float          # 2/(Omega_p hbar): S = sum_weight * sum (P.X)^2
     crystal_dipole: Optional[np.ndarray] = None  # unit axis, H2 only
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "positions", "dipoles",
-                     "mode_values", "pump_values", "mode_amplitude"):
+        for name in ("alpha", "beta", "gamma", "proj_mode", "proj_pump",
+                     "mode_amplitude"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -131,9 +134,8 @@ class Ensemble:
     def with_pump_amplitude(self, pump_amplitude: float) -> "Ensemble":
         """Same medium, rescaled pumping: gamma_n scales linearly with a_p."""
         factor = self.pump_factor(pump_amplitude)
-        return dataclasses.replace(
-            self, gamma=self.gamma * factor,
-            pump_values=self.pump_values * factor, pump_amplitude=pump_amplitude)
+        return dataclasses.replace(self, gamma=self.gamma * factor,
+                                   pump_amplitude=pump_amplitude)
 
 
 def _active_region_radius(active_volume: float,
@@ -166,6 +168,29 @@ def _sample_positions(rng, n: int, dims, active_volume: float) -> np.ndarray:
 def _unit_vectors(rng, n: int) -> np.ndarray:
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _sample_geometry(seed: int, n: int, dims, active_volume: float,
+                     hypothesis: Hypothesis, crystal_axis=None
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions, unit dipole and unit pumping directions, each (n, 3), drawn
+    in that order from the Philox stream keyed by ``seed``; H2 draws and
+    discards a dipole block to keep the layout."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    positions = _sample_positions(rng, n, dims, active_volume)
+    if hypothesis == "H1":
+        dip_dirs = _unit_vectors(rng, n)
+    else:
+        if crystal_axis is None:
+            raise ValidationError("H2 requires a crystal axis")
+        axis = np.asarray(crystal_axis, dtype=float)
+        nrm = np.linalg.norm(axis)
+        if nrm == 0:
+            raise ValidationError("crystal axis must be nonzero")
+        dip_dirs = np.tile(axis / nrm, (n, 1))
+        rng.normal(size=(n, 3))  # keep the draw layout fixed across hypotheses
+    pump_dirs = _unit_vectors(rng, n)
+    return positions, dip_dirs, pump_dirs
 
 
 def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
@@ -220,9 +245,8 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
 
     if n_eff < 1:
         raise ValidationError("ensemble size must be >= 1")
-    # the peak while sampling: 15 float64 kept per molecule (alpha, beta,
-    # gamma and four (N, 3) arrays) plus temporaries, measured at 184 bytes
-    require_capacity(8 * 24 * n_eff, f"an ensemble of {n_eff} molecules")
+    require_capacity(SAMPLING_BYTES_PER_MOLECULE * n_eff,
+                     f"an ensemble of {n_eff} molecules")
     if not v_active > 0:
         raise ValidationError(f"active volume must be positive, got {v_active!r}")
     if rescale_alpha_to_s is not None and not 0 < rescale_alpha_to_s < np.inf:
@@ -232,24 +256,12 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
     amp = (default_mode_amplitude(k_idx, dims) if mode_amplitude is None
            else np.asarray(mode_amplitude, dtype=float))
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    positions = _sample_positions(rng, n_eff, dims, v_active)
-    if hypothesis == "H1":
-        dip_dirs = _unit_vectors(rng, n_eff)
-    else:
-        if crystal_axis is None:
-            raise ValidationError("H2 requires a crystal axis")
-        axis = np.asarray(crystal_axis, dtype=float)
-        nrm = np.linalg.norm(axis)
-        if nrm == 0:
-            raise ValidationError("crystal axis must be nonzero")
-        dip_dirs = np.tile(axis / nrm, (n_eff, 1))
-        rng.normal(size=(n_eff, 3))  # keep the draw layout fixed across hypotheses
-    pump_dirs = _unit_vectors(rng, n_eff)
-
-    mode_vals = cuboid_mode(positions, k_idx, dims, amp)
-    proj_mode = np.einsum("ij,ij->i", dip_dirs, mode_vals)
+    positions, dip_dirs, pump_dirs = _sample_geometry(
+        seed, n_eff, dims, v_active, hypothesis, crystal_axis)
     proj_pump = np.einsum("ij,ij->i", dip_dirs, pump_dirs)
+    del pump_dirs  # freed before the mode is evaluated, where the peak falls
+    proj_mode = np.einsum("ij,ij->i", dip_dirs,
+                          cuboid_mode(positions, k_idx, dims, amp))
 
     alpha = alpha_coef * proj_mode
     beta = beta_coef * proj_mode
@@ -264,12 +276,9 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
         alpha = alpha * rescale
 
     return Ensemble(
-        hypothesis=hypothesis, seed=seed, kappa=kappa,
-        alpha=alpha, beta=beta, gamma=gamma,
-        positions=positions, dipoles=dipole_mag * dip_dirs,
-        mode_values=mode_vals, pump_values=pump_amp * pump_dirs,
-        mode_amplitude=amp, mode_index=tuple(k_idx), cavity_dims=tuple(dims),
-        active_volume=v_active, dipole_magnitude=dipole_mag,
+        hypothesis=hypothesis, kappa=kappa, alpha=alpha, beta=beta, gamma=gamma,
+        proj_mode=proj_mode, proj_pump=proj_pump, mode_amplitude=amp,
+        cavity_dims=tuple(dims), dipole_magnitude=dipole_mag,
         pump_amplitude=pump_amp, sum_weight=sum_weight * rescale,
         crystal_dipole=None if hypothesis == "H1" else dip_dirs[0].copy(),
     )
@@ -329,8 +338,8 @@ def sum_Sigma(e: Ensemble) -> SumReport:
     """
     if e.n < 1:
         raise ValidationError("empty ensemble")
-    px = np.einsum("ij,ij->i", e.dipoles, e.mode_values)
-    pa = np.einsum("ij,ij->i", e.dipoles, e.pump_values)
+    px = e.dipole_magnitude * e.proj_mode
+    pa = e.dipole_magnitude * e.pump_amplitude * e.proj_pump
     terms = px ** 2 * pa ** 2
     emp = float(np.mean(terms))
     se = float(np.std(terms, ddof=1) / np.sqrt(e.n)) if e.n > 1 else 0.0

@@ -199,12 +199,9 @@ def constants_J_oracle(kappa: float, tol: float = 1e-11) -> Tuple[complex, compl
 
 @dataclass(frozen=True)
 class KernelConstants:
-    """Period constants: A1..B3 exact (quadrature-grade), J1 and J2 the
-    O(kappa^2) closed forms of `constants_J`."""
+    """The six period constants A1..B3, exact (quadrature-grade)."""
 
     kappa: float
-    J1: complex
-    J2: complex
     A1: complex
     A2: complex
     A3: float
@@ -244,9 +241,8 @@ def constants_AB(kappa: float) -> KernelConstants:
     a2 = a_like(1)
     b1 = b_like(0)
     b2 = b_like(1)
-    j1, j2 = constants_J(kappa)
     return KernelConstants(
-        kappa=kappa, J1=j1, J2=j2,
+        kappa=kappa,
         A1=a1, A2=a2, A3=float(a2.real),
         B1=b1, B2=b2, B3=float(b2.real),
     )

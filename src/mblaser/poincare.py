@@ -33,15 +33,14 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (CHART_GUARD, OdeSettings, integrate_full,
+from .dynamics import (CHART_GUARD, TWO_PI, OdeSettings, integrate_full,
                        integrate_reduced, pack_reduced, unpack_reduced)
 from .ensemble import Ensemble
 from .errors import ChartBoundaryError, ValidationError
-from .kernels import constants_AB, fundamental_solution, fundamental_solution_deriv
+from .kernels import (constants_AB, constants_J, fundamental_solution,
+                      fundamental_solution_deriv)
 from .model import FullState, ReducedState, hopf_project, inversion_from_z, \
     lift_state
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def compute_nu(a0: float, b0: float, e: Ensemble, kappa: float,
     """nu = (1/2pi) int_0^2pi adot^(1) e^{-i tau} d tau in closed form."""
     z0 = np.asarray(init_z, dtype=complex)
     inv = inversion_from_z(z0)
-    j2 = constants_AB(kappa).J2
+    j2 = constants_J(kappa)[1]
     nu11 = -kappa * a0 / 4.0 + (1.0 - kappa * np.pi) * b0 / 2.0
     nu12 = (1.0 - kappa * np.pi) * a0 / 2.0 + kappa * b0 / 4.0
     nu2 = float(j2.real * np.sum(e.alpha * e.gamma * inv))

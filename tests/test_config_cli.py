@@ -5,9 +5,10 @@ import pytest
 
 from mblaser.cli import main
 from mblaser.config import load_config, paper_preset
+from mblaser.dynamics import OdeSettings
 from mblaser.ensemble import sum_S
 from mblaser.errors import ValidationError
-from mblaser.spectrum import DENSE_CAP
+from mblaser.spectrum import DENSE_CAP, VERDICT_TOL
 
 DIMLESS = """
 [dimensionless]
@@ -106,6 +107,14 @@ class TestConfig:
             load_config(str(p))
         p.write_text(DIMLESS + "verdict_tol = 0\n")
         assert load_config(str(p)).verdict_tol == 0.0
+
+    @pytest.mark.parametrize("run_section", ["[run]\n", ""])
+    def test_empty_run_takes_the_library_defaults(self, tmp_path, run_section):
+        p = tmp_path / "defaults.cfg"
+        p.write_text(DIMLESS[:DIMLESS.index("[run]")] + run_section)
+        cfg = load_config(str(p))
+        assert cfg.settings == OdeSettings()
+        assert cfg.verdict_tol == VERDICT_TOL
 
     def test_missing_file(self):
         with pytest.raises(ValidationError):

@@ -3,17 +3,30 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mblaser.dynamics import (OdeSettings, TWO_PI, averaging_error_scaling,
+from mblaser.dynamics import (OdeSettings, TWO_PI, _flat_rhs_full,
+                              _flat_rhs_reduced, averaging_error_scaling,
                               gauge_rotate, integrate, integrate_full,
-                              integrate_reduced, profile_pump_cosine,
-                              profile_rotating, rhs_full, rhs_reduced,
-                              sample_trajectory)
+                              integrate_reduced, pack_full, pack_reduced,
+                              profile_pump_cosine, profile_rotating,
+                              sample_trajectory, unpack_full, unpack_reduced)
 from mblaser.ensemble import Ensemble
 from mblaser.errors import ChartBoundaryError, ValidationError
 from mblaser.model import (FullState, ReducedState, ground_state,
                            hopf_project, lift_state)
 
 TIGHT = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
+
+
+def rhs_full(state: FullState, tau: float, e: Ensemble, kappa: float) -> FullState:
+    """Time derivative of the full system at (state, tau)."""
+    dy = _flat_rhs_full(e, kappa)(tau, pack_full(state))
+    return unpack_full(dy, state.n_molecules)
+
+
+def rhs_reduced(state: ReducedState, tau: float, e: Ensemble, kappa: float) -> ReducedState:
+    """Time derivative in gauge-reduced coordinates (where |c1| > |c2|)."""
+    dy = _flat_rhs_reduced(e, kappa)(tau, pack_reduced(state))
+    return unpack_reduced(dy, state.n_molecules)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from scipy.integrate import quad, solve_ivp
 from conftest import desk_params
 from mblaser.dynamics import OdeSettings, TWO_PI, pack_reduced, unpack_reduced
 from mblaser.ensemble import sample_ensemble
-from mblaser.kernels import constants_AB
+from mblaser.kernels import constants_AB, constants_J
 from mblaser.model import (FullState, ReducedState, ground_state, lift_state,
                            perturbed_point)
 from mblaser.poincare import (compute_nu, jacobian_fd, make_numeric_map,
@@ -20,7 +20,7 @@ class TestComputeNu:
     def test_ground_state_value(self, small_ensemble):
         e = small_ensemble
         nu = compute_nu(0.0, 0.0, e, e.kappa, np.zeros(e.n))
-        j2 = constants_AB(e.kappa).J2.real
+        j2 = constants_J(e.kappa)[1].real
         expect = -j2 * float(np.sum(e.alpha * e.gamma))
         assert nu.nu11 == 0.0 and nu.nu12 == 0.0
         assert nu.nu2 == pytest.approx(expect, rel=1e-12)
