@@ -15,13 +15,21 @@ part is skew-adjoint, so |c_n1|^2 + |c_n2|^2 is conserved along exact
 trajectories; the integrator is required to preserve it to ~100x its local
 tolerance over a period.
 
-Each chart's equations are stated once, in the flat kernel the solver calls
-on a packed real vector: (a, b), then the amplitudes as interleaved (Re, Im)
-pairs.  The reduced kernel works on those pairs in real arithmetic; it carries
-the numeric period map (`poincare.make_numeric_map`), and the full chart
-carries trajectories, the map's fallback at the chart edge and the
-gauge-equivariance checks.  The packing stays in this module; every public
-function here takes and returns `FullState` / `ReducedState`.
+Each chart's equations are stated once.  The full chart's kernel is a flat
+right-hand side on a packed real vector, (a, b) then the amplitudes as
+interleaved (Re, Im) pairs, integrated by scipy's `solve_ivp` (DOP853); it
+carries trajectories, the period map's fallback at the chart edge and the
+gauge-equivariance checks.  The reduced chart carries the numeric period map
+(`poincare.make_numeric_map`).  There every molecule moves at a time tau along
+the same real direction, (Re z_n', Im z_n') = q_n (sin tau, -cos tau), so a
+Runge-Kutta stage is one real N-vector q plus the two field derivatives, not
+2N + 2 numbers.  Its stage kernel (`_reduced_stage`) and its own DOP853
+stepper (`_dop853_reduced`: scipy's coefficients and step control, so the
+steps match `solve_ivp`'s) store the stages in that rank-one form and keep
+Re z and Im z as two contiguous rows.  The full chart's derivative has no such
+form (c_n1' needs c_n2 and c_n2' needs c_n1), so it stays on `solve_ivp`.
+The packing stays in this module; every public function here takes and
+returns `FullState` / `ReducedState`.
 """
 from __future__ import annotations
 
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .ensemble import Ensemble
 from .errors import (ChartBoundaryError, NumericsError, ValidationError,
@@ -108,36 +116,43 @@ def _flat_rhs_full(e: Ensemble, kappa: float) -> Callable:
     return rhs
 
 
-def _flat_rhs_reduced(e: Ensemble, kappa: float) -> Callable:
-    alpha, beta, gamma = e.alpha, e.beta, e.gamma
-    two_kappa = 2.0 * kappa
-    guard = (1.0 - 2.0 * CHART_GUARD) ** 2
+def _reduced_stage(e: Ensemble, kappa: float) -> Callable:
+    """The reduced chart's equation at one stage, in real arithmetic.
 
-    def rhs(tau, y):
-        # real arithmetic: -i conj(omega_n) = (sin tau - i cos tau) w_n with
-        # w_n = beta_n b + gamma_n cos tau, and Im{z e^{-i tau}} = c Im z - s Re z
-        zr = y[2::2]
-        zi = y[3::2]
-        r2 = zr * zr
-        r2 += zi * zi
-        r2 *= 4.0
-        if np.any(r2 >= guard):
+    ``stage(tau, z, a, b, q)`` reads z as a (2, N) array of (Re z, Im z) rows.
+    It writes q_n = (beta_n b + gamma_n cos tau) sqrt(1 - 4|z_n|^2) into the
+    N-vector ``q`` and returns (a', b', sin tau, -cos tau).  Every molecule's
+    derivative is q_n times that one direction:
+    -i conj(omega_n) = (sin tau - i cos tau) (beta_n b + gamma_n cos tau).
+    """
+    alpha = e.alpha
+    beta_gamma = np.stack([e.beta, e.gamma])
+    two_kappa = 2.0 * kappa
+    # 4|z|^2 >= (1 - 2 delta)^2 exactly when |z|^2 >= (1/2 - delta)^2, and
+    # sqrt(1 - 4|z|^2) = 2 sqrt(1/4 - |z|^2) exactly; the 2 goes into b, cos tau
+    guard = (0.5 - CHART_GUARD) ** 2
+    r2 = np.empty(e.n)
+    tmp = np.empty(e.n)
+
+    def stage(tau, z, a, b, q):
+        zr, zi = z
+        np.multiply(zr, zr, out=r2)
+        np.multiply(zi, zi, out=tmp)
+        np.add(r2, tmp, out=r2)
+        if r2.max() >= guard:
             raise ChartBoundaryError(
                 "reduced chart left its validity region |z| < 1/2 - delta; "
                 "switch to the full dynamics")
+        np.subtract(0.25, r2, out=r2)
+        np.sqrt(r2, out=r2)
         c, s = np.cos(tau), np.sin(tau)
-        w = beta * y[1]
-        w += gamma * c
-        w *= np.sqrt(1.0 - r2)
+        np.dot((2.0 * b, 2.0 * c), beta_gamma, out=q)
+        np.multiply(q, r2, out=q)
+        # j = sum_n alpha_n Im{z_n e^{-i tau}} = c Im z - s Re z, summed
         j = c * np.dot(alpha, zi) - s * np.dot(alpha, zr)
-        out = np.empty_like(y)
-        out[0] = y[1]
-        out[1] = j - two_kappa * y[1] - y[0]
-        np.multiply(w, s, out=out[2::2])
-        np.multiply(w, -c, out=out[3::2])
-        return out
+        return b, j - two_kappa * b - a, s, -c
 
-    return rhs
+    return stage
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +191,154 @@ def integrate_full(state0: FullState, tau0: float, tau1: float, e: Ensemble,
 
 def integrate_reduced(state0: ReducedState, tau0: float, tau1: float, e: Ensemble,
                       kappa: float, settings: OdeSettings = OdeSettings()) -> ReducedState:
-    y = integrate(_flat_rhs_reduced(e, kappa), pack_reduced(state0), tau0, tau1, settings)
-    return unpack_reduced(y, state0.n_molecules)
+    """DOP853 solve of the reduced chart; ChartBoundaryError at its edge."""
+    if tau1 < tau0:
+        raise ValidationError("tau1 must be >= tau0")
+    if tau1 == tau0:
+        return ReducedState(a=float(state0.a), b=float(state0.b), z=state0.z.copy())
+    z = np.stack([state0.z.real, state0.z.imag])
+    a, b, z, _, _ = _dop853_reduced(_reduced_stage(e, kappa), float(state0.a),
+                                    float(state0.b), z, float(tau0), float(tau1),
+                                    settings)
+    return ReducedState(a=a, b=b, z=z[0] + 1j * z[1])
+
+
+# DOP853's tableau and step control, as solve_ivp(method="DOP853") uses them
+# (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.10)
+_A, _B, _C = DOP853.A, DOP853.B, DOP853.C
+_E3, _E5 = DOP853.E3, DOP853.E5
+_STAGES = DOP853.n_stages
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
+                    tau0: float, tau1: float, settings: OdeSettings):
+    """scipy's DOP853 on the reduced chart, with each stage stored as q_n.
+
+    The method is solve_ivp's on the packed vector (a, b, Re z_1, Im z_1,
+    ...): the same first-step rule, error norm, step control, FSAL reuse,
+    ``max_step``, clipping to ``tau1`` and 10-ulp minimum step, so the steps
+    and the number of stage evaluations match.  Only the order of the sums
+    differs; the E5/E3 error estimate cancels about ten digits, so step sizes
+    agree to about 1e-6.  A stage derivative is the N-vector q times the
+    stage's direction (sin, -cos) (`_reduced_stage`), so the stages are a
+    (13, N) array ``Q`` and every stage state, update and error estimate is
+    one (k, s) @ (s, N) product; Re z and Im z stay the contiguous rows of
+    ``z`` (2, N) throughout, and the ``z`` passed in is not written.
+
+    Returns (a, b, z, accepted times, stage evaluations).  Raises
+    ValidationError on a non-finite initial state, as solve_ivp refuses one
+    (the step-size rule would loop on NaN), NumericsError when the step falls
+    below the minimum and ChartBoundaryError when a stage leaves the chart.
+    """
+    if not (np.isfinite(a) and np.isfinite(b) and np.all(np.isfinite(z))):
+        raise ValidationError("the initial state must be finite")
+    n = z.shape[1]
+    size = 2 + 2 * n
+    rtol, atol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
+    Q = np.empty((_STAGES + 1, n))
+    F = np.empty((_STAGES + 1, 2))   # field derivatives (a', b') per stage
+    U = np.empty((_STAGES + 1, 2))   # direction (sin tau, -cos tau) per stage
+    field = np.array([a, b])
+    z = np.array(z, dtype=float)
+    zs = np.empty_like(z)
+    z_new = np.empty_like(z)
+    err = np.empty((2, 2, n))         # E5 and E3 estimates, (Re, Im) rows each
+    scale = np.empty_like(z)
+
+    def evaluate(k, tau, zk, fk):
+        da, db, sin, minus_cos = stage(tau, zk, fk[0], fk[1], Q[k])
+        F[k] = da, db
+        U[k] = sin, minus_cos
+
+    def rms(f_field, f_z):
+        return np.sqrt((f_field @ f_field + np.vdot(f_z, f_z)) / size)
+
+    # first step: scipy's select_initial_step, its trial stage kept in Q[1]
+    t = tau0
+    evaluate(0, t, z, field)
+    interval = tau1 - tau0
+    scale_field = atol + np.abs(field) * rtol
+    np.abs(z, out=scale)
+    scale *= rtol
+    scale += atol
+    f0 = Q[0] * U[0][:, None]
+    d0 = rms(field / scale_field, z / scale)
+    d1 = rms(F[0] / scale_field, f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    evaluate(1, t + h0, z + h0 * f0, field + h0 * F[0])
+    d2 = rms((F[1] - F[0]) / scale_field, (Q[1] * U[1][:, None] - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    h_abs = min(100 * h0, h1, interval, max_step)
+    nfev = 2
+
+    times = [t]
+    while t < tau1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericsError(
+                    "integration failed: Required step size is less than "
+                    "spacing between numbers.")
+            t_new = min(t + h_abs, tau1)
+            h_abs = h = t_new - t
+            for k in range(1, _STAGES):
+                coef = (h * _A[k, :k])[:, None] * U[:k]
+                np.dot(coef.T, Q[:k], out=zs)
+                zs += z
+                evaluate(k, t + _C[k] * h, zs, field + np.dot(F[:k].T, _A[k, :k]) * h)
+            coef = (h * _B)[:, None] * U[:-1]
+            np.dot(coef.T, Q[:-1], out=z_new)
+            z_new += z
+            field_new = field + h * np.dot(F[:-1].T, _B)
+            evaluate(_STAGES, t + h, z_new, field_new)
+            nfev += _STAGES
+
+            # error norm: scipy's DOP853 E5/E3 blend, scaled componentwise
+            scale_field = atol + np.maximum(np.abs(field), np.abs(field_new)) * rtol
+            np.abs(z, out=scale)
+            np.maximum(scale, np.abs(z_new), out=scale)
+            scale *= rtol
+            scale += atol
+            coef = np.concatenate([_E5[:, None] * U, _E3[:, None] * U], axis=1)
+            np.dot(coef.T, Q, out=err.reshape(4, n))
+            err /= scale
+            e5_field = np.dot(F.T, _E5) / scale_field
+            e3_field = np.dot(F.T, _E3) / scale_field
+            err5_sq = e5_field @ e5_field + np.vdot(err[0], err[0])
+            err3_sq = e3_field @ e3_field + np.vdot(err[1], err[1])
+            if err5_sq == 0 and err3_sq == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * size)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        t, field = t_new, field_new
+        z, z_new = z_new, z
+        Q[0], F[0], U[0] = Q[-1], F[-1], U[-1]
+        times.append(t)
+    return float(field[0]), float(field[1]), z, times, nfev
 
 
 def sample_trajectory(state0: FullState, taus: Sequence[float], e: Ensemble,

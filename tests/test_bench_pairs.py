@@ -36,6 +36,37 @@ def test_medians_ratio_and_wins():
     assert rss["change_median"] == 200.0 and rss["change_wins"] == 2
 
 
+def test_pair_ratios_and_parent_spread():
+    s = bench_pairs.summarize(RUNS, BETTER)
+    ops = s["metrics"]["ops_per_s"]
+    assert ops["pair_ratios"] == pytest.approx([2.0, 2.0, 0.8 / 1.1], rel=1e-15, abs=0.0)
+    assert ops["pair_ratio_median"] == 2.0
+    assert ops["pair_ratio_quartiles"] == pytest.approx(
+        [(2.0 + 0.8 / 1.1) / 2.0, 2.0], rel=1e-15, abs=0.0)
+    assert ops["parent_quartiles"] == pytest.approx([0.95, 1.05], rel=1e-15, abs=0.0)
+    assert ops["parent_spread"] == pytest.approx(0.1, rel=1e-12, abs=0.0)
+    assert ops["clears_parent_spread"] is True
+    text = bench_pairs.format_summary(s)
+    assert "2.000 [1.364, 2.000]" in text
+    # medians 1.0 and 1.05 differ by less than the parent's spread of 0.1
+    close = {"parent": RUNS["parent"],
+             "change": [_lines(1.1, 220.0), _lines(1.05, 210.0), _lines(0.9, 215.0)]}
+    assert bench_pairs.summarize(close, BETTER)["metrics"]["ops_per_s"][
+        "clears_parent_spread"] is False
+
+
+def test_quartiles_match_numpy_and_a_zero_parent_has_no_pair_ratio():
+    import numpy as np
+    values = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6]
+    assert bench_pairs.quartiles(values) == pytest.approx(
+        list(np.percentile(values, [25, 75])), rel=1e-15, abs=0.0)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0)
+    runs = {"parent": [_lines(0.0, 1.0)], "change": [_lines(1.0, 1.0)]}
+    ops = bench_pairs.summarize(runs, BETTER)["metrics"]["ops_per_s"]
+    assert ops["ratio"] is None and "pair_ratios" not in ops
+    assert "-" in bench_pairs.format_summary(bench_pairs.summarize(runs, BETTER))
+
+
 def test_unknown_direction_and_failed_run():
     runs = {"parent": RUNS["parent"], "change": RUNS["change"][:2] + [_lines(1.0, 1.0, False)]}
     s = bench_pairs.summarize(runs, {})

@@ -66,11 +66,11 @@ class TestConfig:
         assert cfg.kappa == 1e-7
         assert cfg.n == 40 and cfg.seed == 7
         e = cfg.build_ensemble()
-        assert sum_S(e).empirical == pytest.approx(1e-5)
+        assert sum_S(e).empirical == pytest.approx(1e-5, rel=1e-12, abs=0.0)
 
     def test_loads_physical(self, physical_cfg):
         cfg = load_config(physical_cfg)
-        assert cfg.kappa == pytest.approx(0.5e-7)
+        assert cfg.kappa == pytest.approx(0.5e-7, rel=1e-12, abs=0.0)
         assert cfg.build_ensemble().n == 30
 
     def test_seed_override(self, dimless_cfg):
@@ -124,7 +124,7 @@ class TestConfig:
         cfg = paper_preset(n=50)
         e = cfg.build_ensemble()
         assert e.n == 50
-        assert sum_S(e).empirical == pytest.approx(1e-5)
+        assert sum_S(e).empirical == pytest.approx(1e-5, rel=1e-12, abs=0.0)
 
 
 class TestCli:
@@ -164,7 +164,7 @@ class TestCli:
         assert main(["ensemble", "--config", dimless_cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         payload = json.loads(out1.read_text())
-        assert payload["S"]["empirical"] == pytest.approx(1e-5)
+        assert payload["S"]["empirical"] == pytest.approx(1e-5, rel=1e-12, abs=0.0)
         assert payload["config"]["ensemble"]["seed"] == 7
 
     def test_ensemble_csv(self, dimless_cfg, tmp_path, capsys):
@@ -176,7 +176,7 @@ class TestCli:
         assert len(lines) == 3 + 40
         rows = list(csvmod.DictReader(lines[2:]))
         vals = np.array([float(r["alpha"]) * float(r["beta"]) for r in rows])
-        assert vals.sum() == pytest.approx(1e-5)
+        assert vals.sum() == pytest.approx(1e-5, rel=1e-12, abs=0.0)
 
     def test_spectrum_report(self, dimless_cfg, tmp_path):
         out = tmp_path / "spec.json"

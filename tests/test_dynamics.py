@@ -3,14 +3,17 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mblaser.dynamics import (OdeSettings, TWO_PI, _flat_rhs_full,
-                              _flat_rhs_reduced, averaging_error_scaling,
-                              gauge_rotate, integrate, integrate_full,
-                              integrate_reduced, pack_full, pack_reduced,
-                              profile_pump_cosine, profile_rotating,
-                              sample_trajectory, unpack_full, unpack_reduced)
+from scipy.integrate import solve_ivp
+
+from mblaser.dynamics import (CHART_GUARD, OdeSettings, TWO_PI, _dop853_reduced,
+                              _flat_rhs_full, _reduced_stage,
+                              averaging_error_scaling, gauge_rotate, integrate,
+                              integrate_full, integrate_reduced, pack_full,
+                              pack_reduced, profile_pump_cosine,
+                              profile_rotating, sample_trajectory, unpack_full,
+                              unpack_reduced)
 from mblaser.ensemble import Ensemble
-from mblaser.errors import ChartBoundaryError, ValidationError
+from mblaser.errors import ChartBoundaryError, NumericsError, ValidationError
 from mblaser.model import (FullState, ReducedState, ground_state,
                            hopf_project, lift_state)
 
@@ -23,9 +26,26 @@ def rhs_full(state: FullState, tau: float, e: Ensemble, kappa: float) -> FullSta
     return unpack_full(dy, state.n_molecules)
 
 
+def flat_rhs_reduced(e: Ensemble, kappa: float):
+    """The reduced chart's stage kernel as a packed right-hand side for
+    `solve_ivp`: z_n' = q_n (sin tau, -cos tau) in the (Re, Im) pairs."""
+    stage = _reduced_stage(e, kappa)
+
+    def rhs(tau, y):
+        out = np.empty_like(y)
+        q = np.empty(e.n)
+        out[0], out[1], sin, minus_cos = stage(
+            tau, np.stack([y[2::2], y[3::2]]), y[0], y[1], q)
+        out[2::2] = q * sin
+        out[3::2] = q * minus_cos
+        return out
+
+    return rhs
+
+
 def rhs_reduced(state: ReducedState, tau: float, e: Ensemble, kappa: float) -> ReducedState:
     """Time derivative in gauge-reduced coordinates (where |c1| > |c2|)."""
-    dy = _flat_rhs_reduced(e, kappa)(tau, pack_reduced(state))
+    dy = flat_rhs_reduced(e, kappa)(tau, pack_reduced(state))
     return unpack_reduced(dy, state.n_molecules)
 
 
@@ -112,12 +132,12 @@ class TestRhsFull:
             e.alpha[i] * np.imag(np.conj(c[i, 0]) * c[i, 1] * np.exp(-1j * tau))
             for i in range(e.n))
         db_expected = j_brute - 2.0 * e.kappa * state.b - state.a
-        assert d.b == pytest.approx(db_expected, rel=1e-12)
+        assert d.b == pytest.approx(db_expected, rel=1e-12, abs=0.0)
         # per-molecule generator, brute force
         for i in range(e.n):
             om = (e.beta[i] * state.b + e.gamma[i] * np.cos(tau)) * np.exp(-1j * tau)
-            assert d.c[i, 0] == pytest.approx(-1j * om * c[i, 1], rel=1e-12)
-            assert d.c[i, 1] == pytest.approx(-1j * np.conj(om) * c[i, 0], rel=1e-12)
+            assert d.c[i, 0] == pytest.approx(-1j * om * c[i, 1], rel=1e-12, abs=0.0)
+            assert d.c[i, 1] == pytest.approx(-1j * np.conj(om) * c[i, 0], rel=1e-12, abs=0.0)
 
 
 class TestIntegrate:
@@ -225,6 +245,20 @@ class TestReducedChart:
         with pytest.raises(ChartBoundaryError):
             rhs_reduced(ReducedState(a=0.0, b=0.0, z=z), 0.0, e, e.kappa)
 
+    def test_chart_guard_bound(self, small_ensemble):
+        # the guard refuses |z| = 1/2 - delta and accepts the float below it
+        e = small_ensemble
+        edge = 0.5 - CHART_GUARD
+
+        def at(radius):
+            z = np.zeros(e.n, dtype=complex)
+            z[3] = 1j * radius
+            return ReducedState(a=0.0, b=0.0, z=z)
+
+        rhs_reduced(at(np.nextafter(edge, 0.0)), 0.0, e, e.kappa)
+        with pytest.raises(ChartBoundaryError):
+            rhs_reduced(at(edge), 0.0, e, e.kappa)
+
     def test_integration_refuses_boundary_start(self, small_ensemble):
         e = small_ensemble
         z = np.zeros(e.n, dtype=complex)
@@ -232,6 +266,131 @@ class TestReducedChart:
         with pytest.raises(ChartBoundaryError):
             integrate_reduced(ReducedState(a=0.0, b=0.0, z=z), 0.0, TWO_PI,
                               e, e.kappa, TIGHT)
+
+
+def _random_z(n, radius, seed):
+    rng = np.random.default_rng(seed)
+    return radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+class TestReducedStepper:
+    """`_dop853_reduced` against solve_ivp(method="DOP853") on the packed
+    kernel.  The E5/E3 error estimate cancels about ten digits, so rounding
+    in the stages moves the step sizes at the 1e-6 level while the step count,
+    the stage count and the endpoint agree."""
+
+    CASES = {
+        # name: (pump factor, kappa or None for the medium's, z radius, a, b,
+        #        tau0, settings); each solve runs over one period from tau0
+        "default": (1.0, None, 0.2, 0.01, -0.02, 0.0, OdeSettings()),
+        "tight": (1.0, None, 0.2, 0.01, -0.02, 0.0, TIGHT),
+        "kappa-zero": (1.0, 0.0, 0.2, 0.01, -0.02, 0.0, OdeSettings()),
+        "max-step": (1.0, None, 0.2, 0.01, -0.02, 0.0, OdeSettings(max_step=0.5)),
+        # from the ground state the first-step rule takes its h0 = 1e-6 branch
+        "ground-state": (1.0, None, 0.0, 0.0, 0.0, 0.0, OdeSettings()),
+        # hard pumping drives |z| to about 0.47 and solve_ivp rejects steps
+        "rejects": (1e6, None, 0.0, 0.0, 0.0, 0.0, OdeSettings()),
+        # every derivative vanishes at tau0 = pi/2; under strong damping a
+        # tenfold step growth is rejected and cut by the 0.2 floor
+        "floored-rejection": (1.0, 10.0, 0.0, 0.0, 0.0, np.pi / 2, OdeSettings()),
+        # weak pumping at tau0 = pi/2: the derivative is below 1e-15 in the
+        # scaled norm, the second derivative is not
+        "flat-start": (1e-3, None, 0.0, 0.0, 0.0, np.pi / 2, OdeSettings()),
+        # nothing moves: zero derivatives and a zero error estimate
+        "unpumped-ground-state": (0.0, None, 0.0, 0.0, 0.0, 0.0, OdeSettings()),
+    }
+
+    @staticmethod
+    def _both(e, pump, kappa, radius, a, b, tau0, settings):
+        if pump != 1.0:
+            e = e.with_pump_amplitude(pump * e.pump_amplitude)
+        kappa = e.kappa if kappa is None else kappa
+        z = _random_z(e.n, radius, 5)
+        y0 = pack_reduced(ReducedState(a=a, b=b, z=z))
+        span = (tau0, tau0 + TWO_PI)
+        sol = solve_ivp(flat_rhs_reduced(e, kappa), span, y0,
+                        method="DOP853", rtol=settings.rel_tol,
+                        atol=settings.abs_tol, max_step=settings.max_step)
+        assert sol.success
+        out = _dop853_reduced(_reduced_stage(e, kappa), a, b,
+                              np.stack([z.real, z.imag]), *span, settings)
+        return sol, out
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_solve_ivp(self, small_ensemble, case):
+        sol, (a, b, z, times, nfev) = self._both(small_ensemble, *self.CASES[case])
+        assert nfev == sol.nfev
+        assert len(times) == len(sol.t)
+        assert np.max(np.abs(np.array(times) - sol.t)) <= 1e-4
+        y = pack_reduced(ReducedState(a=a, b=b, z=z[0] + 1j * z[1]))
+        ref = sol.y[:, -1]
+        assert np.max(np.abs(y - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_rejection_branch_runs(self, small_ensemble):
+        _, (_, _, _, times, nfev) = self._both(small_ensemble, *self.CASES["rejects"])
+        steps = len(times) - 1
+        assert nfev > 12 * steps + 2
+
+    def test_max_step_bounds_every_step(self, small_ensemble):
+        *_, times, _ = self._both(small_ensemble, *self.CASES["max-step"])[1]
+        assert np.max(np.diff(times)) <= 0.5 + 1e-15
+        assert times[-1] == TWO_PI
+
+    def test_chart_boundary_inside_a_stage(self, small_ensemble):
+        # the start |z| = 0 is inside the chart; the pumping carries the
+        # medium past |z| = 1/2 - delta within the period
+        e = small_ensemble.with_pump_amplitude(1e7 * small_ensemble.pump_amplitude)
+        start = ReducedState(a=0.0, b=0.0, z=np.zeros(e.n, dtype=complex))
+        rhs_reduced(start, 0.0, e, e.kappa)
+        with pytest.raises(ChartBoundaryError):
+            integrate_reduced(start, 0.0, TWO_PI, e, e.kappa)
+
+    def test_step_below_ten_ulps_raises(self, nopump_ensemble):
+        # at tau ~ 1e15 ten ulps are 1.25, longer than the steps the tolerance
+        # allows, so the first step is rejected below that minimum; the
+        # molecules are decoupled so that no stage leaves the chart first
+        import dataclasses
+        e = dataclasses.replace(nopump_ensemble, alpha=np.zeros(nopump_ensemble.n),
+                                beta=np.zeros(nopump_ensemble.n))
+        state = ReducedState(a=0.01, b=-0.02, z=_random_z(e.n, 0.2, 5))
+        span = (1e15, 1e15 + 100.0)
+        sol = solve_ivp(flat_rhs_reduced(e, e.kappa), span, pack_reduced(state),
+                        method="DOP853", rtol=1e-10, atol=1e-10)
+        assert sol.status == -1
+        with pytest.raises(NumericsError) as info:
+            integrate_reduced(state, *span, e, e.kappa)
+        assert not isinstance(info.value, ChartBoundaryError)
+        assert sol.message in str(info.value)
+
+    def test_interval_endpoints(self, small_ensemble):
+        e = small_ensemble
+        state = ReducedState(a=0.01, b=-0.02, z=_random_z(e.n, 0.2, 5))
+        same = integrate_reduced(state, 1.0, 1.0, e, e.kappa)
+        assert same.a == state.a and same.b == state.b
+        assert np.array_equal(same.z, state.z) and same.z is not state.z
+        with pytest.raises(ValidationError):
+            integrate_reduced(state, 1.0, 0.0, e, e.kappa)
+
+    @pytest.mark.parametrize("field, z_scale", [((np.nan, 0.0), 1.0),
+                                                ((0.0, np.inf), 1.0),
+                                                ((0.0, 0.0), np.nan)])
+    def test_non_finite_start_refused(self, small_ensemble, field, z_scale):
+        e = small_ensemble
+        state = ReducedState(a=field[0], b=field[1], z=z_scale * _random_z(e.n, 0.2, 5))
+        with pytest.raises(ValueError):
+            solve_ivp(flat_rhs_reduced(e, e.kappa), (0.0, TWO_PI),
+                      pack_reduced(state), method="DOP853")
+        with pytest.raises(ValidationError):
+            integrate_reduced(state, 0.0, TWO_PI, e, e.kappa)
+
+    def test_input_left_untouched(self, small_ensemble):
+        e = small_ensemble
+        z = _random_z(e.n, 0.2, 5)
+        zz = np.stack([z.real, z.imag])
+        before = zz.copy()
+        _dop853_reduced(_reduced_stage(e, e.kappa), 0.01, -0.02, zz, 0.0,
+                        TWO_PI, OdeSettings())
+        assert np.array_equal(zz, before)
 
 
 class TestAveragedPropagator:

@@ -15,8 +15,8 @@ class TestDeriveDimensionless:
     def test_ruby_kappa(self):
         p = ruby_params()
         # sigma chosen so that c*sigma/Omega_p = 1e-7
-        assert p.sigma1 == pytest.approx(1e-7, rel=1e-12)
-        assert p.kappa == pytest.approx(0.5e-7, rel=1e-12)
+        assert p.sigma1 == pytest.approx(1e-7, rel=1e-12, abs=0.0)
+        assert p.kappa == pytest.approx(0.5e-7, rel=1e-12, abs=0.0)
 
     def test_ruby_scales_match_quoted_magnitudes(self):
         # order-of-magnitude anchors: |alpha| ~ 1e-23, |beta| ~ 0.2e-2,

@@ -23,7 +23,7 @@ class TestComputeNu:
         j2 = constants_J(e.kappa)[1].real
         expect = -j2 * float(np.sum(e.alpha * e.gamma))
         assert nu.nu11 == 0.0 and nu.nu12 == 0.0
-        assert nu.nu2 == pytest.approx(expect, rel=1e-12)
+        assert nu.nu2 == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_undamped_pure_a(self, small_ensemble):
         e = small_ensemble

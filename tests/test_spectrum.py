@@ -35,10 +35,10 @@ class TestAssembleBlocks:
     def test_m11_formula(self, small_ensemble):
         bd = assemble_blocks(small_ensemble, 1e-7)
         expect = 1.0 - 2 * PI * 1e-7 - PI ** 2 * 1e-5 / 2.0
-        assert bd.M[0, 0] == pytest.approx(expect, rel=1e-12)
+        assert bd.M[0, 0] == pytest.approx(expect, rel=1e-12, abs=0.0)
         # antisymmetric off-diagonal +/- pi S / 4
-        assert bd.M[0, 1] == pytest.approx(PI * 1e-5 / 4.0, rel=1e-12)
-        assert bd.M[1, 0] == pytest.approx(-PI * 1e-5 / 4.0, rel=1e-12)
+        assert bd.M[0, 1] == pytest.approx(PI * 1e-5 / 4.0, rel=1e-12, abs=0.0)
+        assert bd.M[1, 0] == pytest.approx(-PI * 1e-5 / 4.0, rel=1e-12, abs=0.0)
 
     def test_border_structure_molecule_independent(self, small_ensemble):
         bd = assemble_blocks(small_ensemble, 1e-7)
@@ -358,10 +358,10 @@ class TestMomentSeries:
 
     def test_s_and_g_from_moments(self, bd):
         ab = bd.alpha * bd.beta
-        assert bd.S == pytest.approx(math.fsum(ab), rel=1e-14)
+        assert bd.S == pytest.approx(math.fsum(ab), rel=1e-14, abs=0.0)
         g = math.fsum(ab * (bd.pump_factor * bd.gamma) ** 2)
-        assert bd.gamma_sq_sum == pytest.approx(g, rel=1e-14)
-        assert bd.with_pump_factor(3.0).gamma_sq_sum == pytest.approx(9.0 * g, rel=1e-14)
+        assert bd.gamma_sq_sum == pytest.approx(g, rel=1e-14, abs=0.0)
+        assert bd.with_pump_factor(3.0).gamma_sq_sum == pytest.approx(9.0 * g, rel=1e-14, abs=0.0)
 
     def test_identity_variant_has_no_detuning(self, small_ensemble):
         bd = assemble_blocks(small_ensemble, 1e-7, d_variant="identity")
@@ -385,7 +385,7 @@ class TestThresholdScan:
             assert abs(p.maxwell_floor - rep.maxwell_floor) <= 1e-12 * rep.maxwell_floor
             # the rescaled blocks give the per-point collective multipliers
             scaled = base.with_pump_factor(e.pump_factor(ap))
-            assert scaled.gamma_sq_sum == pytest.approx(bd.gamma_sq_sum, rel=1e-14)
+            assert scaled.gamma_sq_sum == pytest.approx(bd.gamma_sq_sum, rel=1e-14, abs=0.0)
             guard = cluster_guard(bd)
             want = rep.multipliers[np.abs(rep.multipliers - 1.0) > guard]
             got = resonance_verdict(scaled).multipliers

@@ -9,11 +9,15 @@ checkout, one process at a time.  The order alternates from pair to pair
 on both trees alike.  Single runs on a small shared machine spread by tens of
 percent, so compare medians over pairs, never one run with another.
 
-It prints, per end-to-end metric, the median over the seeds of each tree,
-the change/parent ratio of the medians, and on how many pairs the change is
-better, reading the direction from ``BENCHMARK.json`` in the change checkout.
-With ``--out`` it writes both trees' two result lines (the record and the
-metrics) of every run to one JSON file.
+It prints, per end-to-end metric, the median and quartiles over the seeds of
+each tree, the change/parent ratio of the medians, and on how many pairs the
+change is better, reading the direction from ``BENCHMARK.json`` in the change
+checkout.  It also gives the median and quartiles of the per-pair ratios
+change/parent: the two runs of a pair share the machine's speed state, which
+can switch by about 1.5x between runs, so their ratio cancels it.  A gain is
+claimed only when the medians differ by more than the parent's own quartile
+spread (``clears_parent_spread``).  With ``--out`` it writes both trees' two
+result lines (the record and the metrics) of every run to one JSON file.
 """
 from __future__ import annotations
 
@@ -49,8 +53,16 @@ def directions(checkout: Path) -> dict:
     return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
 
 
+def quartiles(values: list) -> tuple:
+    """(first, third) quartile, linearly interpolated as numpy's default."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def summarize(runs: dict, better: dict) -> dict:
-    """Medians, ratio and wins per metric over paired runs.
+    """Medians, quartiles, ratios and wins per metric over paired runs.
 
     ``runs`` maps each tree to its list of [record, result] pairs, in seed
     order; pair i of the parent is compared with pair i of the change.
@@ -62,10 +74,21 @@ def summarize(runs: dict, better: dict) -> dict:
         values = {tree: [r["metrics"][name]["value"] for r in results[tree]]
                   for tree in TREES}
         med = {tree: statistics.median(values[tree]) for tree in TREES}
+        quart = {tree: quartiles(values[tree]) for tree in TREES}
+        spread = quart["parent"][1] - quart["parent"][0]
         entry = {"unit": results["parent"][0]["metrics"][name]["unit"],
                  "parent": values["parent"], "change": values["change"],
                  "parent_median": med["parent"], "change_median": med["change"],
+                 "parent_quartiles": list(quart["parent"]),
+                 "change_quartiles": list(quart["change"]),
+                 "parent_spread": spread,
+                 "clears_parent_spread": abs(med["change"] - med["parent"]) > spread,
                  "ratio": med["change"] / med["parent"] if med["parent"] else None}
+        ratios = [c / p for p, c in zip(values["parent"], values["change"]) if p]
+        if len(ratios) == len(values["parent"]):
+            entry["pair_ratios"] = ratios
+            entry["pair_ratio_median"] = statistics.median(ratios)
+            entry["pair_ratio_quartiles"] = list(quartiles(ratios))
         if name in better:
             sign = 1.0 if better[name] == "higher" else -1.0
             entry["better"] = better[name]
@@ -79,14 +102,23 @@ def summarize(runs: dict, better: dict) -> dict:
 
 
 def format_summary(summary: dict) -> str:
+    """One row per metric: each tree's median [quartiles], the ratio of the
+    medians, the per-pair ratios' median [quartiles], the wins, and whether the
+    medians differ by more than the parent's quartile spread."""
     rows = [f"{summary['pairs']} pair(s), all runs correct: {summary['all_correct']}",
-            f"{'metric':<14} {'parent':>12} {'change':>12} {'ratio':>8}  wins"]
+            f"{'metric':<14} {'parent median [q1, q3]':>30} "
+            f"{'change median [q1, q3]':>30} {'ratio':>6} "
+            f"{'pair ratio [q1, q3]':>22} {'wins':>5}  > parent spread"]
     for name, m in summary["metrics"].items():
+        sides = [f"{m[f'{tree}_median']:.4g} [{m[f'{tree}_quartiles'][0]:.4g}, "
+                 f"{m[f'{tree}_quartiles'][1]:.4g}]" for tree in TREES]
         ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "-"
+        pair = (f"{m['pair_ratio_median']:.3f} [{m['pair_ratio_quartiles'][0]:.3f}, "
+                f"{m['pair_ratio_quartiles'][1]:.3f}]" if "pair_ratios" in m else "-")
         wins = (f"{m['change_wins']}/{summary['pairs']}"
                 if "change_wins" in m else "-")
-        rows.append(f"{name:<14} {m['parent_median']:>12.4g} "
-                    f"{m['change_median']:>12.4g} {ratio:>8}  {wins}")
+        rows.append(f"{name:<14} {sides[0]:>30} {sides[1]:>30} {ratio:>6} "
+                    f"{pair:>22} {wins:>5}  {m['clears_parent_spread']}")
     return "\n".join(rows)
 
 
