@@ -15,8 +15,8 @@ from .kernels import (KernelConstants, constants_AB, constants_J,
                       fundamental_solution, quadrature, residual_of_ode)
 from .ensemble import (Ensemble, SumReport, cuboid_mode, sample_ensemble,
                        sum_S, sum_Sigma)
-from .dynamics import (OdeSettings, averaging_error_scaling, integrate,
-                       integrate_full, integrate_reduced, sample_trajectory)
+from .dynamics import (OdeSettings, integrate, integrate_full,
+                       integrate_reduced, sample_trajectory)
 from .poincare import (NuValue, compute_nu, jacobian_fd,
                        make_numeric_map, poincare_analytic, poincare_numeric)
 from .spectrum import (BlockDifferential, SpectrumReport, assemble_blocks,

@@ -73,7 +73,10 @@ def _floats(section, keys):
 def _count(value: float, key: str) -> int:
     if not math.isfinite(value):
         raise ValidationError(f"{key} must be finite, got {value!r}")
-    return int(value)
+    count = int(value)
+    if count != value:
+        raise ValidationError(f"{key} must be a whole number, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -238,9 +241,10 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     )
 
 
-def paper_preset(n: int = 1000, seed: int = 0) -> RunConfig:
-    """Ruby-laser constants with a desk-sized ensemble rescaled to S = 1e-5."""
+def paper_preset(seed: int = 0) -> RunConfig:
+    """Ruby-laser constants with a desk-sized ensemble (N = 1000) rescaled to
+    S = 1e-5."""
     return RunConfig(
-        params=ruby_params(), hypothesis="H1", n=n, seed=seed,
+        params=ruby_params(), hypothesis="H1", n=1000, seed=seed,
         rescale_alpha_to_s=1e-5,
     )

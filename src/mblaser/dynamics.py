@@ -380,66 +380,3 @@ def gauge_rotate(state: FullState, phases: np.ndarray) -> FullState:
     rot = np.exp(1j * np.asarray(phases))[:, None]
     return FullState(a=state.a, b=state.b, c=state.c * rot)
 
-
-# ---------------------------------------------------------------------------
-# averaging-error harness
-# ---------------------------------------------------------------------------
-
-def _profile_matrix(profile: Callable[[float], np.ndarray], tau: float) -> np.ndarray:
-    m = np.asarray(profile(tau), dtype=complex)
-    if m.shape != (2, 2):
-        raise ValidationError("profile must return a 2x2 matrix")
-    return m
-
-
-def profile_pump_cosine(tau: float) -> np.ndarray:
-    """The pumping generator shape cos(tau) e^{-i tau} (non-commuting)."""
-    c = np.cos(tau)
-    return np.array([[0.0, c * np.exp(-1j * tau)],
-                     [c * np.exp(1j * tau), 0.0]], dtype=complex)
-
-
-def profile_rotating(tau: float) -> np.ndarray:
-    return np.array([[0.0, np.exp(-1j * tau)], [np.exp(1j * tau), 0.0]], dtype=complex)
-
-
-def averaging_error_scaling(profile: Callable[[float], np.ndarray], T: float,
-                            eps_grid: Sequence[float]) -> float:
-    """Log-log slope of |c(T) - c_avg(T)| against the generator size eps.
-
-    For each eps, c' = -i*eps*profile(tau)*c is integrated from c = (1, 0)
-    exactly and against its period average; slow rotations predict slope 2.
-    eps values whose error falls below the 1e-13 integrator floor are dropped.
-    """
-    eps_grid = np.asarray(sorted(eps_grid), dtype=float)
-    if eps_grid.size < 2:
-        raise ValidationError("eps grid needs at least two points")
-    if np.log10(eps_grid[-1] / eps_grid[0]) < 2.0 - 1e-9:
-        raise ValidationError("eps grid should span at least two decades")
-
-    taus = np.linspace(0.0, T, 801)
-    avg = np.mean([_profile_matrix(profile, t) for t in taus[:-1]], axis=0)
-
-    errs = []
-    kept = []
-    y0 = np.array([1.0, 0.0], dtype=complex)
-    for eps in eps_grid:
-        def rhs(tau, c, _e=eps):
-            return -1j * _e * (_profile_matrix(profile, tau) @ c)
-
-        def rhs_avg(tau, c, _e=eps):
-            return -1j * _e * (avg @ c)
-
-        sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=1e-13, atol=1e-13)
-        sol_avg = solve_ivp(rhs_avg, (0.0, T), y0, method="DOP853",
-                            rtol=1e-13, atol=1e-13)
-        if not (sol.success and sol_avg.success):
-            raise NumericsError("averaging harness integration failed")
-        err = float(np.linalg.norm(sol.y[:, -1] - sol_avg.y[:, -1]))
-        if err > 1e-13:
-            errs.append(err)
-            kept.append(eps)
-    if len(kept) < 2:
-        raise NumericsError("all averaging errors below the noise floor")
-    slope = float(np.polyfit(np.log(kept), np.log(errs), 1)[0])
-    return slope

@@ -37,7 +37,7 @@ SAMPLING_BYTES_PER_MOLECULE = 136
 
 def cuboid_mode(x, k: Tuple[int, int, int], dims: Tuple[float, float, float],
                 amp) -> np.ndarray:
-    """Transverse eigenmode of the rectangular cuboid at points x.
+    """Transverse eigenmode of the rectangular cuboid at the (N, 3) points x.
 
     Component i carries a cosine along axis i and sines along the other two,
     normalized so that the mode has unit L2 norm over the cavity
@@ -45,8 +45,6 @@ def cuboid_mode(x, k: Tuple[int, int, int], dims: Tuple[float, float, float],
     orthogonal to the wave vector (k1 pi/l1, k2 pi/l2, k3 pi/l3).
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
     amp = np.asarray(amp, dtype=float)
     dims = tuple(float(d) for d in dims)
     if any(int(kj) != kj or kj < 1 for kj in k):
@@ -66,7 +64,7 @@ def cuboid_mode(x, k: Tuple[int, int, int], dims: Tuple[float, float, float],
         out[:, j] *= g
         out[:, j] *= h
     out *= np.sqrt(8.0 / (dims[0] * dims[1] * dims[2]))
-    return out[0] if single else out
+    return out
 
 
 def default_mode_amplitude(k: Tuple[int, int, int],

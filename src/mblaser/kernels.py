@@ -201,7 +201,6 @@ def constants_J_oracle(kappa: float, tol: float = 1e-11) -> Tuple[complex, compl
 class KernelConstants:
     """The six period constants A1..B3, exact (quadrature-grade)."""
 
-    kappa: float
     A1: complex
     A2: complex
     A3: float
@@ -242,7 +241,6 @@ def constants_AB(kappa: float) -> KernelConstants:
     b1 = b_like(0)
     b2 = b_like(1)
     return KernelConstants(
-        kappa=kappa,
         A1=a1, A2=a2, A3=float(a2.real),
         B1=b1, B2=b2, B3=float(b2.real),
     )

@@ -15,7 +15,7 @@ the local molecular propagator block, with the second-order pumping
 correction delta_n = 2 pi^2 gamma_n^2.  Every block is pinned against the
 finite-difference Jacobian of the numerically integrated period map.  The
 blocks are kept as the per-molecule scalars times the shared 2x2 kernels;
-the (N, 2, 2) arrays are built only for dense assembly.
+dense assembly writes them straight from those scalars.
 
 Eliminating the molecular rows reduces the eigenproblem to a 2x2 family
 
@@ -128,9 +128,8 @@ class BlockDifferential:
     alpha, beta and gamma are the couplings of the sampled medium, shared and
     not copied; at this pump level the molecules see ``pump_factor * gamma``.
     The borders are held as these scalars times shared 2x2 kernels (V_n =
-    pi alpha_n K, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n)); the
-    (N, 2, 2) arrays ``V``, ``W`` and ``D`` are built on demand.  S and G are
-    read off the moment summary, so rescaling the pump changes only
+    pi alpha_n K, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n)).  S and
+    G are read off the moment summary, so rescaling the pump changes only
     ``pump_factor``.
     """
 
@@ -172,20 +171,6 @@ class BlockDifferential:
         """m, the (2, 2) real form of the one-period response coefficient."""
         return response_kernel()
 
-    @property
-    def V(self) -> np.ndarray:
-        return PI * self.alpha[:, None, None] * coupling_matrix(self.kappa)[None, :, :]
-
-    @property
-    def W(self) -> np.ndarray:
-        return self.beta[:, None, None] * self.w_border[None, :, :]
-
-    @property
-    def D(self) -> np.ndarray:
-        d = np.tile(np.eye(2), (self.n, 1, 1))
-        d[:, 1, 1] -= self.gamma_detuning()
-        return d
-
     def gamma_detuning(self) -> np.ndarray:
         """Cluster detunings delta_n = 2 pi^2 gamma_n^2 at this pump."""
         return 2.0 * PI ** 2 * (self.pump_factor * self.gamma) ** 2
@@ -216,7 +201,8 @@ def assemble_blocks(e: Ensemble, kappa: float,
 
 
 def assemble_full(bd: BlockDifferential) -> np.ndarray:
-    """Dense (2N+2)^2 differential."""
+    """Dense (2N+2)^2 differential, each border entry written for all
+    molecules at once as a strided slice: scalar times kernel entry."""
     n = bd.n
     if n > DENSE_CAP:
         raise CapacityError(
@@ -224,12 +210,14 @@ def assemble_full(bd: BlockDifferential) -> np.ndarray:
     dim = 2 + 2 * n
     out = np.zeros((dim, dim))
     out[:2, :2] = bd.M
-    V, W, D = bd.V, bd.W, bd.D
-    for i in range(n):
-        r = 2 + 2 * i
-        out[r:r + 2, :2] = W[i]
-        out[r:r + 2, r:r + 2] = D[i]
-        out[:2, r:r + 2] = V[i]
+    pi_alpha, K = PI * bd.alpha, coupling_matrix(bd.kappa)
+    for a in range(2):
+        for b in range(2):
+            out[a, 2 + b::2] = pi_alpha * K[a, b]
+            out[2 + a::2, b] = bd.beta * bd.w_border[a, b]
+    mol = np.arange(2, dim)
+    out[mol, mol] = 1.0
+    out[mol[1::2], mol[1::2]] -= bd.gamma_detuning()
     cross = np.einsum("i,j,ab->iajb", bd.beta, bd.alpha, bd.cross_kernel)
     out[2:, 2:] += cross.reshape(2 * n, 2 * n)
     return out
@@ -443,11 +431,11 @@ class SpectrumReport:
         return float(np.min(vals)) if vals.size else np.nan
 
 
-def _refine_root_exact(mu: complex, bd: BlockDifferential,
-                       steps: int = 3) -> complex:
+def _refine_root_exact(mu: complex, bd: BlockDifferential) -> complex:
     """Newton-polish a root of the expanded polynomial against the exact-sum
-    reduced determinant (removes the Laurent-expansion bias at larger gamma)."""
-    for _ in range(steps):
+    reduced determinant in three steps (removes the Laurent-expansion bias at
+    larger gamma)."""
+    for _ in range(3):
         f = np.linalg.det(reduced_matrix(mu, bd))
         h = 1e-7 * (abs(mu - 1.0) + 1e-9)
         fp = np.linalg.det(reduced_matrix(mu + h, bd))

@@ -2,13 +2,8 @@ import dataclasses
 
 import pytest
 
-from mblaser.model import derive_dimensionless, ruby_params
 from mblaser.ensemble import sample_ensemble
-
-
-def desk_params(n, kappa=1e-7):
-    return dataclasses.replace(derive_dimensionless(ruby_params(), n_override=n),
-                               kappa=kappa)
+from mblaser.verify import desk_params  # noqa: F401  (re-exported to the tests)
 
 
 @pytest.fixture(scope="session")

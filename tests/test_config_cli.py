@@ -121,9 +121,9 @@ class TestConfig:
             load_config("/nonexistent/nowhere.cfg")
 
     def test_paper_preset(self):
-        cfg = paper_preset(n=50)
+        cfg = paper_preset(seed=3)
         e = cfg.build_ensemble()
-        assert e.n == 50
+        assert e.n == 1000 and cfg.seed == 3
         assert sum_S(e).empirical == pytest.approx(1e-5, rel=1e-12, abs=0.0)
 
 
@@ -397,6 +397,19 @@ class TestBadInputs:
         out = tmp_path / "out.csv"
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         assert "GiB, above the 8 GiB cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old,new", [
+        ("n = 40\n\n[ensemble]", "n = 40.7\n\n[ensemble]"),
+        ("hypothesis = H1\nn = 40", "hypothesis = H1\nn = 40.7"),
+        ("seed = 7", "seed = 7.9"),
+    ])
+    def test_fractional_count_exits_2(self, old, new, tmp_path, capsys):
+        cfg = tmp_path / "frac.cfg"
+        cfg.write_text(DIMLESS.replace(old, new))
+        out = tmp_path / "out.json"
+        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "must be a whole number, got" in capsys.readouterr().err
         assert not out.exists()
 
     def test_count_beyond_int64_exits_2(self, dimless_cfg, tmp_path, capsys):

@@ -6,16 +6,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from mblaser.dynamics import (CHART_GUARD, OdeSettings, TWO_PI, _dop853_reduced,
-                              _flat_rhs_full, _reduced_stage,
-                              averaging_error_scaling, gauge_rotate, integrate,
-                              integrate_full, integrate_reduced, pack_full,
-                              pack_reduced, profile_pump_cosine,
-                              profile_rotating, sample_trajectory, unpack_full,
-                              unpack_reduced)
+                              _flat_rhs_full, _reduced_stage, gauge_rotate,
+                              integrate, integrate_full, integrate_reduced,
+                              pack_full, pack_reduced, sample_trajectory,
+                              unpack_full, unpack_reduced)
 from mblaser.ensemble import Ensemble
 from mblaser.errors import ChartBoundaryError, NumericsError, ValidationError
 from mblaser.model import (FullState, ReducedState, ground_state,
                            hopf_project, lift_state)
+from mblaser.verify import averaging_slope, profile_pump_cosine, profile_rotating
 
 TIGHT = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -432,15 +431,31 @@ class TestAveragedPropagator:
 
 
 class TestAveragingScaling:
+    """Criterion 3's averaging check (`verify.averaging_slope`)."""
+
     def test_rotating_profile_slope(self):
         eps = np.geomspace(1e-3, 1e-1, 5)
-        slope = averaging_error_scaling(profile_rotating, TWO_PI, eps)
+        slope = averaging_slope(profile_rotating, eps)
         assert abs(slope - 2.0) <= 0.1
 
     def test_pump_profile_slope(self):
         eps = np.geomspace(1e-3, 1e-1, 5)
-        slope = averaging_error_scaling(profile_pump_cosine, TWO_PI, eps)
+        slope = averaging_slope(profile_pump_cosine, eps)
         assert abs(slope - 2.0) <= 0.1
+
+    @pytest.mark.parametrize("profile", [profile_pump_cosine, profile_rotating])
+    def test_averaged_flow_exponential_matches_integration(self, profile):
+        # the averaged generator is constant: its flow is the matrix
+        # exponential, which must agree with integrating it as the check did
+        from scipy.linalg import expm
+        avg = np.mean([profile(t) for t in np.linspace(0.0, TWO_PI, 801)[:-1]],
+                      axis=0)
+        y0 = np.array([1, 0], complex)
+        for eps in (1e-4, 1e-2, 1e-1):
+            sol = solve_ivp(lambda t, c: -1j * eps * (avg @ c), (0, TWO_PI), y0,
+                            method="DOP853", rtol=1e-13, atol=1e-13)
+            gap = np.linalg.norm(sol.y[:, -1] - expm(-1j * eps * TWO_PI * avg) @ y0)
+            assert gap <= 1e-13
 
     def test_commuting_profile_averages_exactly(self):
         # sigma_x * cos(tau) commutes with itself: zero averaging error
@@ -453,11 +468,6 @@ class TestAveragingScaling:
 
     def test_constant_profile_exact(self):
         const = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        with pytest.raises(Exception):
-            # all errors at the floor: the harness refuses to fit a slope
-            averaging_error_scaling(lambda tau: const, TWO_PI,
-                                    np.geomspace(1e-4, 1e-1, 4))
-
-    def test_grid_validation(self):
-        with pytest.raises(ValidationError):
-            averaging_error_scaling(profile_rotating, TWO_PI, [1e-3, 2e-3])
+        with pytest.raises(NumericsError):
+            # all errors at the floor: the check refuses to fit a slope
+            averaging_slope(lambda tau: const, np.geomspace(1e-4, 1e-1, 4))

@@ -63,15 +63,15 @@ class TestCuboidMode:
             for j in range(3):
                 dx = np.zeros(3)
                 dx[j] = h
-                div += (cuboid_mode(x + dx, k, DIMS, amp)[j]
-                        - cuboid_mode(x - dx, k, DIMS, amp)[j]) / (2 * h)
+                div += (cuboid_mode([x + dx], k, DIMS, amp)[0, j]
+                        - cuboid_mode([x - dx], k, DIMS, amp)[0, j]) / (2 * h)
             assert abs(div) <= 1e-7
 
     def test_rejects_bad_amplitude(self):
         with pytest.raises(ValidationError):
-            cuboid_mode([1.0, 1.0, 1.0], (4, 1, 1), DIMS, np.array([1.0, 0, 0]))
+            cuboid_mode([[1.0, 1.0, 1.0]], (4, 1, 1), DIMS, np.array([1.0, 0, 0]))
         with pytest.raises(ValidationError):
-            cuboid_mode([1.0, 1.0, 1.0], (4, 1, 1), DIMS, 2.0 * _mode_amp((4, 1, 1)))
+            cuboid_mode([[1.0, 1.0, 1.0]], (4, 1, 1), DIMS, 2.0 * _mode_amp((4, 1, 1)))
 
     def test_mean_mode_value_over_active_lamp(self):
         # ergodic-regime mean |X| ~ sqrt(1/48) ~ 0.144 over the lamp

@@ -43,16 +43,17 @@ class TestAssembleBlocks:
     def test_border_structure_molecule_independent(self, small_ensemble):
         bd = assemble_blocks(small_ensemble, 1e-7)
         e = small_ensemble
+        V, W = _borders(assemble_full(bd))
         for i in range(e.n):
-            assert np.allclose(bd.V[i] / (PI * e.alpha[i]),
+            assert np.allclose(V[i] / (PI * e.alpha[i]),
                                coupling_matrix(1e-7), rtol=1e-12)
-            assert np.allclose(bd.W[i] / e.beta[i], bd.w_border, rtol=1e-12)
+            assert np.allclose(W[i] / e.beta[i], bd.w_border, rtol=1e-12)
 
     def test_w_border_sign_damps_collective_mode(self, small_ensemble):
         # the FD oracle fixes W_n ~ -pi beta_n K (+the O(S) dressing); the
         # opposite sign would make the unpumped ground state expanding
         bd = assemble_blocks(small_ensemble, 1e-7)
-        lead = bd.W - small_ensemble.beta[:, None, None] * (
+        lead = _borders(assemble_full(bd))[1] - small_ensemble.beta[:, None, None] * (
             bd.S * border_dressing())[None, :, :]
         for i in range(small_ensemble.n):
             assert np.allclose(lead[i], -PI * small_ensemble.beta[i]
@@ -60,11 +61,11 @@ class TestAssembleBlocks:
 
     def test_d_variants(self, small_ensemble):
         bd_id = assemble_blocks(small_ensemble, 1e-7, d_variant="identity")
-        assert np.allclose(bd_id.D, np.eye(2))
+        assert np.allclose(_local_diagonal(bd_id), 1.0)
         bd_g = assemble_blocks(small_ensemble, 1e-7, d_variant="gamma")
         expect = 1.0 - 2 * PI ** 2 * small_ensemble.gamma ** 2
-        assert np.allclose(bd_g.D[:, 1, 1], expect)
-        assert np.allclose(bd_g.D[:, 0, 0], 1.0)
+        assert np.allclose(_local_diagonal(bd_g)[1::2], expect)
+        assert np.allclose(_local_diagonal(bd_g)[0::2], 1.0)
         # the identity variant is the unpumped blocks
         zero = bd_g.with_pump_factor(0.0)
         for method in ("polynomial", "dense"):
@@ -74,26 +75,71 @@ class TestAssembleBlocks:
             assemble_blocks(small_ensemble, 1e-7, d_variant="bogus")
 
 
+def _borders(full):
+    """The (N, 2, 2) blocks V_n (field rows) and W_n (field columns) of a
+    dense differential."""
+    n = (full.shape[0] - 2) // 2
+    return (full[:2, 2:].reshape(2, n, 2).transpose(1, 0, 2),
+            full[2:, :2].reshape(n, 2, 2))
+
+
+def _local_diagonal(bd):
+    """The diagonals of D_n = diag(1, 1 - delta_n), interleaved."""
+    d = np.ones(2 * bd.n)
+    d[1::2] -= bd.gamma_detuning()
+    return d
+
+
+def _dense_by_molecule(bd):
+    """The dense differential written one molecule's 2x2 blocks at a time:
+    V_n = pi alpha_n K, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n),
+    plus the cross blocks beta_n alpha_n' m."""
+    n = bd.n
+    out = np.zeros((2 + 2 * n, 2 + 2 * n))
+    out[:2, :2] = bd.M
+    delta = bd.gamma_detuning()
+    for i in range(n):
+        r = 2 + 2 * i
+        out[r:r + 2, :2] = bd.beta[i] * bd.w_border
+        out[r:r + 2, r:r + 2] = np.diag([1.0, 1.0 - delta[i]])
+        out[:2, r:r + 2] = PI * bd.alpha[i] * coupling_matrix(bd.kappa)
+    out[2:, 2:] += np.einsum("i,j,ab->iajb", bd.beta, bd.alpha,
+                             bd.cross_kernel).reshape(2 * n, 2 * n)
+    return out
+
+
 def _triangle(bd):
     """The dense differential without the field-mediated feedback onto the
     molecules (V and the cross blocks): block lower triangular."""
     tri = assemble_full(bd)
     tri[:2, 2:] = 0.0
-    tri[2:, 2:] = 0.0
-    for i in range(bd.n):
-        tri[2 + 2 * i:4 + 2 * i, 2 + 2 * i:4 + 2 * i] = bd.D[i]
+    tri[2:, 2:] = np.diag(_local_diagonal(bd))
     return tri
 
 
 class TestAssembleFull:
+    @pytest.mark.parametrize("factor", [0.0, 1e4])
+    def test_equals_per_molecule_blocks(self, factor):
+        e = desk_ensemble(50)
+        bd = assemble_blocks(e, e.kappa).with_pump_factor(factor)
+        full = assemble_full(bd)
+        assert np.array_equal(full, _dense_by_molecule(bd))
+        # each border entry and the local diagonal are scalar times kernel
+        K = coupling_matrix(e.kappa)
+        for a in range(2):
+            for b in range(2):
+                assert np.array_equal(full[a, 2 + b::2], PI * e.alpha * K[a, b])
+                assert np.array_equal(full[2 + a::2, b], e.beta * bd.w_border[a, b])
+        cross = np.diag(np.einsum("i,j,ab->iajb", bd.beta, bd.alpha, bd.cross_kernel)
+                        .reshape(2 * bd.n, 2 * bd.n))
+        assert np.array_equal(np.diag(full)[2:], _local_diagonal(bd) + cross)
+
     def test_triangle_spectrum_is_union(self):
         e = _desk(60)
         bd = assemble_blocks(e, e.kappa)
         vals = np.sort_complex(np.linalg.eigvals(_triangle(bd)))
-        expect = list(np.linalg.eigvals(bd.M))
-        for i in range(e.n):
-            expect.extend(np.linalg.eigvals(bd.D[i]))
-        expect = np.sort_complex(np.array(expect))
+        expect = np.sort_complex(np.concatenate(
+            [np.linalg.eigvals(bd.M), _local_diagonal(bd)]))
         assert np.max(np.abs(vals - expect)) <= 1e-12
 
     def test_zero_alpha_equals_triangle(self):

@@ -16,8 +16,12 @@ checkout.  It also gives the median and quartiles of the per-pair ratios
 change/parent: the two runs of a pair share the machine's speed state, which
 can switch by about 1.5x between runs, so their ratio cancels it.  A gain is
 claimed only when the medians differ by more than the parent's own quartile
-spread (``clears_parent_spread``).  With ``--out`` it writes both trees' two
-result lines (the record and the metrics) of every run to one JSON file.
+spread (``clears_parent_spread``).  It also applies the no-regression gate:
+the relative change of the medians, signed so that positive is better
+(``relative_gain``), and whether it stays within the metric's ``bound`` from
+the same ``BENCHMARK.json`` (``within_bound``: a loss of at most ``bound``).
+With ``--out`` it writes both trees' two result lines (the record and the
+metrics) of every run to one JSON file.
 """
 from __future__ import annotations
 
@@ -44,13 +48,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> list:
     return [json.loads(line) for line in lines[-2:]]
 
 
-def directions(checkout: Path) -> dict:
-    """{metric: "higher" or "lower"} from the checkout's BENCHMARK.json."""
+def _end_to_end(checkout: Path) -> list:
+    """The end-to-end metric entries of the checkout's BENCHMARK.json."""
     path = checkout / "BENCHMARK.json"
     if not path.is_file():
-        return {}
-    spec = json.loads(path.read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+        return []
+    return json.loads(path.read_text(encoding="utf-8")).get("end_to_end", [])
+
+
+def directions(checkout: Path) -> dict:
+    """{metric: "higher" or "lower"} from the checkout's BENCHMARK.json."""
+    return {m["name"]: m["better"] for m in _end_to_end(checkout)}
+
+
+def bounds(checkout: Path) -> dict:
+    """{metric: largest allowed relative loss} from the same file."""
+    return {m["name"]: m["bound"] for m in _end_to_end(checkout) if "bound" in m}
 
 
 def quartiles(values: list) -> tuple:
@@ -61,8 +74,9 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
-def summarize(runs: dict, better: dict) -> dict:
-    """Medians, quartiles, ratios and wins per metric over paired runs.
+def summarize(runs: dict, better: dict, bound: dict) -> dict:
+    """Medians, quartiles, ratios, wins and the gate per metric over paired
+    runs.
 
     ``runs`` maps each tree to its list of [record, result] pairs, in seed
     order; pair i of the parent is compared with pair i of the change.
@@ -95,6 +109,12 @@ def summarize(runs: dict, better: dict) -> dict:
             entry["change_wins"] = sum(
                 1 for p, c in zip(values["parent"], values["change"])
                 if sign * (c - p) > 0)
+            gain = (sign * (med["change"] - med["parent"]) / med["parent"]
+                    if med["parent"] else None)
+            entry["relative_gain"] = gain
+            if name in bound:
+                entry["bound"] = bound[name]
+                entry["within_bound"] = None if gain is None else gain >= -bound[name]
         metrics[name] = entry
     return {"pairs": len(results["parent"]),
             "all_correct": all(r["correct"] for tree in TREES for r in results[tree]),
@@ -103,12 +123,14 @@ def summarize(runs: dict, better: dict) -> dict:
 
 def format_summary(summary: dict) -> str:
     """One row per metric: each tree's median [quartiles], the ratio of the
-    medians, the per-pair ratios' median [quartiles], the wins, and whether the
-    medians differ by more than the parent's quartile spread."""
+    medians, the per-pair ratios' median [quartiles], the wins, the signed
+    relative gain of the medians, whether it is within the bound, and whether
+    the medians differ by more than the parent's quartile spread."""
     rows = [f"{summary['pairs']} pair(s), all runs correct: {summary['all_correct']}",
             f"{'metric':<14} {'parent median [q1, q3]':>30} "
             f"{'change median [q1, q3]':>30} {'ratio':>6} "
-            f"{'pair ratio [q1, q3]':>22} {'wins':>5}  > parent spread"]
+            f"{'pair ratio [q1, q3]':>22} {'wins':>5} {'gain':>8} "
+            f"{'in bound':>12}  > parent spread"]
     for name, m in summary["metrics"].items():
         sides = [f"{m[f'{tree}_median']:.4g} [{m[f'{tree}_quartiles'][0]:.4g}, "
                  f"{m[f'{tree}_quartiles'][1]:.4g}]" for tree in TREES]
@@ -117,8 +139,13 @@ def format_summary(summary: dict) -> str:
                 f"{m['pair_ratio_quartiles'][1]:.3f}]" if "pair_ratios" in m else "-")
         wins = (f"{m['change_wins']}/{summary['pairs']}"
                 if "change_wins" in m else "-")
+        gain = (f"{m['relative_gain']:+.1%}"
+                if m.get("relative_gain") is not None else "-")
+        gate = (f"{m['within_bound']} ({m['bound']:.0%})"
+                if m.get("within_bound") is not None else "-")
         rows.append(f"{name:<14} {sides[0]:>30} {sides[1]:>30} {ratio:>6} "
-                    f"{pair:>22} {wins:>5}  {m['clears_parent_spread']}")
+                    f"{pair:>22} {wins:>5} {gain:>8} {gate:>12}  "
+                    f"{m['clears_parent_spread']}")
     return "\n".join(rows)
 
 
@@ -146,7 +173,8 @@ def main(argv=None) -> int:
             print(f"seed {seed} {tree}: " + ", ".join(
                 f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
                 file=sys.stderr, flush=True)
-    summary = summarize(runs, directions(checkouts["change"]))
+    summary = summarize(runs, directions(checkouts["change"]),
+                        bounds(checkouts["change"]))
     print(format_summary(summary))
     if args.out is not None:
         payload = {"workload": args.workload, "seconds": args.seconds,
