@@ -17,8 +17,8 @@ from .ensemble import (Ensemble, SumReport, cuboid_mode, sample_ensemble,
                        sum_S, sum_Sigma)
 from .dynamics import (OdeSettings, integrate, integrate_full,
                        integrate_reduced, sample_trajectory)
-from .poincare import (NuValue, compute_nu, jacobian_fd,
-                       make_numeric_map, poincare_analytic, poincare_numeric)
+from .poincare import (compute_nu, jacobian_fd, make_numeric_map,
+                       poincare_analytic, poincare_numeric)
 from .spectrum import (BlockDifferential, SpectrumReport, assemble_blocks,
                        assemble_full, eigvec_back_substitute,
                        poly_roots, reduced_matrix, resonance_verdict,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional, Tuple, Union
 
 from .dynamics import OdeSettings
@@ -36,16 +36,21 @@ from .errors import ValidationError
 from .model import DimensionlessParams, PhysicalParams, ruby_params
 from .spectrum import VERDICT_TOL
 
-_PHYSICAL_KEYS = {
-    "pump_frequency", "pump_amplitude", "dipole_magnitude", "conductivity",
-    "cavity_dims", "active_volume", "molecule_count", "mode_index",
-}
-_DIMENSIONLESS_KEYS = {"kappa", "alpha_scale", "beta_scale", "gamma_scale", "n"}
+
+def _keys(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+# the INI keys of [physical], [dimensionless] and the solver part of [run]
+# are the fields of the dataclasses they build
+_PHYSICAL_KEYS = _keys(PhysicalParams)
+_PHYSICAL_REQUIRED = {f.name for f in fields(PhysicalParams) if f.default is MISSING}
+_DIMENSIONLESS_KEYS = _keys(DimensionlessParams)
 _ENSEMBLE_KEYS = {
     "hypothesis", "n", "seed", "mode_index", "rescale_alpha_to_s",
     "crystal_axis", "active_volume",
 }
-_ODE_KEYS = {"rel_tol", "abs_tol", "max_step"}
+_ODE_KEYS = _keys(OdeSettings)
 _RUN_KEYS = _ODE_KEYS | {"verdict_tol"}
 
 
@@ -109,43 +114,14 @@ class RunConfig:
 
     def describe(self) -> dict:
         """Plain dictionary for embedding into report files."""
-        if isinstance(self.params, PhysicalParams):
-            params = {
-                "kind": "physical",
-                "pump_frequency": self.params.pump_frequency,
-                "pump_amplitude": self.params.pump_amplitude,
-                "dipole_magnitude": self.params.dipole_magnitude,
-                "conductivity": self.params.conductivity,
-                "cavity_dims": list(self.params.cavity_dims),
-                "active_volume": self.params.active_volume,
-                "molecule_count": self.params.molecule_count,
-                "mode_index": list(self.params.mode_index),
-            }
-        else:
-            params = {
-                "kind": "dimensionless",
-                "kappa": self.params.kappa,
-                "alpha_scale": self.params.alpha_scale,
-                "beta_scale": self.params.beta_scale,
-                "gamma_scale": self.params.gamma_scale,
-                "n": self.params.N,
-            }
+        kind = "physical" if isinstance(self.params, PhysicalParams) else "dimensionless"
+        run = asdict(self.settings)
+        if math.isinf(run["max_step"]):
+            run["max_step"] = None  # null for the unbounded default keeps the JSON strict
         return {
-            "params": params,
-            "ensemble": {
-                "hypothesis": self.hypothesis, "n": self.n, "seed": self.seed,
-                "mode_index": list(self.mode_index) if self.mode_index else None,
-                "rescale_alpha_to_s": self.rescale_alpha_to_s,
-                "crystal_axis": list(self.crystal_axis) if self.crystal_axis else None,
-                "active_volume": self.active_volume,
-            },
-            "run": {
-                "rel_tol": self.settings.rel_tol, "abs_tol": self.settings.abs_tol,
-                # null for the unbounded default keeps the JSON strict
-                "max_step": None if math.isinf(self.settings.max_step)
-                else self.settings.max_step,
-                "verdict_tol": self.verdict_tol,
-            },
+            "params": {"kind": kind, **asdict(self.params)},
+            "ensemble": {key: getattr(self, key) for key in sorted(_ENSEMBLE_KEYS)},
+            "run": {**run, "verdict_tol": self.verdict_tol},
         }
 
 
@@ -174,24 +150,14 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     if has_phys:
         sec = parser["physical"]
         _check_keys(sec, _PHYSICAL_KEYS, "physical")
-        required = {"pump_frequency", "pump_amplitude", "dipole_magnitude",
-                    "conductivity", "cavity_dims", "active_volume",
-                    "molecule_count"}
-        missing = required - set(sec.keys())
+        missing = _PHYSICAL_REQUIRED - set(sec.keys())
         if missing:
             raise ValidationError(f"[physical] missing keys: {sorted(missing)}")
-        vals = _floats(sec, required - {"cavity_dims"})
-        params = PhysicalParams(
-            pump_frequency=vals["pump_frequency"],
-            pump_amplitude=vals["pump_amplitude"],
-            dipole_magnitude=vals["dipole_magnitude"],
-            conductivity=vals["conductivity"],
-            cavity_dims=_triple(sec["cavity_dims"], "cavity_dims"),
-            active_volume=vals["active_volume"],
-            molecule_count=vals["molecule_count"],
-            mode_index=_triple(sec["mode_index"], "mode_index", int)
-            if "mode_index" in sec else (4, 1, 1),
-        )
+        vals = _floats(sec, _PHYSICAL_REQUIRED - {"cavity_dims"})
+        vals["cavity_dims"] = _triple(sec["cavity_dims"], "cavity_dims")
+        if "mode_index" in sec:
+            vals["mode_index"] = _triple(sec["mode_index"], "mode_index", int)
+        params = PhysicalParams(**vals)
     else:
         sec = parser["dimensionless"]
         _check_keys(sec, _DIMENSIONLESS_KEYS, "dimensionless")
@@ -199,11 +165,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         if missing:
             raise ValidationError(f"[dimensionless] missing keys: {sorted(missing)}")
         vals = _floats(sec, _DIMENSIONLESS_KEYS)
-        params = DimensionlessParams(
-            kappa=vals["kappa"], alpha_scale=vals["alpha_scale"],
-            beta_scale=vals["beta_scale"], gamma_scale=vals["gamma_scale"],
-            N=_count(vals["n"], "n"),
-        )
+        params = DimensionlessParams(**{**vals, "n": _count(vals["n"], "n")})
 
     ens = parser["ensemble"] if parser.has_section("ensemble") else {}
     if ens:
@@ -211,7 +173,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     hypothesis = ens.get("hypothesis", "H1").strip()
     if hypothesis not in ("H1", "H2"):
         raise ValidationError(f"hypothesis must be H1 or H2, got {hypothesis!r}")
-    n_default = params.N if isinstance(params, DimensionlessParams) \
+    n_default = params.n if isinstance(params, DimensionlessParams) \
         else int(min(params.molecule_count, 10 ** 6))
     ens_vals = _floats(ens, {"n", "seed", "rescale_alpha_to_s", "active_volume"})
     n = _count(ens_vals.get("n", n_default), "n")

@@ -21,7 +21,7 @@ from typing import Literal, Optional, Tuple, Union
 import numpy as np
 
 from .errors import ValidationError, require_capacity
-from .model import DimensionlessParams, PhysicalParams
+from .model import HBAR, DimensionlessParams, PhysicalParams
 
 Hypothesis = Literal["H1", "H2"]
 
@@ -220,10 +220,8 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
         dipole_mag = params.dipole_magnitude
         pump_amp = params.pump_amplitude
         kappa = params.kappa
-        alpha_coef = 2.0 * params.light_speed * dipole_mag / params.pump_frequency
-        beta_coef = dipole_mag / (params.planck * params.light_speed)
-        gamma_coef = dipole_mag * pump_amp / (params.planck * params.light_speed)
-        sum_weight = 2.0 / (params.pump_frequency * params.planck)
+        alpha_coef, beta_coef, gamma_coef = params.coupling_scales(1.0)
+        sum_weight = 2.0 / (params.pump_frequency * HBAR)
         n_eff = int(params.molecule_count) if n is None else int(n)
     elif isinstance(params, DimensionlessParams):
         dims = DEFAULT_CAVITY
@@ -237,14 +235,14 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
         beta_coef = params.beta_scale / x_rms
         gamma_coef = params.gamma_scale
         sum_weight = alpha_coef * beta_coef
-        n_eff = params.N if n is None else int(n)
+        n_eff = params.n if n is None else int(n)
     else:
         raise ValidationError("params must be PhysicalParams or DimensionlessParams")
 
     if n_eff < 1:
         raise ValidationError("ensemble size must be >= 1")
     require_capacity(SAMPLING_BYTES_PER_MOLECULE * n_eff,
-                     f"an ensemble of {n_eff} molecules")
+                     f"an ensemble of {n_eff:.3g} molecules")
     if not v_active > 0:
         raise ValidationError(f"active volume must be positive, got {v_active!r}")
     if rescale_alpha_to_s is not None and not 0 < rescale_alpha_to_s < np.inf:
@@ -357,4 +355,4 @@ def sum_Sigma(e: Ensemble) -> SumReport:
 def analytic_s_for_count(p: PhysicalParams) -> float:
     """LLN prediction of S at full molecule count (no sampling)."""
     return (2.0 * p.dipole_magnitude ** 2 * p.molecule_count
-            / (3.0 * p.pump_frequency * p.planck * p.cavity_volume))
+            / (3.0 * p.pump_frequency * HBAR * p.cavity_volume))

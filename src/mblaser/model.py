@@ -48,15 +48,11 @@ class PhysicalParams:
     active_volume: float             # |V_a|, cm^3
     molecule_count: float            # N (can exceed 2**53; float is fine)
     mode_index: Tuple[int, int, int] = (4, 1, 1)
-    planck: float = HBAR
-    light_speed: float = LIGHT_SPEED
 
     def __post_init__(self):
         positive = {
             "pump_frequency": self.pump_frequency,
             "dipole_magnitude": self.dipole_magnitude,
-            "planck": self.planck,
-            "light_speed": self.light_speed,
             "active_volume": self.active_volume,
             "molecule_count": self.molecule_count,
         }
@@ -82,7 +78,7 @@ class PhysicalParams:
     @property
     def sigma1(self) -> float:
         """Scaled damping c*sigma/Omega_p."""
-        return self.light_speed * self.conductivity / self.pump_frequency
+        return LIGHT_SPEED * self.conductivity / self.pump_frequency
 
     @property
     def kappa(self) -> float:
@@ -93,6 +89,13 @@ class PhysicalParams:
     def mode_rms(self) -> float:
         """RMS eigenmode value over the active region, ~ sqrt(1/|V|)."""
         return 1.0 / np.sqrt(self.cavity_volume)
+
+    def coupling_scales(self, mode_value: float) -> Tuple[float, float, float]:
+        """Scales of alpha, beta and gamma for a mode value |X|:
+        (2c|P||X|/Omega_p, |P||X|/(hbar c), |P|a_p/(hbar c))."""
+        dipole, hc = self.dipole_magnitude, HBAR * LIGHT_SPEED
+        return (2.0 * LIGHT_SPEED * dipole * mode_value / self.pump_frequency,
+                dipole * mode_value / hc, dipole * self.pump_amplitude / hc)
 
 
 def ruby_params(pump_amplitude: float = RUBY_PUMP_AMPLITUDE,
@@ -123,34 +126,27 @@ class DimensionlessParams:
     alpha_scale: float
     beta_scale: float
     gamma_scale: float
-    N: int
+    n: int
 
     def __post_init__(self):
         for name in ("kappa", "alpha_scale", "beta_scale", "gamma_scale"):
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.N < 1:
-            raise ValidationError("N must be >= 1")
+        if self.n < 1:
+            raise ValidationError("n must be >= 1")
 
 
 def derive_dimensionless(p: PhysicalParams, n_override: Optional[int] = None) -> DimensionlessParams:
     """Scaled constants from physical ones.
 
-    kappa = c*sigma/(2*Omega_p); the coupling scales use the RMS mode value
-    |X| ~ sqrt(1/|V|):
-
-        alpha = 2c|P||X|/Omega_p,  beta = |P||X|/(hbar c),  gamma = |P|a_p/(hbar c).
+    kappa = c*sigma/(2*Omega_p); the coupling scales are
+    `PhysicalParams.coupling_scales` at the RMS mode value |X| ~ sqrt(1/|V|).
     """
-    x_rms = p.mode_rms
     n = int(n_override) if n_override is not None else int(min(p.molecule_count, 2**31))
-    return DimensionlessParams(
-        kappa=p.kappa,
-        alpha_scale=2.0 * p.light_speed * p.dipole_magnitude * x_rms / p.pump_frequency,
-        beta_scale=p.dipole_magnitude * x_rms / (p.planck * p.light_speed),
-        gamma_scale=p.dipole_magnitude * p.pump_amplitude / (p.planck * p.light_speed),
-        N=n,
-    )
+    alpha, beta, gamma = p.coupling_scales(p.mode_rms)
+    return DimensionlessParams(kappa=p.kappa, alpha_scale=alpha, beta_scale=beta,
+                               gamma_scale=gamma, n=n)
 
 
 def _as_locked(a: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ authoritative differential everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,18 +42,8 @@ from .model import FullState, ReducedState, hopf_project, inversion_from_z, \
     lift_state
 
 
-@dataclass(frozen=True)
-class NuValue:
-    """First-harmonic content of the first-order field response."""
-
-    nu: complex
-    nu11: float
-    nu12: float
-    nu2: float
-
-
 def compute_nu(a0: float, b0: float, e: Ensemble, kappa: float,
-               init_z) -> NuValue:
+               init_z) -> complex:
     """nu = (1/2pi) int_0^2pi adot^(1) e^{-i tau} d tau in closed form."""
     z0 = np.asarray(init_z, dtype=complex)
     inv = inversion_from_z(z0)
@@ -62,7 +51,7 @@ def compute_nu(a0: float, b0: float, e: Ensemble, kappa: float,
     nu11 = -kappa * a0 / 4.0 + (1.0 - kappa * np.pi) * b0 / 2.0
     nu12 = (1.0 - kappa * np.pi) * a0 / 2.0 + kappa * b0 / 4.0
     nu2 = float(j2.real * np.sum(e.alpha * e.gamma * inv))
-    return NuValue(nu=complex(nu11 + nu2, nu12), nu11=nu11, nu12=nu12, nu2=nu2)
+    return complex(nu11 + nu2, nu12)
 
 
 def poincare_numeric(state0: FullState, e: Ensemble, kappa: float,
@@ -79,7 +68,7 @@ def poincare_analytic(a0: float, b0: float, z0, e: Ensemble,
     if np.any(np.abs(z0) >= 0.5 - CHART_GUARD):
         raise ValidationError("analytic map requires |z0| < 1/2 - delta")
     kc = constants_AB(kappa)
-    nu = compute_nu(a0, b0, e, kappa, z0).nu
+    nu = compute_nu(a0, b0, e, kappa, z0)
     inv = inversion_from_z(z0)
 
     e2p = float(fundamental_solution(TWO_PI, kappa))

@@ -16,8 +16,7 @@ from mblaser import verify
 def _run(criterion):
     result = criterion()
     status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] criterion {result.index:2d} ({result.name}): "
-          f"{result.detail} [{result.runtime_s:.1f}s]")
+    print(f"[{status}] criterion {result.index:2d} ({result.name}): {result.detail}")
     return result
 
 

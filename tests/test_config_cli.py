@@ -45,6 +45,34 @@ n = 30
 seed = 3
 """
 
+#: [physical] H2 config that sets every optional key of every section
+PHYSICAL_H2 = """
+[physical]
+pump_frequency = 3e15
+pump_amplitude = 1.7e-6
+dipole_magnitude = 4e-18
+conductivity = 10.0
+cavity_dims = 12, 2, 2
+active_volume = 3.4
+molecule_count = 1e20
+mode_index = 3, 1, 1
+
+[ensemble]
+hypothesis = H2
+n = 40
+seed = 5
+mode_index = 4, 1, 1
+rescale_alpha_to_s = 1e-5
+crystal_axis = 0, 0.6, 0.8
+active_volume = 2.5
+
+[run]
+rel_tol = 1e-10
+abs_tol = 1e-11
+max_step = 0.5
+verdict_tol = 1e-9
+"""
+
 
 @pytest.fixture
 def dimless_cfg(tmp_path):
@@ -115,6 +143,47 @@ class TestConfig:
         cfg = load_config(str(p))
         assert cfg.settings == OdeSettings()
         assert cfg.verdict_tol == VERDICT_TOL
+
+    @pytest.mark.parametrize("text,message", [
+        (PHYSICAL.replace("conductivity = 1e-2\n", ""),
+         "[physical] missing keys: ['conductivity']"),
+        (PHYSICAL.replace("[physical]", "[physical]\nplanck = 1e-27"),
+         "unknown keys in [physical]: ['planck']"),
+        (DIMLESS.replace("n = 40\n\n[ensemble]", "\n[ensemble]"),
+         "[dimensionless] missing keys: ['n']"),
+        (DIMLESS.replace("[ensemble]", "[ensemble]\nkappa = 1e-7"),
+         "unknown keys in [ensemble]: ['kappa']"),
+    ])
+    def test_schema_messages(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "schema.cfg"
+        cfg.write_text(text)
+        assert main(["ensemble", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_physical_config_block(self, tmp_path):
+        """The report's config block of a [physical] H2 config that sets
+        every optional key, pinned as a literal."""
+        cfg = tmp_path / "h2.cfg"
+        cfg.write_text(PHYSICAL_H2)
+        out = tmp_path / "h2.json"
+        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 0
+        block = json.loads(out.read_text(), parse_constant=pytest.fail)["config"]
+        assert block == {
+            "params": {
+                "kind": "physical", "pump_frequency": 3e15,
+                "pump_amplitude": 1.7e-06, "dipole_magnitude": 4e-18,
+                "conductivity": 10.0, "cavity_dims": [12.0, 2.0, 2.0],
+                "active_volume": 3.4, "molecule_count": 1e20,
+                "mode_index": [3, 1, 1],
+            },
+            "ensemble": {
+                "hypothesis": "H2", "n": 40, "seed": 5, "mode_index": [4, 1, 1],
+                "rescale_alpha_to_s": 1e-05, "crystal_axis": [0.0, 0.6, 0.8],
+                "active_volume": 2.5,
+            },
+            "run": {"rel_tol": 1e-10, "abs_tol": 1e-11, "max_step": 0.5,
+                    "verdict_tol": 1e-09},
+        }
 
     def test_missing_file(self):
         with pytest.raises(ValidationError):
@@ -390,13 +459,17 @@ class TestBadInputs:
           "--steps", "1000000000000"], DIMLESS),
         (["ensemble"], DIMLESS.replace("hypothesis = H1\nn = 40",
                                        "hypothesis = H1\nn = 1e15")),
+        (["ensemble"], DIMLESS.replace("hypothesis = H1\nn = 40",
+                                       "hypothesis = H1\nn = 1e300")),
     ])
     def test_oversized_request_exits_2(self, argv, cfg_text, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(cfg_text)
         out = tmp_path / "out.csv"
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
-        assert "GiB, above the 8 GiB cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "GiB, above the 8 GiB cap" in err
+        assert err.count("\n") == 1 and len(err) < 200, err
         assert not out.exists()
 
     @pytest.mark.parametrize("old,new", [

@@ -8,7 +8,7 @@ from mblaser.ensemble import (SAMPLING_BYTES_PER_MOLECULE, _sample_geometry,
                               cuboid_mode, default_mode_amplitude,
                               sample_ensemble, sum_S, sum_Sigma)
 from mblaser.errors import ValidationError
-from mblaser.model import ruby_params
+from mblaser.model import HBAR, LIGHT_SPEED, ruby_params
 
 DIMS = (12.0, 2.0, 2.0)
 VOL = 48.0
@@ -244,11 +244,11 @@ class TestCouplingIdentities:
         dipoles = p.dipole_magnitude * d
         px = np.einsum("ij,ij->i", dipoles, mode_values)
         pa = np.einsum("ij,ij->i", dipoles, p.pump_amplitude * pump_dirs)
-        hc = p.planck * p.light_speed
+        hc = HBAR * LIGHT_SPEED
         # absolute tolerances at 1e-13 of each coupling scale: the projections
         # can cancel, so purely relative comparison is ill-posed
-        a_scale = 2.0 * p.light_speed / p.pump_frequency * p.dipole_magnitude / np.sqrt(48.0)
-        assert np.allclose(e.alpha, 2.0 * p.light_speed / p.pump_frequency * px,
+        a_scale = 2.0 * LIGHT_SPEED / p.pump_frequency * p.dipole_magnitude / np.sqrt(48.0)
+        assert np.allclose(e.alpha, 2.0 * LIGHT_SPEED / p.pump_frequency * px,
                            rtol=1e-12, atol=1e-13 * a_scale)
         assert np.allclose(e.beta, px / hc, rtol=1e-12,
                            atol=1e-13 * p.dipole_magnitude / np.sqrt(48.0) / hc)

@@ -40,7 +40,7 @@ class TestDeriveDimensionless:
                            molecule_count=1e20)
         with pytest.raises(ValidationError):
             DimensionlessParams(kappa=-1e-7, alpha_scale=1e-23,
-                                beta_scale=1e-2, gamma_scale=1e-7, N=10)
+                                beta_scale=1e-2, gamma_scale=1e-7, n=10)
 
 
 class TestHopfProjection:

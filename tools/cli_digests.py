@@ -3,8 +3,8 @@
 Writes two dimensionless desk configs (the perfbench coupling scales with
 N = 40 and N = 300, seed 7, S rescaled to 1e-5), runs the subcommands below
 in this process through `mblaser.cli.main`, and prints ``sha256  name`` per
-output.  The `verify-all` stdout is hashed with its ``[x.xs]`` runtimes
-removed.  Run it against each checkout and compare the two listings:
+output; `verify-all` writes its runtimes to stderr, so its stdout is hashed
+as it is.  Run it against each checkout and compare the two listings:
 
     PYTHONPATH=src python tools/cli_digests.py [OUTDIR]
 
@@ -18,7 +18,6 @@ import contextlib
 import hashlib
 import io
 import os
-import re
 import sys
 import tempfile
 from pathlib import Path
@@ -55,7 +54,6 @@ PER_SOURCE = [
     ("scan.csv", ["threshold-scan", "--pump-min", "10", "--pump-max", "1e4",
                   "--steps", "13"]),
 ]
-RUNTIME = re.compile(r" \[\d+\.\d+s\]$", re.MULTILINE)
 
 
 def _run(main, argv, out=None) -> str:
@@ -92,8 +90,7 @@ def digests(outdir: Path):
     (outdir / names[-1]).write_text(
         _run(main, ["verify-integrals", "--kappa", "1e-3", "--json"]), encoding="utf-8")
     names.append("verify-all.txt")
-    (outdir / names[-1]).write_text(
-        RUNTIME.sub("", _run(main, ["verify-all"])), encoding="utf-8")
+    (outdir / names[-1]).write_text(_run(main, ["verify-all"]), encoding="utf-8")
 
     for name in names:
         yield hashlib.sha256((outdir / name).read_bytes()).hexdigest(), name
