@@ -116,8 +116,9 @@ class RunConfig:
         """Plain dictionary for embedding into report files."""
         kind = "physical" if isinstance(self.params, PhysicalParams) else "dimensionless"
         run = asdict(self.settings)
+        # null for the unbounded default keeps the JSON strict
         if math.isinf(run["max_step"]):
-            run["max_step"] = None  # null for the unbounded default keeps the JSON strict
+            run["max_step"] = None
         return {
             "params": {"kind": kind, **asdict(self.params)},
             "ensemble": {key: getattr(self, key) for key in sorted(_ENSEMBLE_KEYS)},
