@@ -136,6 +136,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_poincare(args) -> int:
     _require_positive(args.epsilon, "--epsilon")
+    if args.epsilon >= 0.5:  # the sampled point has |z_n| up to epsilon
+        raise ValidationError(
+            f"--epsilon must be below 1/2, the chart edge |z| = 1/2, got {args.epsilon}")
     cfg = _load(args)
     e = cfg.build_ensemble()
     eps = args.epsilon

@@ -42,14 +42,10 @@ def _keys(cls) -> set:
 
 
 # the INI keys of [physical], [dimensionless] and the solver part of [run]
-# are the fields of the dataclasses they build
+# are the fields of the dataclasses they build; [ensemble]'s are RunConfig's
 _PHYSICAL_KEYS = _keys(PhysicalParams)
 _PHYSICAL_REQUIRED = {f.name for f in fields(PhysicalParams) if f.default is MISSING}
 _DIMENSIONLESS_KEYS = _keys(DimensionlessParams)
-_ENSEMBLE_KEYS = {
-    "hypothesis", "n", "seed", "mode_index", "rescale_alpha_to_s",
-    "crystal_axis", "active_volume",
-}
 _ODE_KEYS = _keys(OdeSettings)
 _RUN_KEYS = _ODE_KEYS | {"verdict_tol"}
 
@@ -66,7 +62,7 @@ def _triple(raw: str, name: str, cast=float) -> Tuple:
 
 def _floats(section, keys):
     out = {}
-    for key in keys:
+    for key in sorted(keys):  # the first bad key named is the same on every run
         if key in section:
             try:
                 out[key] = float(section[key])
@@ -99,14 +95,13 @@ class RunConfig:
     settings: OdeSettings = field(default_factory=OdeSettings)
     verdict_tol: float = VERDICT_TOL
 
+    def _ensemble_spec(self) -> dict:
+        """The [ensemble] keys and their values: the keywords of
+        `sample_ensemble` that the configuration sets."""
+        return {key: getattr(self, key) for key in sorted(_ENSEMBLE_KEYS)}
+
     def build_ensemble(self) -> Ensemble:
-        return sample_ensemble(
-            self.params, self.hypothesis, self.seed,
-            n=self.n, mode_index=self.mode_index,
-            crystal_axis=self.crystal_axis,
-            rescale_alpha_to_s=self.rescale_alpha_to_s,
-            active_volume=self.active_volume,
-        )
+        return sample_ensemble(self.params, **self._ensemble_spec())
 
     @property
     def kappa(self) -> float:
@@ -121,9 +116,12 @@ class RunConfig:
             run["max_step"] = None
         return {
             "params": {"kind": kind, **asdict(self.params)},
-            "ensemble": {key: getattr(self, key) for key in sorted(_ENSEMBLE_KEYS)},
+            "ensemble": self._ensemble_spec(),
             "run": {**run, "verdict_tol": self.verdict_tol},
         }
+
+
+_ENSEMBLE_KEYS = _keys(RunConfig) - {"params", "settings", "verdict_tol"}
 
 
 def _check_keys(section, allowed, name):
@@ -176,11 +174,15 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         raise ValidationError(f"hypothesis must be H1 or H2, got {hypothesis!r}")
     n_default = params.n if isinstance(params, DimensionlessParams) \
         else int(min(params.molecule_count, 10 ** 6))
-    ens_vals = _floats(ens, {"n", "seed", "rescale_alpha_to_s", "active_volume"})
-    n = _count(ens_vals.get("n", n_default), "n")
-    seed = _count(ens_vals.get("seed", 0), "seed")
+    spec = _floats(ens, {"n", "seed", "rescale_alpha_to_s", "active_volume"})
+    spec["hypothesis"] = hypothesis
+    spec["n"] = _count(spec.get("n", n_default), "n")
+    spec["seed"] = _count(spec.get("seed", 0), "seed")
     if seed_override is not None:
-        seed = int(seed_override)
+        spec["seed"] = int(seed_override)
+    for key, cast in (("mode_index", int), ("crystal_axis", float)):
+        if key in ens:
+            spec[key] = _triple(ens[key], key, cast)
 
     run = parser["run"] if parser.has_section("run") else {}
     if run:
@@ -191,17 +193,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     if not verdict_tol >= 0.0:
         raise ValidationError(f"verdict_tol must be >= 0, got {verdict_tol!r}")
 
-    return RunConfig(
-        params=params, hypothesis=hypothesis, n=n, seed=seed,
-        mode_index=_triple(ens["mode_index"], "mode_index", int)
-        if "mode_index" in ens else None,
-        rescale_alpha_to_s=ens_vals.get("rescale_alpha_to_s"),
-        crystal_axis=_triple(ens["crystal_axis"], "crystal_axis")
-        if "crystal_axis" in ens else None,
-        active_volume=ens_vals.get("active_volume"),
-        settings=settings,
-        verdict_tol=verdict_tol,
-    )
+    return RunConfig(params=params, settings=settings, verdict_tol=verdict_tol, **spec)
 
 
 def paper_preset(seed: int = 0) -> RunConfig:

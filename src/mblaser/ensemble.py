@@ -83,7 +83,8 @@ def default_mode_amplitude(k: Tuple[int, int, int],
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Sampled active medium plus everything the dynamics needs.
+    """Sampled active medium.  The cavity damping kappa is not a property of
+    the molecules: the parameters own it and every consumer takes it.
 
     A molecule enters the collective sums only through the projections of its
     unit dipole direction onto the mode and onto its pumping direction, so
@@ -92,7 +93,6 @@ class Ensemble:
     """
 
     hypothesis: Hypothesis
-    kappa: float
     alpha: np.ndarray          # (N,)
     beta: np.ndarray           # (N,)
     gamma: np.ndarray          # (N,)
@@ -219,7 +219,6 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
         k_idx = params.mode_index if mode_index is None else tuple(mode_index)
         dipole_mag = params.dipole_magnitude
         pump_amp = params.pump_amplitude
-        kappa = params.kappa
         alpha_coef, beta_coef, gamma_coef = params.coupling_scales(1.0)
         sum_weight = 2.0 / (params.pump_frequency * HBAR)
         n_eff = int(params.molecule_count) if n is None else int(n)
@@ -229,7 +228,6 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
         k_idx = (4, 1, 1) if mode_index is None else tuple(mode_index)
         dipole_mag = 1.0
         pump_amp = 1.0
-        kappa = params.kappa
         x_rms = 1.0 / np.sqrt(dims[0] * dims[1] * dims[2])
         alpha_coef = params.alpha_scale / x_rms
         beta_coef = params.beta_scale / x_rms
@@ -272,7 +270,7 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
         alpha = alpha * rescale
 
     return Ensemble(
-        hypothesis=hypothesis, kappa=kappa, alpha=alpha, beta=beta, gamma=gamma,
+        hypothesis=hypothesis, alpha=alpha, beta=beta, gamma=gamma,
         proj_mode=proj_mode, proj_pump=proj_pump, mode_amplitude=amp,
         cavity_dims=tuple(dims), dipole_magnitude=dipole_mag,
         pump_amplitude=pump_amp, sum_weight=sum_weight * rescale,

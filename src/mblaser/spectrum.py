@@ -267,23 +267,28 @@ def _resolvent_sums(mu: complex, bd: BlockDifferential) -> np.ndarray:
     return np.array([[bd.S / u, 0.0], [0.0, _detuned_sum(u, bd)]], dtype=complex)
 
 
-def reduced_matrix(mu: complex, bd: BlockDifferential) -> np.ndarray:
-    """The 2x2 family whose singular points are the nontrivial multipliers.
+def _eliminate(mu: complex, bd: BlockDifferential):
+    """The reduced 2x2 at mu with the elimination that gives it, (red, R, core).
 
-    Eliminating the molecular rows of the block eigenproblem gives
-        M(mu) = (M - mu) + pi K (I - R m)^{-1} R Wb,
+    Eliminating the molecular rows of the block eigenproblem leaves the
+    collective response P = core^{-1} R Wb v0, core = I - R m, so that
+        M(mu) = (M - mu) + pi K core^{-1} R Wb,
     Wb the shared border factor (W_n = beta_n Wb), with the full resolvent
     sum (its moment series, or the per-molecule sum near the cluster).
     """
     R = _resolvent_sums(mu, bd)
-    m = bd.cross_kernel.astype(complex)
-    K = coupling_matrix(bd.kappa).astype(complex)
-    core = np.eye(2, dtype=complex) - R @ m
+    core = np.eye(2) - R @ bd.cross_kernel
     if abs(np.linalg.det(core)) < 1e-14 * max(1.0, np.linalg.norm(core) ** 2):
         raise NumericsError("reduced matrix singular: mu at a dressed cluster pole")
-    wb = bd.w_border.astype(complex)
-    return (bd.M.astype(complex) - mu * np.eye(2)
-            + PI * K @ np.linalg.solve(core, R @ wb))
+    red = (bd.M - mu * np.eye(2)
+           + PI * coupling_matrix(bd.kappa) @ np.linalg.solve(core, R @ bd.w_border))
+    return red, R, core
+
+
+def reduced_matrix(mu: complex, bd: BlockDifferential) -> np.ndarray:
+    """The 2x2 family whose singular points are the nontrivial multipliers
+    (see `_eliminate`)."""
+    return _eliminate(mu, bd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +368,14 @@ def _null_direction(mu: complex, bd: BlockDifferential):
     delta_n), with rhs = Wb v0 + m P and P the collective alpha-weighted
     response.
     """
-    red = reduced_matrix(mu, bd)
+    red, R, core = _eliminate(mu, bd)
     _, sing, vh = np.linalg.svd(red)
     if sing[1] > _NULL_TOL * max(sing[0], 1e-30):
         raise NumericsError(
             f"mu = {mu} is not an eigenvalue: reduced matrix well conditioned")
     v0 = vh[1].conj()
-
-    R = _resolvent_sums(mu, bd)
-    m = bd.cross_kernel.astype(complex)
-    wb = bd.w_border.astype(complex)
-    core = np.eye(2, dtype=complex) - R @ m
-    P = np.linalg.solve(core, R @ (wb @ v0))
-    return v0, wb @ v0 + m @ P
+    wb_v0 = bd.w_border @ v0
+    return v0, wb_v0 + bd.cross_kernel @ np.linalg.solve(core, R @ wb_v0)
 
 
 def eigvec_back_substitute(mu: complex, bd: BlockDifferential) -> np.ndarray:

@@ -43,10 +43,14 @@ class CriterionResult:
     detail: str
 
 
+#: the standard working damping of the desk media
+DESK_KAPPA = 1e-7
+
+
 def desk_params(n: int) -> DimensionlessParams:
-    """Ruby coupling scales with the standard working damping kappa = 1e-7."""
+    """Ruby coupling scales with the desk damping `DESK_KAPPA`."""
     base = derive_dimensionless(ruby_params(), n_override=n)
-    return dataclasses.replace(base, kappa=1e-7)
+    return dataclasses.replace(base, kappa=DESK_KAPPA)
 
 
 def desk_ensemble(n: int, seed: int = 7):
@@ -164,16 +168,16 @@ def criterion_4_conservation_gauge() -> CriterionResult:
 
     taus = np.linspace(0.0, TWO_PI, 33)
     drift = 0.0
-    for _, state in sample_trajectory(state0, taus, e, e.kappa, settings):
+    for _, state in sample_trajectory(state0, taus, e, DESK_KAPPA, settings):
         drift = max(drift, float(np.max(np.abs(state.norms() - 1.0))))
     ok = drift <= 1e-8
 
-    base = poincare_numeric(state0, e, e.kappa, settings)
+    base = poincare_numeric(state0, e, DESK_KAPPA, settings)
     worst_gauge = 0.0
     rng = np.random.default_rng(5)
     for _ in range(3):
         theta = rng.uniform(0.0, 2 * np.pi, e.n)
-        rot = poincare_numeric(gauge_rotate(state0, theta), e, e.kappa, settings)
+        rot = poincare_numeric(gauge_rotate(state0, theta), e, DESK_KAPPA, settings)
         worst_gauge = max(worst_gauge, abs(rot.a - base.a), abs(rot.b - base.b))
         ok = ok and worst_gauge <= 1e-8
     detail = f"norm drift {drift:.2e}; gauge (a,b) gap {worst_gauge:.2e}"
@@ -185,7 +189,7 @@ def criterion_5_map_equivalence() -> CriterionResult:
     e = desk_ensemble(1000)
     eps = 1e-4
     settings = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
-    om_max = float(np.max(np.abs(e.beta * compute_nu(eps, eps, e, e.kappa,
+    om_max = float(np.max(np.abs(e.beta * compute_nu(eps, eps, e, DESK_KAPPA,
                                                      np.zeros(e.n))
                                  + e.gamma / 2.0)))
     bound = MAP_EQUIV_C * (eps ** 2 + om_max ** 2)
@@ -193,8 +197,8 @@ def criterion_5_map_equivalence() -> CriterionResult:
     for trial in range(50):
         state0 = lift_state(perturbed_point(e.n, eps, np.random.default_rng(100 + trial)))
         z0 = hopf_project(state0.c)
-        numeric = poincare_numeric(state0, e, e.kappa, settings)
-        analytic = poincare_analytic(state0.a, state0.b, z0, e, e.kappa)
+        numeric = poincare_numeric(state0, e, DESK_KAPPA, settings)
+        analytic = poincare_analytic(state0.a, state0.b, z0, e, DESK_KAPPA)
         worst = max(worst, numeric.distance(analytic))
     ok = worst <= bound
     return CriterionResult(5, "analytic vs numeric period map", ok,
@@ -205,10 +209,10 @@ def criterion_6_differential_oracle() -> CriterionResult:
     """FD Jacobian of the numeric map matches the block differential, N=50."""
     e = desk_ensemble(50)
     settings = OdeSettings(rel_tol=1e-12, abs_tol=1e-13)
-    pmap = make_numeric_map(e, e.kappa, settings)
+    pmap = make_numeric_map(e, DESK_KAPPA, settings)
     h = 1e-5
     jac = jacobian_fd(pmap, np.zeros(2 + 2 * e.n), h=h)
-    analytic = assemble_full(assemble_blocks(e, e.kappa))
+    analytic = assemble_full(assemble_blocks(e, DESK_KAPPA))
     scale = float(np.max(np.abs(analytic)))
     tol = max(10.0 * h ** 2, 1e-6 * scale)
     gap = float(np.max(np.abs(jac - analytic)))
@@ -225,7 +229,7 @@ def criterion_7_spectrum_reduction() -> CriterionResult:
     min_maxwell = np.inf
     for seed in range(5):
         e = desk_ensemble(100, seed=20 + seed)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         full = assemble_full(bd)
         dense = np.linalg.eigvals(full)
         roots = 1.0 + poly_roots(char_polynomial_centered(bd))
@@ -288,9 +292,9 @@ def criterion_9_ground_state_fixed_point() -> CriterionResult:
     params = dataclasses.replace(desk_params(200), gamma_scale=0.0)
     e = sample_ensemble(params, "H1", seed=4, rescale_alpha_to_s=1e-5)
     ground = ReducedState(a=0.0, b=0.0, z=np.zeros(e.n))
-    num_gap = poincare_numeric(ground_state(e.n), e, e.kappa, OdeSettings(
+    num_gap = poincare_numeric(ground_state(e.n), e, DESK_KAPPA, OdeSettings(
         rel_tol=1e-11, abs_tol=1e-13)).distance(ground)
-    ana_gap = poincare_analytic(0.0, 0.0, ground.z, e, e.kappa).distance(ground)
+    ana_gap = poincare_analytic(0.0, 0.0, ground.z, e, DESK_KAPPA).distance(ground)
     ok = num_gap <= 1e-8 and ana_gap <= 1e-8
     return CriterionResult(9, "ground state fixed point", ok,
                            f"numeric {num_gap:.2e}, analytic {ana_gap:.2e}")
@@ -308,7 +312,7 @@ def criterion_10_threshold_scan() -> CriterionResult:
     """
     e = desk_ensemble(300, seed=9)
     grid = np.geomspace(1e1, 1e4, 25)   # pump in units of the ruby amplitude
-    points = threshold_scan(e, kappa=1e-7, pump_grid=grid)
+    points = threshold_scan(e, kappa=DESK_KAPPA, pump_grid=grid)
     verdicts = [p.resonance for p in points]
     flips = sum(1 for i in range(1, len(verdicts)) if verdicts[i] != verdicts[i - 1])
     recorded = (all(np.isfinite(p.max_abs_mu) for p in points)

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from mblaser.ensemble import sample_ensemble
-from mblaser.verify import desk_params  # noqa: F401  (re-exported to the tests)
+from mblaser.verify import DESK_KAPPA, desk_params  # noqa: F401  (re-exported to the tests)
 
 
 @pytest.fixture(scope="session")

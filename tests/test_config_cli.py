@@ -1,12 +1,18 @@
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mblaser
 from mblaser.cli import main
-from mblaser.config import load_config, paper_preset
+from mblaser.config import _ENSEMBLE_KEYS, load_config, paper_preset
 from mblaser.dynamics import OdeSettings
-from mblaser.ensemble import sum_S
+from mblaser.ensemble import sample_ensemble, sum_S
 from mblaser.errors import ValidationError
 from mblaser.spectrum import DENSE_CAP, VERDICT_TOL
 
@@ -159,6 +165,33 @@ class TestConfig:
         cfg.write_text(text)
         assert main(["ensemble", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_ensemble_schema(self, dimless_cfg, tmp_path):
+        """Every [ensemble] key is a keyword of `sample_ensemble`, and a
+        report's config.ensemble block lists exactly those keys."""
+        keywords = set(inspect.signature(sample_ensemble).parameters) - {"params"}
+        assert _ENSEMBLE_KEYS <= keywords
+        out = tmp_path / "desk.json"
+        assert main(["ensemble", "--config", dimless_cfg, "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())["config"]["ensemble"]) == _ENSEMBLE_KEYS
+
+    def test_bad_value_message_independent_of_hash_seed(self, tmp_path):
+        """With two bad values in one section, the message names the same
+        key under every string-hash seed."""
+        cfg = tmp_path / "two_bad.cfg"
+        cfg.write_text(DIMLESS.replace("kappa = 1e-7", "kappa = x")
+                       .replace("beta_scale = 1.824e-2", "beta_scale = y"))
+        src = str(Path(mblaser.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [subprocess.Popen(
+            [sys.executable, "-m", "mblaser.cli", "ensemble", "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            for seed in ("1", "2")]
+        errs = [run.communicate(timeout=120)[1] for run in runs]
+        assert [run.returncode for run in runs] == [2, 2]
+        assert errs[0] == errs[1] == ("error: bad value for beta_scale: could not "
+                                      "convert string to float: 'y'\n")
 
     def test_physical_config_block(self, tmp_path):
         """The report's config block of a [physical] H2 config that sets
@@ -445,11 +478,20 @@ class TestBadInputs:
         ["threshold-scan", "--pump-min", "nan", "--pump-max", "10"],
         ["threshold-scan", "--pump-min", "1", "--pump-max", "inf"],
         ["threshold-scan", "--pump-min=-inf", "--pump-max", "10"],
+        # the sampled point has |z_n| up to epsilon, the chart ends at 1/2
+        ["poincare", "--epsilon", "0.6"],
+        ["poincare", "--epsilon", "1e300"],
     ])
+    @pytest.mark.filterwarnings("error")
     def test_bad_numeric_argument_exits_2(self, argv, dimless_cfg, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main(argv + ["--config", dimless_cfg, "--out", str(out)]) == 2
-        assert "must be positive and finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if argv[1] == "--epsilon" and float(argv[2]) >= 0.5:
+            assert err == ("error: --epsilon must be below 1/2, the chart edge "
+                           f"|z| = 1/2, got {float(argv[2])}\n")
+        else:
+            assert "must be positive and finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,cfg_text", [

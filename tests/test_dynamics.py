@@ -14,7 +14,8 @@ from mblaser.ensemble import Ensemble
 from mblaser.errors import ChartBoundaryError, NumericsError, ValidationError
 from mblaser.model import (FullState, ReducedState, ground_state,
                            hopf_project, lift_state)
-from mblaser.verify import averaging_slope, profile_pump_cosine, profile_rotating
+from mblaser.verify import (DESK_KAPPA, averaging_slope, profile_pump_cosine,
+                            profile_rotating)
 
 TIGHT = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -106,7 +107,7 @@ def profile_cosine(tau: float) -> np.ndarray:
 class TestRhsFull:
     def test_ground_state_stationary_without_pumping(self, nopump_ensemble):
         e = nopump_ensemble
-        d = rhs_full(ground_state(e.n), 0.3, e, e.kappa)
+        d = rhs_full(ground_state(e.n), 0.3, e, DESK_KAPPA)
         assert d.a == 0.0 and d.b == 0.0
         assert np.max(np.abs(d.c)) == 0.0
 
@@ -114,7 +115,7 @@ class TestRhsFull:
         e = tiny_ensemble
         c = np.zeros((e.n, 2), dtype=complex)
         c[:, 1] = 1.0
-        d = rhs_full(FullState(a=0.0, b=0.0, c=c), np.pi / 2, e, e.kappa)
+        d = rhs_full(FullState(a=0.0, b=0.0, c=c), np.pi / 2, e, DESK_KAPPA)
         # j = Im(conj(c1) c2 e^{-i tau}) = 0 when c1 = 0, so b' = 0 at a = 0
         assert d.b == pytest.approx(0.0, abs=1e-30)
 
@@ -126,11 +127,11 @@ class TestRhsFull:
         c = v[:, :2] + 1j * v[:, 2:]
         state = FullState(a=0.3, b=-0.2, c=c)
         tau = 1.7
-        d = rhs_full(state, tau, e, e.kappa)
+        d = rhs_full(state, tau, e, DESK_KAPPA)
         j_brute = sum(
             e.alpha[i] * np.imag(np.conj(c[i, 0]) * c[i, 1] * np.exp(-1j * tau))
             for i in range(e.n))
-        db_expected = j_brute - 2.0 * e.kappa * state.b - state.a
+        db_expected = j_brute - 2.0 * DESK_KAPPA * state.b - state.a
         assert d.b == pytest.approx(db_expected, rel=1e-12, abs=0.0)
         # per-molecule generator, brute force
         for i in range(e.n):
@@ -152,7 +153,7 @@ class TestIntegrate:
         v = rng.normal(size=(e.n, 4))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         state0 = FullState(a=0.05, b=0.0, c=v[:, :2] + 1j * v[:, 2:])
-        out = integrate_full(state0, 0.0, TWO_PI, e, e.kappa, TIGHT)
+        out = integrate_full(state0, 0.0, TWO_PI, e, DESK_KAPPA, TIGHT)
         assert np.max(np.abs(out.norms() - 1.0)) <= 1e-9
 
     def test_damped_oscillator_closed_form(self, nopump_ensemble):
@@ -174,7 +175,7 @@ class TestIntegrate:
         settings = OdeSettings(rel_tol=1e-10, abs_tol=1e-10)
         state0 = ground_state(e.n)
         taus = np.linspace(0, TWO_PI, 17)
-        samples = list(sample_trajectory(state0, taus, e, e.kappa, settings))
+        samples = list(sample_trajectory(state0, taus, e, DESK_KAPPA, settings))
         assert [t for t, _ in samples] == list(taus)
         for _, state in samples:
             assert np.max(np.abs(state.norms() - 1.0)) <= 100 * settings.abs_tol
@@ -190,11 +191,11 @@ class TestGaugeEquivariance:
         rng = np.random.default_rng(2)
         z0 = 1e-2 * rng.uniform(0.2, 1, e.n) * np.exp(2j * np.pi * rng.uniform(size=e.n))
         base0 = lift_state(ReducedState(a=1e-2, b=-2e-2, z=z0))
-        base1 = integrate_full(base0, 0.0, TWO_PI, e, e.kappa, TIGHT)
+        base1 = integrate_full(base0, 0.0, TWO_PI, e, DESK_KAPPA, TIGHT)
         for _ in range(20):
             theta = rng.uniform(0, 2 * np.pi, e.n)
             rot1 = integrate_full(gauge_rotate(base0, theta), 0.0, TWO_PI,
-                                  e, e.kappa, TIGHT)
+                                  e, DESK_KAPPA, TIGHT)
             assert abs(rot1.a - base1.a) <= 1e-10
             assert abs(rot1.b - base1.b) <= 1e-10
             back = gauge_rotate(rot1, -theta)
@@ -204,7 +205,7 @@ class TestGaugeEquivariance:
 class TestReducedChart:
     def test_ground_state_is_stationary(self, nopump_ensemble):
         e = nopump_ensemble
-        d = rhs_reduced(ReducedState(a=0.0, b=0.0, z=np.zeros(e.n)), 0.9, e, e.kappa)
+        d = rhs_reduced(ReducedState(a=0.0, b=0.0, z=np.zeros(e.n)), 0.9, e, DESK_KAPPA)
         assert d.a == 0.0 and d.b == 0.0 and np.max(np.abs(d.z)) == 0.0
 
     def test_full_reduced_consistency(self, small_ensemble):
@@ -212,8 +213,8 @@ class TestReducedChart:
         rng = np.random.default_rng(3)
         z0 = 0.2 * rng.uniform(0.2, 1, e.n) * np.exp(2j * np.pi * rng.uniform(size=e.n))
         red0 = ReducedState(a=0.01, b=0.0, z=z0)
-        red1 = integrate_reduced(red0, 0.0, TWO_PI, e, e.kappa, TIGHT)
-        full1 = integrate_full(lift_state(red0), 0.0, TWO_PI, e, e.kappa, TIGHT)
+        red1 = integrate_reduced(red0, 0.0, TWO_PI, e, DESK_KAPPA, TIGHT)
+        full1 = integrate_full(lift_state(red0), 0.0, TWO_PI, e, DESK_KAPPA, TIGHT)
         assert abs(red1.a - full1.a) <= 1e-10
         assert np.max(np.abs(red1.z - hopf_project(full1.c))) <= 1e-9
 
@@ -228,10 +229,10 @@ class TestReducedChart:
             state = ReducedState(a=rng.uniform(-0.1, 0.1), b=rng.uniform(-0.1, 0.1), z=z)
             tau = rng.uniform(0.0, TWO_PI)
             full = lift_state(state)
-            dfull = rhs_full(full, tau, e, e.kappa)
+            dfull = rhs_full(full, tau, e, DESK_KAPPA)
             chain = (np.conj(dfull.c[:, 0]) * full.c[:, 1]
                      + np.conj(full.c[:, 0]) * dfull.c[:, 1])
-            dred = rhs_reduced(state, tau, e, e.kappa)
+            dred = rhs_reduced(state, tau, e, DESK_KAPPA)
             scale = float(np.max(np.abs(chain)))
             assert np.max(np.abs(dred.z - chain)) <= 1e-14 * scale
             assert dred.a == dfull.a
@@ -242,7 +243,7 @@ class TestReducedChart:
         z = np.zeros(e.n, dtype=complex)
         z[0] = 0.5
         with pytest.raises(ChartBoundaryError):
-            rhs_reduced(ReducedState(a=0.0, b=0.0, z=z), 0.0, e, e.kappa)
+            rhs_reduced(ReducedState(a=0.0, b=0.0, z=z), 0.0, e, DESK_KAPPA)
 
     def test_chart_guard_bound(self, small_ensemble):
         # the guard refuses |z| = 1/2 - delta and accepts the float below it
@@ -254,9 +255,9 @@ class TestReducedChart:
             z[3] = 1j * radius
             return ReducedState(a=0.0, b=0.0, z=z)
 
-        rhs_reduced(at(np.nextafter(edge, 0.0)), 0.0, e, e.kappa)
+        rhs_reduced(at(np.nextafter(edge, 0.0)), 0.0, e, DESK_KAPPA)
         with pytest.raises(ChartBoundaryError):
-            rhs_reduced(at(edge), 0.0, e, e.kappa)
+            rhs_reduced(at(edge), 0.0, e, DESK_KAPPA)
 
     def test_integration_refuses_boundary_start(self, small_ensemble):
         e = small_ensemble
@@ -264,7 +265,7 @@ class TestReducedChart:
         z[0] = 0.4999997  # inside the delta = 1e-6 guard band
         with pytest.raises(ChartBoundaryError):
             integrate_reduced(ReducedState(a=0.0, b=0.0, z=z), 0.0, TWO_PI,
-                              e, e.kappa, TIGHT)
+                              e, DESK_KAPPA, TIGHT)
 
 
 def _random_z(n, radius, seed):
@@ -279,7 +280,7 @@ class TestReducedStepper:
     the stage count and the endpoint agree."""
 
     CASES = {
-        # name: (pump factor, kappa or None for the medium's, z radius, a, b,
+        # name: (pump factor, kappa or None for DESK_KAPPA, z radius, a, b,
         #        tau0, settings); each solve runs over one period from tau0
         "default": (1.0, None, 0.2, 0.01, -0.02, 0.0, OdeSettings()),
         "tight": (1.0, None, 0.2, 0.01, -0.02, 0.0, TIGHT),
@@ -303,7 +304,7 @@ class TestReducedStepper:
     def _both(e, pump, kappa, radius, a, b, tau0, settings):
         if pump != 1.0:
             e = e.with_pump_amplitude(pump * e.pump_amplitude)
-        kappa = e.kappa if kappa is None else kappa
+        kappa = DESK_KAPPA if kappa is None else kappa
         z = _random_z(e.n, radius, 5)
         y0 = pack_reduced(ReducedState(a=a, b=b, z=z))
         span = (tau0, tau0 + TWO_PI)
@@ -340,9 +341,9 @@ class TestReducedStepper:
         # medium past |z| = 1/2 - delta within the period
         e = small_ensemble.with_pump_amplitude(1e7 * small_ensemble.pump_amplitude)
         start = ReducedState(a=0.0, b=0.0, z=np.zeros(e.n, dtype=complex))
-        rhs_reduced(start, 0.0, e, e.kappa)
+        rhs_reduced(start, 0.0, e, DESK_KAPPA)
         with pytest.raises(ChartBoundaryError):
-            integrate_reduced(start, 0.0, TWO_PI, e, e.kappa)
+            integrate_reduced(start, 0.0, TWO_PI, e, DESK_KAPPA)
 
     def test_step_below_ten_ulps_raises(self, nopump_ensemble):
         # at tau ~ 1e15 ten ulps are 1.25, longer than the steps the tolerance
@@ -353,22 +354,22 @@ class TestReducedStepper:
                                 beta=np.zeros(nopump_ensemble.n))
         state = ReducedState(a=0.01, b=-0.02, z=_random_z(e.n, 0.2, 5))
         span = (1e15, 1e15 + 100.0)
-        sol = solve_ivp(flat_rhs_reduced(e, e.kappa), span, pack_reduced(state),
+        sol = solve_ivp(flat_rhs_reduced(e, DESK_KAPPA), span, pack_reduced(state),
                         method="DOP853", rtol=1e-10, atol=1e-10)
         assert sol.status == -1
         with pytest.raises(NumericsError) as info:
-            integrate_reduced(state, *span, e, e.kappa)
+            integrate_reduced(state, *span, e, DESK_KAPPA)
         assert not isinstance(info.value, ChartBoundaryError)
         assert sol.message in str(info.value)
 
     def test_interval_endpoints(self, small_ensemble):
         e = small_ensemble
         state = ReducedState(a=0.01, b=-0.02, z=_random_z(e.n, 0.2, 5))
-        same = integrate_reduced(state, 1.0, 1.0, e, e.kappa)
+        same = integrate_reduced(state, 1.0, 1.0, e, DESK_KAPPA)
         assert same.a == state.a and same.b == state.b
         assert np.array_equal(same.z, state.z) and same.z is not state.z
         with pytest.raises(ValidationError):
-            integrate_reduced(state, 1.0, 0.0, e, e.kappa)
+            integrate_reduced(state, 1.0, 0.0, e, DESK_KAPPA)
 
     @pytest.mark.parametrize("field, z_scale", [((np.nan, 0.0), 1.0),
                                                 ((0.0, np.inf), 1.0),
@@ -377,17 +378,17 @@ class TestReducedStepper:
         e = small_ensemble
         state = ReducedState(a=field[0], b=field[1], z=z_scale * _random_z(e.n, 0.2, 5))
         with pytest.raises(ValueError):
-            solve_ivp(flat_rhs_reduced(e, e.kappa), (0.0, TWO_PI),
+            solve_ivp(flat_rhs_reduced(e, DESK_KAPPA), (0.0, TWO_PI),
                       pack_reduced(state), method="DOP853")
         with pytest.raises(ValidationError):
-            integrate_reduced(state, 0.0, TWO_PI, e, e.kappa)
+            integrate_reduced(state, 0.0, TWO_PI, e, DESK_KAPPA)
 
     def test_input_left_untouched(self, small_ensemble):
         e = small_ensemble
         z = _random_z(e.n, 0.2, 5)
         zz = np.stack([z.real, z.imag])
         before = zz.copy()
-        _dop853_reduced(_reduced_stage(e, e.kappa), 0.01, -0.02, zz, 0.0,
+        _dop853_reduced(_reduced_stage(e, DESK_KAPPA), 0.01, -0.02, zz, 0.0,
                         TWO_PI, OdeSettings())
         assert np.array_equal(zz, before)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from conftest import desk_params
+from conftest import DESK_KAPPA, desk_params
 from mblaser.dynamics import OdeSettings, TWO_PI, pack_reduced, unpack_reduced
 from mblaser.ensemble import sample_ensemble
 from mblaser.kernels import constants_AB, constants_J
@@ -19,8 +19,8 @@ TIGHT = OdeSettings(rel_tol=1e-11, abs_tol=1e-13)
 class TestComputeNu:
     def test_ground_state_value(self, small_ensemble):
         e = small_ensemble
-        nu = compute_nu(0.0, 0.0, e, e.kappa, np.zeros(e.n))
-        j2 = constants_J(e.kappa)[1].real
+        nu = compute_nu(0.0, 0.0, e, DESK_KAPPA, np.zeros(e.n))
+        j2 = constants_J(DESK_KAPPA)[1].real
         expect = -j2 * float(np.sum(e.alpha * e.gamma))
         assert nu.imag == 0.0
         assert nu.real == pytest.approx(expect, rel=1e-12, abs=0.0)
@@ -63,16 +63,16 @@ class TestPeriodMaps:
 
     def test_ground_state_fixed_without_pumping(self, nopump_ensemble):
         e = nopump_ensemble
-        out = poincare_numeric(ground_state(e.n), e, e.kappa, TIGHT)
+        out = poincare_numeric(ground_state(e.n), e, DESK_KAPPA, TIGHT)
         assert max(abs(out.a), abs(out.b), float(np.max(np.abs(out.z)))) <= 1e-10
-        ana = poincare_analytic(0.0, 0.0, np.zeros(e.n), e, e.kappa)
+        ana = poincare_analytic(0.0, 0.0, np.zeros(e.n), e, DESK_KAPPA)
         assert max(abs(ana.a), abs(ana.b), float(np.max(np.abs(ana.z)))) == 0.0
 
     def test_analytic_ground_state_molecular_image(self, small_ensemble):
         # with pumping on: z_n = -2 pi i (beta_n conj(nu) + gamma_n/2)
         e = small_ensemble
-        nu = compute_nu(0.0, 0.0, e, e.kappa, np.zeros(e.n))
-        out = poincare_analytic(0.0, 0.0, np.zeros(e.n), e, e.kappa)
+        nu = compute_nu(0.0, 0.0, e, DESK_KAPPA, np.zeros(e.n))
+        out = poincare_analytic(0.0, 0.0, np.zeros(e.n), e, DESK_KAPPA)
         expect = -TWO_PI * 1j * (e.beta * np.conj(nu) + e.gamma / 2.0)
         assert np.max(np.abs(out.z - expect)) <= 1e-18
 
@@ -82,8 +82,8 @@ class TestPeriodMaps:
         worst = 0.0
         for trial in range(10):
             point = perturbed_point(e.n, eps, np.random.default_rng(50 + trial))
-            numeric = poincare_numeric(lift_state(point), e, e.kappa, TIGHT)
-            analytic = poincare_analytic(point.a, point.b, point.z, e, e.kappa)
+            numeric = poincare_numeric(lift_state(point), e, DESK_KAPPA, TIGHT)
+            analytic = poincare_analytic(point.a, point.b, point.z, e, DESK_KAPPA)
             worst = max(worst, numeric.distance(analytic))
         om = float(np.max(np.abs(e.gamma))) / 2.0 + 1e-6
         assert worst <= 10.0 * (eps ** 2 + om ** 2)
@@ -93,11 +93,11 @@ class TestPeriodMaps:
         from mblaser.dynamics import gauge_rotate
         e = small_ensemble
         state0 = lift_state(perturbed_point(e.n, 1e-2, np.random.default_rng(9)))
-        base = poincare_numeric(state0, e, e.kappa, TIGHT)
+        base = poincare_numeric(state0, e, DESK_KAPPA, TIGHT)
         rng = np.random.default_rng(10)
         for _ in range(20):
             theta = rng.uniform(0, 2 * np.pi, e.n)
-            rot = poincare_numeric(gauge_rotate(state0, theta), e, e.kappa, TIGHT)
+            rot = poincare_numeric(gauge_rotate(state0, theta), e, DESK_KAPPA, TIGHT)
             assert base.distance(rot) <= 1e-9
 
 
@@ -145,8 +145,8 @@ class TestJacobianFD:
     def test_maxwell_columns_scale_with_alpha(self, tiny_ensemble):
         # da/dz_n' = alpha_n' (Im A1, Re A1): linear in the current weight
         e = tiny_ensemble
-        kc = constants_AB(e.kappa)
-        pmap = make_numeric_map(e, e.kappa, OdeSettings(rel_tol=1e-12, abs_tol=1e-14))
+        kc = constants_AB(DESK_KAPPA)
+        pmap = make_numeric_map(e, DESK_KAPPA, OdeSettings(rel_tol=1e-12, abs_tol=1e-14))
         jac = jacobian_fd(pmap, np.zeros(2 + 2 * e.n), h=1e-5)
         for i in range(e.n):
             col = jac[0, 2 + 2 * i:4 + 2 * i]
@@ -176,8 +176,8 @@ def test_reduced_vector_roundtrip(tiny_ensemble):
     # chart, so it agrees with the full chart's image to the solver tolerance
     e = tiny_ensemble
     point = perturbed_point(e.n, 1e-3, np.random.default_rng(4))
-    out = make_numeric_map(e, e.kappa, TIGHT)(pack_reduced(point))
-    full = pack_reduced(poincare_numeric(lift_state(point), e, e.kappa, TIGHT))
+    out = make_numeric_map(e, DESK_KAPPA, TIGHT)(pack_reduced(point))
+    full = pack_reduced(poincare_numeric(lift_state(point), e, DESK_KAPPA, TIGHT))
     assert np.max(np.abs(out[:2] - full[:2])) <= 1e-10
     assert np.max(np.abs(out[2:] - full[2:])) <= 1e-9
 
@@ -190,6 +190,6 @@ def test_numeric_map_falls_back_at_chart_edge(tiny_ensemble):
     z = point.z.copy()
     z[0] = 0.4999997
     point = ReducedState(a=point.a, b=point.b, z=z)
-    out = make_numeric_map(e, e.kappa, TIGHT)(pack_reduced(point))
-    full = pack_reduced(poincare_numeric(lift_state(point), e, e.kappa, TIGHT))
+    out = make_numeric_map(e, DESK_KAPPA, TIGHT)(pack_reduced(point))
+    full = pack_reduced(poincare_numeric(lift_state(point), e, DESK_KAPPA, TIGHT))
     assert np.array_equal(out, full)

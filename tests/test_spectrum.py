@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_params
+from conftest import DESK_KAPPA, desk_params
 from mblaser.ensemble import sample_ensemble
 from mblaser.errors import CapacityError, NumericsError, ValidationError
 from mblaser.kernels import border_dressing
@@ -121,11 +121,11 @@ class TestAssembleFull:
     @pytest.mark.parametrize("factor", [0.0, 1e4])
     def test_equals_per_molecule_blocks(self, factor):
         e = desk_ensemble(50)
-        bd = assemble_blocks(e, e.kappa).with_pump_factor(factor)
+        bd = assemble_blocks(e, DESK_KAPPA).with_pump_factor(factor)
         full = assemble_full(bd)
         assert np.array_equal(full, _dense_by_molecule(bd))
         # each border entry and the local diagonal are scalar times kernel
-        K = coupling_matrix(e.kappa)
+        K = coupling_matrix(DESK_KAPPA)
         for a in range(2):
             for b in range(2):
                 assert np.array_equal(full[a, 2 + b::2], PI * e.alpha * K[a, b])
@@ -136,7 +136,7 @@ class TestAssembleFull:
 
     def test_triangle_spectrum_is_union(self):
         e = _desk(60)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         vals = np.sort_complex(np.linalg.eigvals(_triangle(bd)))
         expect = np.sort_complex(np.concatenate(
             [np.linalg.eigvals(bd.M), _local_diagonal(bd)]))
@@ -145,12 +145,12 @@ class TestAssembleFull:
     def test_zero_alpha_equals_triangle(self):
         params = dataclasses.replace(desk_params(5), alpha_scale=0.0)
         e = sample_ensemble(params, "H1", seed=0)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         assert np.array_equal(assemble_full(bd), _triangle(bd))
 
     def test_capacity_cap(self):
         e = _desk(20)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         big = dataclasses.replace(
             bd, alpha=np.zeros(501), beta=np.zeros(501), gamma=np.zeros(501))
         with pytest.raises(CapacityError):
@@ -158,7 +158,7 @@ class TestAssembleFull:
 
     def test_single_molecule_four_by_four(self):
         e = _desk(1, seed=5)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         full = assemble_full(bd)
         assert full.shape == (4, 4)
         dense = np.linalg.eigvals(full)
@@ -171,7 +171,7 @@ class TestReducedMatrix:
     def test_zero_alpha_reduces_to_shift(self):
         params = dataclasses.replace(desk_params(4), alpha_scale=0.0)
         e = sample_ensemble(params, "H1", seed=0)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         mu = 1.01 + 0.02j
         red = reduced_matrix(mu, bd)
         assert np.max(np.abs(red - (bd.M - mu * np.eye(2)))) <= 1e-16
@@ -196,7 +196,7 @@ class TestReducedMatrix:
 
     def test_determinant_vanishes_at_dense_eigenvalues(self):
         e = _desk(10, seed=13)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         full = assemble_full(bd)
         dense = np.linalg.eigvals(full)
         guard = cluster_guard(bd, factor=100.0)
@@ -223,7 +223,7 @@ class TestCharPolynomial:
 
     def test_mu5_coefficient_tracks_trace(self):
         e = _desk(30, seed=3)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         centered = char_polynomial_centered(bd)
         # the mu^5 coefficient of p(u) with u = mu - 1 is centered[1] - 6; at
         # S -> 0 it is -(4 + tr M), and finite-S corrections are O(S)
@@ -247,7 +247,7 @@ class TestCharPolynomial:
 
     def test_roots_match_dense(self):
         e = _desk(10, seed=13)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         dense = np.linalg.eigvals(assemble_full(bd))
         roots = 1.0 + poly_roots(char_polynomial_centered(bd))
         guard = cluster_guard(bd, factor=100.0)
@@ -285,7 +285,7 @@ class TestPolyRoots:
 class TestEigenvectors:
     def test_back_substitution_residuals(self):
         e = _desk(10, seed=13)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         full = assemble_full(bd)
         roots = 1.0 + poly_roots(char_polynomial_centered(bd))
         guard = cluster_guard(bd, factor=100.0)
@@ -308,7 +308,7 @@ class TestEigenvectors:
 class TestVerdict:
     def test_no_pumping_is_stable(self, nopump_ensemble):
         e = nopump_ensemble
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         rep = resonance_verdict(bd, method="dense")
         assert rep.max_abs_mu <= 1.0 + 1e-12
         assert not rep.resonance
@@ -323,7 +323,7 @@ class TestVerdict:
 
     def test_cross_method_consistency(self):
         e = _desk(40, seed=17)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         rep = resonance_verdict(bd, method="both")
         assert rep.cross_discrepancy <= 1e-8
         assert rep.polynomial_roots is not None
@@ -333,7 +333,7 @@ class TestVerdict:
         # collective roots; the reduced determinant vanishes at each
         # nontrivial dense eigenvalue
         e = _desk(200, seed=19)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         dense = np.linalg.eigvals(assemble_full(bd))
         roots = 1.0 + poly_roots(char_polynomial_centered(bd))
         guard = cluster_guard(bd, factor=100.0)
@@ -392,7 +392,7 @@ class TestMomentSeries:
 
     def test_maxwell_component_at_roots(self):
         e = _desk(10, seed=13)
-        bd = assemble_blocks(e, e.kappa)
+        bd = assemble_blocks(e, DESK_KAPPA)
         report = resonance_verdict(bd)
         checked = 0
         for mu, comp in zip(report.multipliers, report.maxwell_components):
@@ -420,11 +420,11 @@ class TestThresholdScan:
     def test_matches_per_point_verdicts(self):
         e = _desk(2000, seed=29)
         grid = np.geomspace(1e1, 1e4, 7) * e.pump_amplitude
-        points = threshold_scan(e, e.kappa, grid)
+        points = threshold_scan(e, DESK_KAPPA, grid)
         assert [p.pump_amplitude for p in points] == list(grid)
-        base = assemble_blocks(e, e.kappa)
+        base = assemble_blocks(e, DESK_KAPPA)
         for p, ap in zip(points, grid):
-            bd = assemble_blocks(e.with_pump_amplitude(ap), e.kappa)
+            bd = assemble_blocks(e.with_pump_amplitude(ap), DESK_KAPPA)
             rep = resonance_verdict(bd)
             assert p.max_abs_mu == rep.max_abs_mu
             assert p.resonance == rep.resonance
