@@ -165,18 +165,12 @@ def cmd_poincare(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _load(args)
     e = cfg.build_ensemble()
-    bd = assemble_blocks(e, cfg.kappa, d_variant=args.d_variant)
-    method, skipped = args.method, None
-    if method == "both" and e.n > DENSE_CAP:
-        method = "polynomial"
-        skipped = (f"N = {e.n} exceeds the dense cap {DENSE_CAP}: "
-                   "ran the polynomial route only")
-        print(f"note: dense route skipped, {skipped}", file=sys.stderr)
+    bd = assemble_blocks(e, cfg.kappa)
+    method = "both" if e.n <= DENSE_CAP else "polynomial"
     rep = resonance_verdict(bd, method=method, verdict_tol=cfg.verdict_tol)
     payload = {
         "config": cfg.describe(),
         "method": rep.method,
-        "d_variant": args.d_variant,
         "S": bd.S,
         "gamma_sq_sum": bd.gamma_sq_sum,
         "max_abs_mu": rep.max_abs_mu,
@@ -189,11 +183,8 @@ def cmd_spectrum(args) -> int:
         "maxwell_components": [float(c) if np.isfinite(c) else None
                                for c in rep.maxwell_components],
         "roots_near_one": rep.roots_near_one,
+        "polynomial_roots": rep.polynomial_roots,
     }
-    if skipped is not None:
-        payload["dense_skipped"] = skipped
-    if rep.polynomial_roots is not None:
-        payload["polynomial_roots"] = rep.polynomial_roots
     if rep.cross_discrepancy is not None:
         payload["cross_method_max_gap"] = rep.cross_discrepancy
     _write_json(args.out, payload)
@@ -299,12 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="perturbation size of the sampled initial point")
     p.set_defaults(func=cmd_poincare)
 
-    p = sub.add_parser("spectrum", help="multipliers and resonance verdict")
+    p = sub.add_parser("spectrum", help="multipliers and resonance verdict; for "
+                       f"N <= {DENSE_CAP} a dense eigensolve checks the polynomial")
     add_common(p)
-    p.add_argument("--method", choices=["polynomial", "dense", "both"],
-                   default="both")
-    p.add_argument("--d-variant", choices=["identity", "gamma"],
-                   default="gamma", dest="d_variant")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("threshold-scan", help="sweep the pumping amplitude")

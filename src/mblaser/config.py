@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Tuple, Union
 
 from .dynamics import OdeSettings
@@ -42,10 +42,10 @@ def _keys(cls) -> set:
 
 
 # the INI keys of [physical], [dimensionless] and the solver part of [run]
-# are the fields of the dataclasses they build; [ensemble]'s are RunConfig's
-_PHYSICAL_KEYS = _keys(PhysicalParams)
-_PHYSICAL_REQUIRED = {f.name for f in fields(PhysicalParams) if f.default is MISSING}
-_DIMENSIONLESS_KEYS = _keys(DimensionlessParams)
+# are the fields of the dataclasses they build, each parameter key required;
+# [ensemble]'s are RunConfig's
+_PARAM_KEYS = {"physical": _keys(PhysicalParams),
+               "dimensionless": _keys(DimensionlessParams)}
 _ODE_KEYS = _keys(OdeSettings)
 _RUN_KEYS = _ODE_KEYS | {"verdict_tol"}
 
@@ -146,24 +146,16 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         raise ValidationError(
             "config must contain exactly one of [physical] or [dimensionless]")
 
+    kind = "physical" if has_phys else "dimensionless"
+    sec, keys = parser[kind], _PARAM_KEYS[kind]
+    _check_keys(sec, keys, kind)
+    missing = keys - set(sec.keys())
+    if missing:
+        raise ValidationError(f"[{kind}] missing keys: {sorted(missing)}")
+    vals = _floats(sec, keys - {"cavity_dims"})
     if has_phys:
-        sec = parser["physical"]
-        _check_keys(sec, _PHYSICAL_KEYS, "physical")
-        missing = _PHYSICAL_REQUIRED - set(sec.keys())
-        if missing:
-            raise ValidationError(f"[physical] missing keys: {sorted(missing)}")
-        vals = _floats(sec, _PHYSICAL_REQUIRED - {"cavity_dims"})
-        vals["cavity_dims"] = _triple(sec["cavity_dims"], "cavity_dims")
-        if "mode_index" in sec:
-            vals["mode_index"] = _triple(sec["mode_index"], "mode_index", int)
-        params = PhysicalParams(**vals)
+        params = PhysicalParams(**vals, cavity_dims=_triple(sec["cavity_dims"], "cavity_dims"))
     else:
-        sec = parser["dimensionless"]
-        _check_keys(sec, _DIMENSIONLESS_KEYS, "dimensionless")
-        missing = _DIMENSIONLESS_KEYS - set(sec.keys())
-        if missing:
-            raise ValidationError(f"[dimensionless] missing keys: {sorted(missing)}")
-        vals = _floats(sec, _DIMENSIONLESS_KEYS)
         params = DimensionlessParams(**{**vals, "n": _count(vals["n"], "n")})
 
     ens = parser["ensemble"] if parser.has_section("ensemble") else {}

@@ -21,13 +21,16 @@ from typing import Literal, Optional, Tuple, Union
 import numpy as np
 
 from .errors import ValidationError, require_capacity
-from .model import HBAR, DimensionlessParams, PhysicalParams
+from .model import (HBAR, RUBY_ACTIVE_VOLUME, RUBY_CAVITY, DimensionlessParams,
+                    PhysicalParams)
 
 Hypothesis = Literal["H1", "H2"]
 
-#: geometry used when only dimensionless parameters are supplied
-DEFAULT_CAVITY = (12.0, 2.0, 2.0)
-DEFAULT_ACTIVE_VOLUME = 3.4
+#: the ruby geometry: the cavity of dimensionless parameters, and the
+#: sampled mode and active volume wherever the caller sets none
+DEFAULT_CAVITY = RUBY_CAVITY
+DEFAULT_ACTIVE_VOLUME = RUBY_ACTIVE_VOLUME
+DEFAULT_MODE_INDEX = (4, 1, 1)
 
 #: Peak bytes per molecule while sampling: 16 float64 live as the mode is
 #: evaluated (positions, dipoles, mode values, 6 trig columns, pump projection),
@@ -140,7 +143,8 @@ def _active_region_radius(active_volume: float,
                           dims: Tuple[float, float, float]) -> float:
     r = np.sqrt(active_volume / (np.pi * dims[0]))
     if 2.0 * r > min(dims[1], dims[2]) + 1e-12:
-        raise ValidationError("active region does not fit in the cavity cross-section")
+        raise ValidationError(f"active_volume = {active_volume!r} does not fit in the "
+                              "cavity cross-section")
     return r
 
 
@@ -206,7 +210,8 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
     Counter-based Philox stream keyed by ``seed``; for a fixed seed and N the
     result is bit-identical regardless of thread count.  ``rescale_alpha_to_s``
     applies the desk-scale convention: alpha is scaled by a common factor so
-    that sum alpha_n beta_n equals the requested value.
+    that sum alpha_n beta_n equals the requested value.  ``mode_index`` and
+    ``active_volume`` default to the ruby geometry for both kinds of params.
     """
     if hypothesis not in ("H1", "H2"):
         raise ValidationError(f"unknown hypothesis {hypothesis!r}")
@@ -215,8 +220,6 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
 
     if isinstance(params, PhysicalParams):
         dims = params.cavity_dims
-        v_active = params.active_volume if active_volume is None else active_volume
-        k_idx = params.mode_index if mode_index is None else tuple(mode_index)
         dipole_mag = params.dipole_magnitude
         pump_amp = params.pump_amplitude
         alpha_coef, beta_coef, gamma_coef = params.coupling_scales(1.0)
@@ -224,8 +227,6 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
         n_eff = int(params.molecule_count) if n is None else int(n)
     elif isinstance(params, DimensionlessParams):
         dims = DEFAULT_CAVITY
-        v_active = DEFAULT_ACTIVE_VOLUME if active_volume is None else active_volume
-        k_idx = (4, 1, 1) if mode_index is None else tuple(mode_index)
         dipole_mag = 1.0
         pump_amp = 1.0
         x_rms = 1.0 / np.sqrt(dims[0] * dims[1] * dims[2])
@@ -237,6 +238,8 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
     else:
         raise ValidationError("params must be PhysicalParams or DimensionlessParams")
 
+    v_active = DEFAULT_ACTIVE_VOLUME if active_volume is None else active_volume
+    k_idx = DEFAULT_MODE_INDEX if mode_index is None else tuple(mode_index)
     if n_eff < 1:
         raise ValidationError("ensemble size must be >= 1")
     require_capacity(SAMPLING_BYTES_PER_MOLECULE * n_eff,

@@ -45,15 +45,12 @@ class PhysicalParams:
     dipole_magnitude: float          # |P|, esu*cm
     conductivity: float              # sigma, 1/s
     cavity_dims: Tuple[float, float, float]   # (l1, l2, l3), cm
-    active_volume: float             # |V_a|, cm^3
     molecule_count: float            # N (can exceed 2**53; float is fine)
-    mode_index: Tuple[int, int, int] = (4, 1, 1)
 
     def __post_init__(self):
         positive = {
             "pump_frequency": self.pump_frequency,
             "dipole_magnitude": self.dipole_magnitude,
-            "active_volume": self.active_volume,
             "molecule_count": self.molecule_count,
         }
         for name, value in positive.items():
@@ -65,10 +62,6 @@ class PhysicalParams:
             raise ValidationError("conductivity must be >= 0")
         if any(d <= 0 for d in self.cavity_dims):
             raise ValidationError("cavity dimensions must be positive")
-        if any(int(k) != k or k < 1 for k in self.mode_index):
-            raise ValidationError("mode_index components must be integers >= 1")
-        if self.active_volume > self.cavity_volume:
-            raise ValidationError("active volume exceeds cavity volume")
 
     @property
     def cavity_volume(self) -> float:
@@ -108,7 +101,6 @@ def ruby_params(pump_amplitude: float = RUBY_PUMP_AMPLITUDE,
         dipole_magnitude=RUBY_DIPOLE,
         conductivity=sigma,
         cavity_dims=RUBY_CAVITY,
-        active_volume=RUBY_ACTIVE_VOLUME,
         molecule_count=molecule_count,
     )
 

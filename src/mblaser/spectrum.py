@@ -46,6 +46,7 @@ near the molecular cluster fall back to the direct O(N) sums.  A whole
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Literal, Optional, Sequence
@@ -60,7 +61,7 @@ PI = np.pi
 DENSE_CAP = 500
 
 DVariant = Literal["identity", "gamma"]
-Method = Literal["polynomial", "dense", "both"]
+Method = Literal["polynomial", "both"]
 VERDICT_TOL = 1e-9  # roundoff guard on the strict max|mu| > 1 comparison
 
 #: largest q = max delta_n / |mu - 1| at which the resolvent sums are summed
@@ -104,7 +105,13 @@ def detuning_moments(alpha: np.ndarray, beta: np.ndarray,
     ``ab[0]`` is S; it is taken as one pairwise sum, rounded exactly as
     `ensemble.sum_S`, so M and the dense route do not move.
     """
-    g2_max = float(np.max(np.abs(gamma), initial=0.0)) ** 2
+    g_max = float(np.max(np.abs(gamma), initial=0.0))
+    try:
+        g2_max = g_max ** 2
+    except OverflowError:
+        raise ValidationError(
+            f"pumping rate max|gamma_n| = {g_max:.3g} squares beyond the float "
+            "range; lower gamma_scale or pump_amplitude") from None
     weights = alpha * beta
     out = np.zeros((2, SERIES_TERMS))
     for start in range(0, gamma.size, _MOMENT_BLOCK):
@@ -128,9 +135,9 @@ class BlockDifferential:
     alpha, beta and gamma are the couplings of the sampled medium, shared and
     not copied; at this pump level the molecules see ``pump_factor * gamma``.
     The borders are held as these scalars times shared 2x2 kernels (V_n =
-    pi alpha_n K, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n)).  S and
-    G are read off the moment summary, so rescaling the pump changes only
-    ``pump_factor``.
+    alpha_n v_border, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n)).
+    S and G are read off the moment summary, so rescaling the pump changes
+    only ``pump_factor``.
     """
 
     alpha: np.ndarray
@@ -139,6 +146,18 @@ class BlockDifferential:
     kappa: float
     moments: DetuningMoments
     pump_factor: float = 1.0
+
+    def __post_init__(self):
+        # the one scalar check per pump level; a Python float ** raises on
+        # overflow where numpy would give inf
+        try:
+            finite = math.isfinite(self.detuning_max)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(
+                "pumping out of float range: the detunings 2 pi^2 gamma_n^2 overflow "
+                f"at {self.pump_factor:.3g} times the medium's pump amplitude")
 
     @property
     def n(self) -> int:
@@ -161,10 +180,15 @@ class BlockDifferential:
         return (1.0 - 2.0 * PI * self.kappa) * np.eye(2) + self.S * self.cross_kernel
 
     @cached_property
+    def v_border(self) -> np.ndarray:
+        """pi K, V_n = alpha_n * v_border: every route reads V from here."""
+        return PI * coupling_matrix(self.kappa)
+
+    @cached_property
     def w_border(self) -> np.ndarray:
         """-pi K + S * border_dressing(), W_n = beta_n * w_border; the O(S)
         dressing matters for entrywise agreement with the FD Jacobian."""
-        return -PI * coupling_matrix(self.kappa) + self.S * border_dressing()
+        return -self.v_border + self.S * border_dressing()
 
     @cached_property
     def cross_kernel(self) -> np.ndarray:
@@ -210,10 +234,9 @@ def assemble_full(bd: BlockDifferential) -> np.ndarray:
     dim = 2 + 2 * n
     out = np.zeros((dim, dim))
     out[:2, :2] = bd.M
-    pi_alpha, K = PI * bd.alpha, coupling_matrix(bd.kappa)
     for a in range(2):
         for b in range(2):
-            out[a, 2 + b::2] = pi_alpha * K[a, b]
+            out[a, 2 + b::2] = bd.alpha * bd.v_border[a, b]
             out[2 + a::2, b] = bd.beta * bd.w_border[a, b]
     mol = np.arange(2, dim)
     out[mol, mol] = 1.0
@@ -280,8 +303,7 @@ def _eliminate(mu: complex, bd: BlockDifferential):
     core = np.eye(2) - R @ bd.cross_kernel
     if abs(np.linalg.det(core)) < 1e-14 * max(1.0, np.linalg.norm(core) ** 2):
         raise NumericsError("reduced matrix singular: mu at a dressed cluster pole")
-    red = (bd.M - mu * np.eye(2)
-           + PI * coupling_matrix(bd.kappa) @ np.linalg.solve(core, R @ bd.w_border))
+    red = bd.M - mu * np.eye(2) + bd.v_border @ np.linalg.solve(core, R @ bd.w_border)
     return red, R, core
 
 
@@ -313,7 +335,7 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
     gamma_n = 0).
     """
     g = bd.gamma_sq_sum
-    B = PI * coupling_matrix(bd.kappa)
+    B = bd.v_border
     b_inv = np.linalg.inv(B)
     # coefficient matrices, highest power of u first
     r1 = np.diag([bd.S, bd.S])                     # u^2 R = r1 u + r0
@@ -420,7 +442,7 @@ class SpectrumReport:
     collective_max_abs_mu: float
     resonance: bool
     maxwell_components: np.ndarray   # |(a,b)-part| per reported eigenvector
-    polynomial_roots: Optional[np.ndarray]
+    polynomial_roots: np.ndarray     # every route runs the polynomial
     method: Method
     cross_discrepancy: Optional[float] = None
     roots_near_one: int = 0
@@ -504,15 +526,14 @@ def resonance_verdict(bd: BlockDifferential, method: Method = "polynomial",
         # cluster roots stand in for multipliers bounded by |mu| <= 1 exactly
         max_mu = float(max(np.max(np.abs(mult[valid]), initial=0.0),
                            1.0 if not valid.all() else 0.0))
-    elif method in ("dense", "both"):
-        proots = _polynomial_spectrum(bd)[0] if method == "both" else None
+    elif method == "both":
+        proots = _polynomial_spectrum(bd)[0]
         mult, comps = _dense_spectrum(bd)
         valid = np.abs(mult - 1.0) > cluster_guard(bd)
         max_mu = float(np.max(np.abs(mult)))
-        if proots is not None:
-            outside = mult[np.abs(mult - 1.0) > cluster_guard(bd, factor=100.0)]
-            cross = max((float(np.min(np.abs(proots - mu))) for mu in outside),
-                        default=0.0)
+        outside = mult[np.abs(mult - 1.0) > cluster_guard(bd, factor=100.0)]
+        cross = max((float(np.min(np.abs(proots - mu))) for mu in outside),
+                    default=0.0)
     else:
         raise ValidationError(f"unknown method {method!r}")
 

@@ -80,7 +80,7 @@ def commands(draw):
     kind = draw(st.sampled_from(
         ["ensemble", "spectrum", "poincare", "threshold-scan", "simulate"]))
     if kind == "spectrum":
-        argv = ["spectrum", "--method", "polynomial"]
+        argv = ["spectrum"]
     elif kind == "poincare":
         argv = ["poincare", "--mode", "analytic",
                 f"--epsilon={draw(_real(1e-8, 1.0))!r}"]

@@ -14,7 +14,8 @@ from mblaser.config import _ENSEMBLE_KEYS, load_config, paper_preset
 from mblaser.dynamics import OdeSettings
 from mblaser.ensemble import sample_ensemble, sum_S
 from mblaser.errors import ValidationError
-from mblaser.spectrum import DENSE_CAP, VERDICT_TOL
+from mblaser.spectrum import (DENSE_CAP, VERDICT_TOL, assemble_blocks,
+                              resonance_verdict)
 
 DIMLESS = """
 [dimensionless]
@@ -43,7 +44,6 @@ pump_amplitude = 1.7e-6
 dipole_magnitude = 4e-18
 conductivity = 1e-2
 cavity_dims = 12, 2, 2
-active_volume = 3.4
 molecule_count = 1e20
 
 [ensemble]
@@ -59,9 +59,7 @@ pump_amplitude = 1.7e-6
 dipole_magnitude = 4e-18
 conductivity = 10.0
 cavity_dims = 12, 2, 2
-active_volume = 3.4
 molecule_count = 1e20
-mode_index = 3, 1, 1
 
 [ensemble]
 hypothesis = H2
@@ -78,6 +76,17 @@ abs_tol = 1e-11
 max_step = 0.5
 verdict_tol = 1e-9
 """
+
+
+#: argv whose pumping squares beyond the float range, and its message
+PUMP_OVERFLOW = {
+    ("spectrum",):
+        "error: pumping rate max|gamma_n| = 9.75e+199 squares beyond the float "
+        "range; lower gamma_scale or pump_amplitude\n",
+    ("threshold-scan", "--pump-min", "1e300", "--pump-max", "1e301"):
+        "error: pumping out of float range: the detunings 2 pi^2 gamma_n^2 "
+        "overflow at 1e+300 times the medium's pump amplitude\n",
+}
 
 
 @pytest.fixture
@@ -159,6 +168,11 @@ class TestConfig:
          "[dimensionless] missing keys: ['n']"),
         (DIMLESS.replace("[ensemble]", "[ensemble]\nkappa = 1e-7"),
          "unknown keys in [ensemble]: ['kappa']"),
+        # the sampling geometry is set only in [ensemble]
+        (PHYSICAL.replace("[physical]", "[physical]\nmode_index = 4, 1, 1"),
+         "unknown keys in [physical]: ['mode_index']"),
+        (PHYSICAL.replace("[physical]", "[physical]\nactive_volume = 3.4"),
+         "unknown keys in [physical]: ['active_volume']"),
     ])
     def test_schema_messages(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "schema.cfg"
@@ -206,8 +220,7 @@ class TestConfig:
                 "kind": "physical", "pump_frequency": 3e15,
                 "pump_amplitude": 1.7e-06, "dipole_magnitude": 4e-18,
                 "conductivity": 10.0, "cavity_dims": [12.0, 2.0, 2.0],
-                "active_volume": 3.4, "molecule_count": 1e20,
-                "mode_index": [3, 1, 1],
+                "molecule_count": 1e20,
             },
             "ensemble": {
                 "hypothesis": "H2", "n": 40, "seed": 5, "mode_index": [4, 1, 1],
@@ -217,6 +230,20 @@ class TestConfig:
             "run": {"rel_tol": 1e-10, "abs_tol": 1e-11, "max_step": 0.5,
                     "verdict_tol": 1e-09},
         }
+
+    def test_ensemble_geometry_samples_the_direct_call(self, tmp_path):
+        """mode_index and active_volume set under [ensemble] sample the medium
+        that `sample_ensemble` samples when given them directly."""
+        cfg = tmp_path / "geometry.cfg"
+        cfg.write_text(PHYSICAL + "mode_index = 3, 1, 1\nactive_volume = 2.5\n")
+        run = load_config(str(cfg))
+        e = run.build_ensemble()
+        direct = sample_ensemble(run.params, "H1", 3, n=30, mode_index=(3, 1, 1),
+                                 active_volume=2.5)
+        default = sample_ensemble(run.params, "H1", 3, n=30)
+        for name in ("alpha", "beta", "gamma", "proj_mode", "proj_pump"):
+            assert np.array_equal(getattr(e, name), getattr(direct, name))
+        assert not np.array_equal(e.proj_mode, default.proj_mode)
 
     def test_missing_file(self):
         with pytest.raises(ValidationError):
@@ -282,13 +309,28 @@ class TestCli:
 
     def test_spectrum_report(self, dimless_cfg, tmp_path):
         out = tmp_path / "spec.json"
-        assert main(["spectrum", "--config", dimless_cfg, "--method", "both",
-                     "--out", str(out)]) == 0
+        assert main(["spectrum", "--config", dimless_cfg, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["resonance"] is False
         assert payload["collective_max_abs_mu"] < 1.0
         assert payload["cross_method_max_gap"] <= 1e-8
         assert len(payload["multipliers"]) == 2 * 40 + 2
+
+    def test_unpumped_spectrum_is_the_zero_pump_factor(self, dimless_cfg, tmp_path):
+        """spectrum of the config with gamma_scale = 0 reports the multipliers
+        of the pumped medium's blocks at pump factor 0."""
+        cfg = tmp_path / "nopump.cfg"
+        cfg.write_text(DIMLESS.replace("gamma_scale = 2.149e-7", "gamma_scale = 0"))
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        run = load_config(dimless_cfg)
+        rep = resonance_verdict(assemble_blocks(run.build_ensemble(), run.kappa)
+                                .with_pump_factor(0.0), "both")
+        assert payload["method"] == "both"
+        assert payload["multipliers"] == [[m.real, m.imag] for m in rep.multipliers]
+        assert payload["max_abs_mu"] == rep.max_abs_mu
+        assert payload["collective_max_abs_mu"] == rep.collective_max_abs_mu
 
     def test_poincare_both(self, dimless_cfg, tmp_path):
         out = tmp_path / "p.json"
@@ -352,13 +394,12 @@ class TestCli:
 
     def test_paper_constants_flag(self, tmp_path):
         out = tmp_path / "preset.json"
-        assert main(["spectrum", "--paper-constants", "--method", "polynomial",
-                     "--out", str(out)]) == 0
+        assert main(["spectrum", "--paper-constants", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["config"]["params"]["kind"] == "physical"
 
     @pytest.mark.parametrize("argv", [
-        ["spectrum", "--method", "polynomial"],
+        ["spectrum"],
         ["threshold-scan", "--pump-min", "1", "--pump-max", "10"],
     ])
     def test_negative_verdict_tol_exits_2(self, argv, tmp_path, capsys):
@@ -402,19 +443,17 @@ class TestCli:
         cfg = tmp_path / "big.cfg"
         cfg.write_text(DIMLESS.replace("n = 40", f"n = {n}"))
         out = tmp_path / "spec.json"
-        assert main(["spectrum", "--config", str(cfg), "--method", "both",
-                     "--out", str(out)]) == 0
-        assert "dense route skipped" in capsys.readouterr().err
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         payload = json.loads(out.read_text())
         assert payload["method"] == "polynomial"
-        assert f"N = {n}" in payload["dense_skipped"]
+        assert "dense_skipped" not in payload
         assert "cross_method_max_gap" not in payload
         assert payload["resonance"] is False
 
     def test_both_within_dense_cap_skips_nothing(self, dimless_cfg, tmp_path, capsys):
         out = tmp_path / "spec.json"
-        assert main(["spectrum", "--config", dimless_cfg, "--method", "both",
-                     "--out", str(out)]) == 0
+        assert main(["spectrum", "--config", dimless_cfg, "--out", str(out)]) == 0
         assert "skipped" not in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert "dense_skipped" not in payload and payload["method"] == "both"
@@ -458,7 +497,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("argv,name", [
         (["ensemble"], "out.json"),
         (["ensemble"], "out.csv"),
-        (["spectrum", "--method", "polynomial"], "out.json"),
+        (["spectrum"], "out.json"),
         (["poincare", "--mode", "analytic"], "out.json"),
         (["simulate", "--periods", "0.05"], "out.csv"),
         (["threshold-scan", "--pump-min", "1", "--pump-max", "10", "--steps", "2"],
@@ -503,6 +542,9 @@ class TestBadInputs:
                                        "hypothesis = H1\nn = 1e15")),
         (["ensemble"], DIMLESS.replace("hypothesis = H1\nn = 40",
                                        "hypothesis = H1\nn = 1e300")),
+        # pumping whose square overflows a float (keys of PUMP_OVERFLOW)
+        (["spectrum"], DIMLESS.replace("gamma_scale = 2.149e-7", "gamma_scale = 1e200")),
+        (["threshold-scan", "--pump-min", "1e300", "--pump-max", "1e301"], DIMLESS),
     ])
     def test_oversized_request_exits_2(self, argv, cfg_text, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
@@ -510,7 +552,10 @@ class TestBadInputs:
         out = tmp_path / "out.csv"
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "GiB, above the 8 GiB cap" in err
+        if tuple(argv) in PUMP_OVERFLOW:
+            assert err == PUMP_OVERFLOW[tuple(argv)]
+        else:
+            assert "GiB, above the 8 GiB cap" in err
         assert err.count("\n") == 1 and len(err) < 200, err
         assert not out.exists()
 

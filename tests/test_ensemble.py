@@ -1,10 +1,10 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mblaser.ensemble import (SAMPLING_BYTES_PER_MOLECULE, _sample_geometry,
+from mblaser.ensemble import (DEFAULT_ACTIVE_VOLUME, DEFAULT_MODE_INDEX,
+                              SAMPLING_BYTES_PER_MOLECULE, _sample_geometry,
                               cuboid_mode, default_mode_amplitude,
                               sample_ensemble, sum_S, sum_Sigma)
 from mblaser.errors import ValidationError
@@ -18,17 +18,18 @@ def _mode_amp(k):
     return default_mode_amplitude(k, DIMS)
 
 
-def _geometry(p, seed, n, hypothesis="H1", crystal_axis=None, active_volume=None):
+def _geometry(p, seed, n, hypothesis="H1", crystal_axis=None,
+              active_volume=DEFAULT_ACTIVE_VOLUME):
     """The positions and unit dipole and pumping directions (each (n, 3))
     that ``sample_ensemble(p, hypothesis, seed, n=n, ...)`` draws."""
-    v_active = p.active_volume if active_volume is None else active_volume
-    return _sample_geometry(seed, n, p.cavity_dims, v_active, hypothesis, crystal_axis)
+    return _sample_geometry(seed, n, p.cavity_dims, active_volume, hypothesis,
+                            crystal_axis)
 
 
-def _mode_values(p, positions):
-    """X(x_n) of the default-amplitude mode at the sampled positions."""
-    return cuboid_mode(positions, p.mode_index, p.cavity_dims,
-                       default_mode_amplitude(p.mode_index, p.cavity_dims))
+def _mode_values(p, positions, k=DEFAULT_MODE_INDEX):
+    """X(x_n) of the default-amplitude mode k at the sampled positions."""
+    return cuboid_mode(positions, k, p.cavity_dims,
+                       default_mode_amplitude(k, p.cavity_dims))
 
 
 class TestCuboidMode:
@@ -75,9 +76,10 @@ class TestCuboidMode:
 
     def test_mean_mode_value_over_active_lamp(self):
         # ergodic-regime mean |X| ~ sqrt(1/48) ~ 0.144 over the lamp
-        p = dataclasses.replace(ruby_params(), mode_index=(4, 4, 4))
+        p = ruby_params()
         positions, _, _ = _geometry(p, seed=0, n=100_000)
-        mean_abs = float(np.mean(np.linalg.norm(_mode_values(p, positions), axis=1)))
+        mean_abs = float(np.mean(np.linalg.norm(_mode_values(p, positions, (4, 4, 4)),
+                                                axis=1)))
         assert abs(mean_abs - 0.144) <= 0.02
 
 
@@ -95,7 +97,7 @@ class TestSampling:
     def test_positions_inside_active_cylinder(self):
         p = ruby_params()
         positions, _, _ = _geometry(p, seed=1, n=2000)
-        r = np.sqrt(p.active_volume / (np.pi * DIMS[0]))
+        r = np.sqrt(DEFAULT_ACTIVE_VOLUME / (np.pi * DIMS[0]))
         rho = np.hypot(positions[:, 1] - 1.0, positions[:, 2] - 1.0)
         assert np.all(rho <= r + 1e-12)
         assert np.all((positions[:, 0] >= 0) & (positions[:, 0] <= 12.0))
@@ -155,9 +157,9 @@ class TestErgodicModeStatistics:
     def test_asymptotic_over_lamp(self, k, tol):
         # over the thin lamp the ergodic value carries an O(wavelength/radius)
         # geometric bias that shrinks with the mode index
-        p = dataclasses.replace(ruby_params(), mode_index=k)
+        p = ruby_params()
         positions, _, _ = _geometry(p, seed=9, n=100_000)
-        ratio = float(np.mean(np.sum(_mode_values(p, positions) ** 2, axis=1))) * VOL
+        ratio = float(np.mean(np.sum(_mode_values(p, positions, k) ** 2, axis=1))) * VOL
         assert abs(ratio - 1.0) <= tol
 
 
@@ -194,9 +196,8 @@ class TestCollectiveSums:
 
     def test_sigma_crystalline_orthogonal_axis(self):
         # P along e1 with the mode polarized orthogonally: Sigma = 0 exactly
-        p = dataclasses.replace(ruby_params(), mode_index=(1, 1, 1))
         amp = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)  # unit, transverse, no e1
-        e = sample_ensemble(p, "H2", seed=3, n=2000,
+        e = sample_ensemble(ruby_params(), "H2", seed=3, n=2000, mode_index=(1, 1, 1),
                             crystal_axis=(1.0, 0.0, 0.0), mode_amplitude=amp)
         rep = sum_Sigma(e)
         assert rep.analytic == 0.0

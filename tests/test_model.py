@@ -36,7 +36,7 @@ class TestDeriveDimensionless:
         with pytest.raises(ValidationError):
             PhysicalParams(pump_frequency=-1.0, pump_amplitude=1e-6,
                            dipole_magnitude=4e-18, conductivity=1e-2,
-                           cavity_dims=(12.0, 2.0, 2.0), active_volume=3.4,
+                           cavity_dims=(12.0, 2.0, 2.0),
                            molecule_count=1e20)
         with pytest.raises(ValidationError):
             DimensionlessParams(kappa=-1e-7, alpha_scale=1e-23,

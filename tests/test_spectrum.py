@@ -68,7 +68,7 @@ class TestAssembleBlocks:
         assert np.allclose(_local_diagonal(bd_g)[0::2], 1.0)
         # the identity variant is the unpumped blocks
         zero = bd_g.with_pump_factor(0.0)
-        for method in ("polynomial", "dense"):
+        for method in ("polynomial", "both"):
             assert np.array_equal(resonance_verdict(bd_id, method).multipliers,
                                   resonance_verdict(zero, method).multipliers)
         with pytest.raises(ValidationError):
@@ -92,7 +92,7 @@ def _local_diagonal(bd):
 
 def _dense_by_molecule(bd):
     """The dense differential written one molecule's 2x2 blocks at a time:
-    V_n = pi alpha_n K, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n),
+    V_n = alpha_n v_border, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n),
     plus the cross blocks beta_n alpha_n' m."""
     n = bd.n
     out = np.zeros((2 + 2 * n, 2 + 2 * n))
@@ -102,7 +102,7 @@ def _dense_by_molecule(bd):
         r = 2 + 2 * i
         out[r:r + 2, :2] = bd.beta[i] * bd.w_border
         out[r:r + 2, r:r + 2] = np.diag([1.0, 1.0 - delta[i]])
-        out[:2, r:r + 2] = PI * bd.alpha[i] * coupling_matrix(bd.kappa)
+        out[:2, r:r + 2] = bd.alpha[i] * bd.v_border
     out[2:, 2:] += np.einsum("i,j,ab->iajb", bd.beta, bd.alpha,
                              bd.cross_kernel).reshape(2 * n, 2 * n)
     return out
@@ -125,10 +125,10 @@ class TestAssembleFull:
         full = assemble_full(bd)
         assert np.array_equal(full, _dense_by_molecule(bd))
         # each border entry and the local diagonal are scalar times kernel
-        K = coupling_matrix(DESK_KAPPA)
+        assert np.array_equal(bd.v_border, PI * coupling_matrix(DESK_KAPPA))
         for a in range(2):
             for b in range(2):
-                assert np.array_equal(full[a, 2 + b::2], PI * e.alpha * K[a, b])
+                assert np.array_equal(full[a, 2 + b::2], e.alpha * bd.v_border[a, b])
                 assert np.array_equal(full[2 + a::2, b], e.beta * bd.w_border[a, b])
         cross = np.diag(np.einsum("i,j,ab->iajb", bd.beta, bd.alpha, bd.cross_kernel)
                         .reshape(2 * bd.n, 2 * bd.n))
@@ -309,7 +309,7 @@ class TestVerdict:
     def test_no_pumping_is_stable(self, nopump_ensemble):
         e = nopump_ensemble
         bd = assemble_blocks(e, DESK_KAPPA)
-        rep = resonance_verdict(bd, method="dense")
+        rep = resonance_verdict(bd, method="both")
         assert rep.max_abs_mu <= 1.0 + 1e-12
         assert not rep.resonance
 
@@ -317,7 +317,7 @@ class TestVerdict:
         params = dataclasses.replace(desk_params(4), alpha_scale=0.0, kappa=0.0,
                                      beta_scale=0.0, gamma_scale=0.0)
         e = sample_ensemble(params, "H1", seed=0)
-        rep = resonance_verdict(assemble_blocks(e, 0.0), method="dense")
+        rep = resonance_verdict(assemble_blocks(e, 0.0), method="both")
         assert np.max(np.abs(rep.multipliers - 1.0)) <= 1e-14
         assert not rep.resonance
 

@@ -50,7 +50,7 @@ PER_SOURCE = [
     ("ensemble.json", ["ensemble"]),
     ("simulate.csv", ["simulate", "--periods", "1"]),
     ("poincare.json", ["poincare", "--mode", "both"]),
-    ("spectrum.json", ["spectrum", "--method", "both"]),
+    ("spectrum.json", ["spectrum"]),
     ("scan.csv", ["threshold-scan", "--pump-min", "10", "--pump-max", "1e4",
                   "--steps", "13"]),
 ]
