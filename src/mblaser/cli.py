@@ -32,9 +32,8 @@ from .verify import ab_gap_table, gap_rows, run_all
 
 
 def _load(args) -> RunConfig:
-    if getattr(args, "paper_constants", False):
-        cfg = paper_preset(seed=args.seed if args.seed is not None else 0)
-        return cfg
+    if args.paper_constants:
+        return paper_preset(seed=args.seed if args.seed is not None else 0)
     if not args.config:
         raise ValidationError("missing --config (or use --paper-constants)")
     return load_config(args.config, seed_override=args.seed)
@@ -167,7 +166,7 @@ def cmd_spectrum(args) -> int:
     e = cfg.build_ensemble()
     bd = assemble_blocks(e, cfg.kappa)
     method = "both" if e.n <= DENSE_CAP else "polynomial"
-    rep = resonance_verdict(bd, method=method, verdict_tol=cfg.verdict_tol)
+    rep = resonance_verdict(bd, method=method)
     payload = {
         "config": cfg.describe(),
         "method": rep.method,
@@ -202,7 +201,7 @@ def cmd_threshold_scan(args) -> int:
     cfg = _load(args)
     e = cfg.build_ensemble()
     grid = np.geomspace(args.pump_min, args.pump_max, args.steps)
-    points = threshold_scan(e, cfg.kappa, grid, verdict_tol=cfg.verdict_tol)
+    points = threshold_scan(e, cfg.kappa, grid)
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["pump_amplitude", "max_abs_mu", "resonance",
@@ -262,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, needs_out=True):
-        p.add_argument("--config", help="INI run configuration")
-        p.add_argument("--paper-constants", action="store_true",
-                       help="use the built-in ruby preset instead of a config")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="INI run configuration")
+        source.add_argument("--paper-constants", action="store_true",
+                            help="use the built-in ruby preset instead of a config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         if needs_out:
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_integrals)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    add_common(p, needs_out=False)
     p.set_defaults(func=cmd_verify_all)
 
     return parser

@@ -31,23 +31,22 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Tuple, Union
 
 from .dynamics import OdeSettings
-from .ensemble import Ensemble, sample_ensemble
+from .ensemble import (DEFAULT_ACTIVE_VOLUME, DEFAULT_MODE_INDEX, Ensemble,
+                       sample_ensemble)
 from .errors import ValidationError
 from .model import DimensionlessParams, PhysicalParams, ruby_params
-from .spectrum import VERDICT_TOL
 
 
 def _keys(cls) -> set:
     return {f.name for f in fields(cls)}
 
 
-# the INI keys of [physical], [dimensionless] and the solver part of [run]
-# are the fields of the dataclasses they build, each parameter key required;
-# [ensemble]'s are RunConfig's
+# the INI keys of [physical], [dimensionless] and [run] are the fields of the
+# dataclasses they build, each parameter key required; [ensemble]'s are
+# RunConfig's
 _PARAM_KEYS = {"physical": _keys(PhysicalParams),
                "dimensionless": _keys(DimensionlessParams)}
-_ODE_KEYS = _keys(OdeSettings)
-_RUN_KEYS = _ODE_KEYS | {"verdict_tol"}
+_RUN_KEYS = _keys(OdeSettings)
 
 
 def _triple(raw: str, name: str, cast=float) -> Tuple:
@@ -88,12 +87,11 @@ class RunConfig:
     hypothesis: str = "H1"
     n: int = 100
     seed: int = 0
-    mode_index: Optional[Tuple[int, int, int]] = None
+    mode_index: Tuple[int, int, int] = DEFAULT_MODE_INDEX
     rescale_alpha_to_s: Optional[float] = None
     crystal_axis: Optional[Tuple[float, float, float]] = None
-    active_volume: Optional[float] = None
+    active_volume: float = DEFAULT_ACTIVE_VOLUME
     settings: OdeSettings = field(default_factory=OdeSettings)
-    verdict_tol: float = VERDICT_TOL
 
     def _ensemble_spec(self) -> dict:
         """The [ensemble] keys and their values: the keywords of
@@ -117,11 +115,11 @@ class RunConfig:
         return {
             "params": {"kind": kind, **asdict(self.params)},
             "ensemble": self._ensemble_spec(),
-            "run": {**run, "verdict_tol": self.verdict_tol},
+            "run": run,
         }
 
 
-_ENSEMBLE_KEYS = _keys(RunConfig) - {"params", "settings", "verdict_tol"}
+_ENSEMBLE_KEYS = _keys(RunConfig) - {"params", "settings"}
 
 
 def _check_keys(section, allowed, name):
@@ -179,13 +177,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     run = parser["run"] if parser.has_section("run") else {}
     if run:
         _check_keys(run, _RUN_KEYS, "run")
-    vals = _floats(run, _RUN_KEYS)
-    settings = OdeSettings(**{k: v for k, v in vals.items() if k in _ODE_KEYS})
-    verdict_tol = vals.get("verdict_tol", VERDICT_TOL)
-    if not verdict_tol >= 0.0:
-        raise ValidationError(f"verdict_tol must be >= 0, got {verdict_tol!r}")
-
-    return RunConfig(params=params, settings=settings, verdict_tol=verdict_tol, **spec)
+    settings = OdeSettings(**_floats(run, _RUN_KEYS))
+    return RunConfig(params=params, settings=settings, **spec)
 
 
 def paper_preset(seed: int = 0) -> RunConfig:

@@ -27,7 +27,7 @@ from .model import (HBAR, RUBY_ACTIVE_VOLUME, RUBY_CAVITY, DimensionlessParams,
 Hypothesis = Literal["H1", "H2"]
 
 #: the ruby geometry: the cavity of dimensionless parameters, and the
-#: sampled mode and active volume wherever the caller sets none
+#: default sampled mode and active volume of both kinds of parameters
 DEFAULT_CAVITY = RUBY_CAVITY
 DEFAULT_ACTIVE_VOLUME = RUBY_ACTIVE_VOLUME
 DEFAULT_MODE_INDEX = (4, 1, 1)
@@ -178,17 +178,20 @@ def _sample_geometry(seed: int, n: int, dims, active_volume: float,
     """Positions, unit dipole and unit pumping directions, each (n, 3), drawn
     in that order from the Philox stream keyed by ``seed``; H2 draws and
     discards a dipole block to keep the layout."""
+    if hypothesis == "H1" and crystal_axis is not None:
+        raise ValidationError("H1 draws every dipole direction and takes no crystal axis")
+    if hypothesis == "H2" and crystal_axis is None:
+        raise ValidationError("H2 requires a crystal axis")
     rng = np.random.Generator(np.random.Philox(key=seed))
     positions = _sample_positions(rng, n, dims, active_volume)
     if hypothesis == "H1":
         dip_dirs = _unit_vectors(rng, n)
     else:
-        if crystal_axis is None:
-            raise ValidationError("H2 requires a crystal axis")
         axis = np.asarray(crystal_axis, dtype=float)
         nrm = np.linalg.norm(axis)
-        if nrm == 0:
-            raise ValidationError("crystal axis must be nonzero")
+        if not 0 < nrm < np.inf:
+            raise ValidationError(
+                f"crystal axis must be finite and nonzero, got {crystal_axis}")
         dip_dirs = np.tile(axis / nrm, (n, 1))
         rng.normal(size=(n, 3))  # keep the draw layout fixed across hypotheses
     pump_dirs = _unit_vectors(rng, n)
@@ -200,18 +203,19 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
                     seed: int = 0,
                     *,
                     n: Optional[int] = None,
-                    mode_index: Optional[Tuple[int, int, int]] = None,
+                    mode_index: Tuple[int, int, int] = DEFAULT_MODE_INDEX,
                     mode_amplitude: Optional[np.ndarray] = None,
                     crystal_axis: Optional[np.ndarray] = None,
                     rescale_alpha_to_s: Optional[float] = None,
-                    active_volume: Optional[float] = None) -> Ensemble:
+                    active_volume: float = DEFAULT_ACTIVE_VOLUME) -> Ensemble:
     """Draw a reproducible molecular ensemble.
 
     Counter-based Philox stream keyed by ``seed``; for a fixed seed and N the
     result is bit-identical regardless of thread count.  ``rescale_alpha_to_s``
     applies the desk-scale convention: alpha is scaled by a common factor so
     that sum alpha_n beta_n equals the requested value.  ``mode_index`` and
-    ``active_volume`` default to the ruby geometry for both kinds of params.
+    ``active_volume`` default to the ruby geometry for both kinds of params;
+    ``crystal_axis`` is required under H2 and refused under H1.
     """
     if hypothesis not in ("H1", "H2"):
         raise ValidationError(f"unknown hypothesis {hypothesis!r}")
@@ -238,27 +242,25 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
     else:
         raise ValidationError("params must be PhysicalParams or DimensionlessParams")
 
-    v_active = DEFAULT_ACTIVE_VOLUME if active_volume is None else active_volume
-    k_idx = DEFAULT_MODE_INDEX if mode_index is None else tuple(mode_index)
     if n_eff < 1:
         raise ValidationError("ensemble size must be >= 1")
     require_capacity(SAMPLING_BYTES_PER_MOLECULE * n_eff,
                      f"an ensemble of {n_eff:.3g} molecules")
-    if not v_active > 0:
-        raise ValidationError(f"active volume must be positive, got {v_active!r}")
+    if not active_volume > 0:
+        raise ValidationError(f"active volume must be positive, got {active_volume!r}")
     if rescale_alpha_to_s is not None and not 0 < rescale_alpha_to_s < np.inf:
         raise ValidationError(
             f"rescale_alpha_to_s must be positive and finite, got {rescale_alpha_to_s!r}")
 
-    amp = (default_mode_amplitude(k_idx, dims) if mode_amplitude is None
+    amp = (default_mode_amplitude(mode_index, dims) if mode_amplitude is None
            else np.asarray(mode_amplitude, dtype=float))
 
     positions, dip_dirs, pump_dirs = _sample_geometry(
-        seed, n_eff, dims, v_active, hypothesis, crystal_axis)
+        seed, n_eff, dims, active_volume, hypothesis, crystal_axis)
     proj_pump = np.einsum("ij,ij->i", dip_dirs, pump_dirs)
     del pump_dirs  # freed before the mode is evaluated, where the peak falls
     proj_mode = np.einsum("ij,ij->i", dip_dirs,
-                          cuboid_mode(positions, k_idx, dims, amp))
+                          cuboid_mode(positions, mode_index, dims, amp))
 
     alpha = alpha_coef * proj_mode
     beta = beta_coef * proj_mode

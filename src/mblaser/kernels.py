@@ -145,17 +145,6 @@ def _exp_moment(c: complex, n: int, upper: float) -> complex:
     return (upper ** n) * np.exp(x) / c - (n / c) * _exp_moment(c, n - 1, upper)
 
 
-def _kernel_sum(kappa: float, weights, moment_args) -> complex:
-    """sum over the two characteristic roots of w_pm * M_n(c_pm, tau)."""
-    lam_p, lam_m = lam_roots(kappa)
-    dl = lam_p - lam_m
-    total = 0.0 + 0.0j
-    for sign, lam in ((1.0, lam_p), (-1.0, lam_m)):
-        w = weights(lam) * sign / dl
-        total += w * moment_args(lam)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # period constants J1, J2 and A/B
 # ---------------------------------------------------------------------------
@@ -221,25 +210,20 @@ def constants_AB(kappa: float) -> KernelConstants:
     """
     _check_kappa(kappa)
     two_pi = 2.0 * PI
-
-    def a_like(n):
-        return _kernel_sum(
-            kappa,
-            weights=lambda lam: np.exp(lam * two_pi),
-            moment_args=lambda lam: _exp_moment(-(1j + lam), n, two_pi),
-        )
-
-    def b_like(n):
-        return _kernel_sum(
-            kappa,
-            weights=lambda lam: lam * np.exp(lam * two_pi),
-            moment_args=lambda lam: _exp_moment(-(1j + lam), n, two_pi),
-        )
-
-    a1 = a_like(0)
-    a2 = a_like(1)
-    b1 = b_like(0)
-    b2 = b_like(1)
+    lam_p, lam_m = lam_roots(kappa)
+    dl = lam_p - lam_m
+    a1 = a2 = b1 = b2 = 0.0 + 0.0j
+    # each is sum over the two characteristic roots of w_pm * M_n(c_pm, 2 pi)
+    for sign, lam in ((1.0, lam_p), (-1.0, lam_m)):
+        m0 = _exp_moment(-(1j + lam), 0, two_pi)
+        m1 = _exp_moment(-(1j + lam), 1, two_pi)
+        damp = np.exp(lam * two_pi)
+        w_a = damp * sign / dl
+        w_b = lam * damp * sign / dl
+        a1 += w_a * m0
+        a2 += w_a * m1
+        b1 += w_b * m0
+        b2 += w_b * m1
     return KernelConstants(
         A1=a1, A2=a2, A3=float(a2.real),
         B1=b1, B2=b2, B3=float(b2.real),

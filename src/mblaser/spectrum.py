@@ -63,6 +63,9 @@ DENSE_CAP = 500
 DVariant = Literal["identity", "gamma"]
 Method = Literal["polynomial", "both"]
 VERDICT_TOL = 1e-9  # roundoff guard on the strict max|mu| > 1 comparison
+#: smallest ratio of a degree-6 polynomial's leading coefficient to the norm
+#: of all seven that the root finder takes as degree six
+_LEADING_RATIO = 1e-12
 
 #: largest q = max delta_n / |mu - 1| at which the resolvent sums are summed
 #: from the moments; beyond it they fall back to the per-molecule sums
@@ -332,7 +335,8 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
     carry the small coupling scales without cancellation (the multipliers sit
     within O(sqrt(S)) of 1).  Descending, monic, length 7; the constant
     coefficient vanishes identically (one exact root at mu = 1, two when all
-    gamma_n = 0).
+    gamma_n = 0).  Pumping strong enough that the other coefficients swamp the
+    leading one for `poly_roots` is refused as a ValidationError.
     """
     g = bd.gamma_sq_sum
     B = bd.v_border
@@ -352,7 +356,13 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
                                  - np.convolve(schur[:, 0, 1], schur[:, 1, 0]))
     if abs(coeffs[0] - 1.0) > 1e-9:
         raise NumericsError("characteristic polynomial did not come out monic degree 6")
-    return coeffs / coeffs[0]
+    coeffs = coeffs / coeffs[0]
+    if 1.0 < _LEADING_RATIO * math.hypot(*coeffs):
+        raise ValidationError(
+            f"pumping at {bd.pump_factor:.3g} times the medium's pump amplitude lies "
+            "beyond the polynomial route's range: max detuning 2 pi^2 gamma_n^2 = "
+            f"{bd.detuning_max:.3g}")
+    return coeffs
 
 
 def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
@@ -361,7 +371,7 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
     if coeffs.ndim != 1 or coeffs.size != 7:
         raise ValidationError("expected 7 descending coefficients (degree 6)")
     scale = np.linalg.norm(coeffs)
-    if abs(coeffs[0]) < 1e-12 * scale:
+    if abs(coeffs[0]) < _LEADING_RATIO * scale:
         raise ValidationError("leading coefficient vanishes: not degree 6")
     roots = np.roots(coeffs)
     dcoeffs = np.polyder(coeffs)
@@ -511,9 +521,10 @@ def _dense_spectrum(bd: BlockDifferential):
     return vals, comps
 
 
-def resonance_verdict(bd: BlockDifferential, method: Method = "polynomial",
-                      verdict_tol: float = VERDICT_TOL) -> SpectrumReport:
-    """Multipliers by the requested route(s) and the max|mu| > 1 verdict.
+def resonance_verdict(bd: BlockDifferential,
+                      method: Method = "polynomial") -> SpectrumReport:
+    """Multipliers by the requested route(s) and the max|mu| > 1 + VERDICT_TOL
+    verdict.
 
     In ``both`` mode the report records the worst distance between each
     well-separated dense eigenvalue (|mu-1| above the cluster guard) and its
@@ -541,7 +552,7 @@ def resonance_verdict(bd: BlockDifferential, method: Method = "polynomial",
     return SpectrumReport(
         multipliers=mult, max_abs_mu=max_mu,
         collective_max_abs_mu=float(np.max(collective)) if collective.size else np.nan,
-        resonance=bool(max_mu > 1.0 + verdict_tol),
+        resonance=bool(max_mu > 1.0 + VERDICT_TOL),
         maxwell_components=comps,
         polynomial_roots=proots, method=method, cross_discrepancy=cross,
         roots_near_one=int(np.sum(~valid)),
@@ -557,8 +568,8 @@ class ThresholdPoint:
     collective_max_abs_mu: float
 
 
-def threshold_scan(e: Ensemble, kappa: float, pump_grid: Sequence[float],
-                   verdict_tol: float = VERDICT_TOL) -> List[ThresholdPoint]:
+def threshold_scan(e: Ensemble, kappa: float,
+                   pump_grid: Sequence[float]) -> List[ThresholdPoint]:
     """Sweep the pumping amplitude and record the polynomial verdict at each
     point.
 
@@ -571,7 +582,7 @@ def threshold_scan(e: Ensemble, kappa: float, pump_grid: Sequence[float],
     points = []
     for ap in pump_grid:
         bd = base.with_pump_factor(e.pump_factor(float(ap)))
-        rep = resonance_verdict(bd, verdict_tol=verdict_tol)
+        rep = resonance_verdict(bd)
         points.append(ThresholdPoint(
             pump_amplitude=float(ap), max_abs_mu=rep.max_abs_mu,
             resonance=rep.resonance, maxwell_floor=rep.maxwell_floor,

@@ -1,8 +1,9 @@
 """The CLI exit-code contract: any config and any argv end in exit 0, 2 or 3.
 
 Hypothesis draws a small dimensionless config whose numeric keys take finite,
-non-finite or unparsable values, and argv numbers that include 0, negatives,
-NaN and infinities.  Sizes (N, --periods, --samples-per-period, --steps) are
+non-finite or unparsable values, whose medium is H1 or H2 with or without a
+crystal axis (so H1 with an axis and H2 without one are both refused), and
+argv numbers that include 0, negatives, NaN and infinities.  Sizes (N, --periods, --samples-per-period, --steps) are
 small or above the memory cap, so no example allocates much.  `cli.main` runs
 in-process and writes only under tmp_path.
 An exception escaping `main` fails the test.
@@ -45,10 +46,12 @@ KEYS = [
     ("ensemble", "seed", st.integers(0, 2 ** 40).map(str), ["-3"], False),
     ("ensemble", "rescale_alpha_to_s", _reals(1e-5, 1.0), [], False),
     ("ensemble", "active_volume", _reals(3.4, 48.0), ["100"], False),
+    ("ensemble", "hypothesis", st.sampled_from(["H1", "H2"]), ["H3"], False),
+    ("ensemble", "crystal_axis", st.sampled_from(["1, 0, 0", "0, 0.6, 0.8"]),
+     ["0, 0, 0", "1, 2, x"], False),
     ("run", "rel_tol", _reals(1e-10, 1e-6), ["1"], False),
     ("run", "abs_tol", _reals(1e-12, 1e-8), ["1"], False),
     ("run", "max_step", _reals(1e-2, 1.0, math.inf), [], False),
-    ("run", "verdict_tol", _reals(0.0, 1e-9, 1.0), [], False),
 ]
 
 

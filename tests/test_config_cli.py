@@ -14,8 +14,7 @@ from mblaser.config import _ENSEMBLE_KEYS, load_config, paper_preset
 from mblaser.dynamics import OdeSettings
 from mblaser.ensemble import sample_ensemble, sum_S
 from mblaser.errors import ValidationError
-from mblaser.spectrum import (DENSE_CAP, VERDICT_TOL, assemble_blocks,
-                              resonance_verdict)
+from mblaser.spectrum import DENSE_CAP, assemble_blocks, resonance_verdict
 
 DIMLESS = """
 [dimensionless]
@@ -74,18 +73,28 @@ active_volume = 2.5
 rel_tol = 1e-10
 abs_tol = 1e-11
 max_step = 0.5
-verdict_tol = 1e-9
 """
 
 
-#: argv whose pumping squares beyond the float range, and its message
+def _pumped(gamma_scale: str) -> str:
+    return DIMLESS.replace("gamma_scale = 2.149e-7", f"gamma_scale = {gamma_scale}")
+
+
+#: (argv, config) whose pumping lies beyond the float range or the
+#: polynomial route's range, and the message
 PUMP_OVERFLOW = {
-    ("spectrum",):
+    (("spectrum",), _pumped("1e200")):
         "error: pumping rate max|gamma_n| = 9.75e+199 squares beyond the float "
         "range; lower gamma_scale or pump_amplitude\n",
-    ("threshold-scan", "--pump-min", "1e300", "--pump-max", "1e301"):
+    (("threshold-scan", "--pump-min", "1e300", "--pump-max", "1e301"), DIMLESS):
         "error: pumping out of float range: the detunings 2 pi^2 gamma_n^2 "
         "overflow at 1e+300 times the medium's pump amplitude\n",
+    (("spectrum",), _pumped("1e8")):
+        "error: pumping at 1 times the medium's pump amplitude lies beyond the "
+        "polynomial route's range: max detuning 2 pi^2 gamma_n^2 = 1.88e+17\n",
+    (("threshold-scan", "--pump-min", "1e14", "--pump-max", "1e15"), DIMLESS):
+        "error: pumping at 1.62e+14 times the medium's pump amplitude lies beyond "
+        "the polynomial route's range: max detuning 2 pi^2 gamma_n^2 = 2.26e+16\n",
 }
 
 
@@ -143,21 +152,12 @@ class TestConfig:
         with pytest.raises(ValidationError):
             load_config(str(p))
 
-    def test_rejects_negative_verdict_tol(self, tmp_path):
-        p = tmp_path / "tol.cfg"
-        p.write_text(DIMLESS + "verdict_tol = -0.5\n")
-        with pytest.raises(ValidationError):
-            load_config(str(p))
-        p.write_text(DIMLESS + "verdict_tol = 0\n")
-        assert load_config(str(p)).verdict_tol == 0.0
-
     @pytest.mark.parametrize("run_section", ["[run]\n", ""])
     def test_empty_run_takes_the_library_defaults(self, tmp_path, run_section):
         p = tmp_path / "defaults.cfg"
         p.write_text(DIMLESS[:DIMLESS.index("[run]")] + run_section)
         cfg = load_config(str(p))
         assert cfg.settings == OdeSettings()
-        assert cfg.verdict_tol == VERDICT_TOL
 
     @pytest.mark.parametrize("text,message", [
         (PHYSICAL.replace("conductivity = 1e-2\n", ""),
@@ -173,6 +173,12 @@ class TestConfig:
          "unknown keys in [physical]: ['mode_index']"),
         (PHYSICAL.replace("[physical]", "[physical]\nactive_volume = 3.4"),
          "unknown keys in [physical]: ['active_volume']"),
+        # the verdict tolerance is the code's constant spectrum.VERDICT_TOL
+        (DIMLESS + "verdict_tol = 1e-9\n", "unknown keys in [run]: ['verdict_tol']"),
+        (DIMLESS.replace("[ensemble]", "[ensemble]\ncrystal_axis = 1, 0, 0"),
+         "H1 draws every dipole direction and takes no crystal axis"),
+        (DIMLESS.replace("hypothesis = H1", "hypothesis = H2\ncrystal_axis = nan, 0, 0"),
+         "crystal axis must be finite and nonzero, got (nan, 0.0, 0.0)"),
     ])
     def test_schema_messages(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "schema.cfg"
@@ -188,6 +194,14 @@ class TestConfig:
         out = tmp_path / "desk.json"
         assert main(["ensemble", "--config", dimless_cfg, "--out", str(out)]) == 0
         assert set(json.loads(out.read_text())["config"]["ensemble"]) == _ENSEMBLE_KEYS
+
+    def test_unset_geometry_is_reported(self, physical_cfg, tmp_path):
+        """A config that leaves the geometry unset reports the mode and
+        active volume it sampled."""
+        out = tmp_path / "ruby.json"
+        assert main(["ensemble", "--config", physical_cfg, "--out", str(out)]) == 0
+        block = json.loads(out.read_text())["config"]["ensemble"]
+        assert block["mode_index"] == [4, 1, 1] and block["active_volume"] == 3.4
 
     def test_bad_value_message_independent_of_hash_seed(self, tmp_path):
         """With two bad values in one section, the message names the same
@@ -227,8 +241,7 @@ class TestConfig:
                 "rescale_alpha_to_s": 1e-05, "crystal_axis": [0.0, 0.6, 0.8],
                 "active_volume": 2.5,
             },
-            "run": {"rel_tol": 1e-10, "abs_tol": 1e-11, "max_step": 0.5,
-                    "verdict_tol": 1e-09},
+            "run": {"rel_tol": 1e-10, "abs_tol": 1e-11, "max_step": 0.5},
         }
 
     def test_ensemble_geometry_samples_the_direct_call(self, tmp_path):
@@ -410,22 +423,18 @@ class TestCli:
         assert "verdict_tol" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_threshold_scan_uses_verdict_tol(self, tmp_path, monkeypatch):
-        import mblaser.cli as cli
-        seen = []
-        real = cli.threshold_scan
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("verdict_tol"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "threshold_scan", spy)
-        cfg = tmp_path / "tol.cfg"
-        cfg.write_text(DIMLESS + "verdict_tol = 0.25\n")
-        assert main(["threshold-scan", "--config", str(cfg), "--pump-min", "1",
-                     "--pump-max", "10", "--steps", "2",
-                     "--out", str(tmp_path / "scan.csv")]) == 0
-        assert seen == [0.25]
+    @pytest.mark.parametrize("argv,message", [
+        (["verify-all", "--config", "run.cfg"],
+         "unrecognized arguments: --config run.cfg"),
+        (["ensemble", "--config", "run.cfg", "--paper-constants"],
+         "argument --paper-constants: not allowed with argument --config"),
+    ])
+    def test_ignored_source_exits_2(self, argv, message, capsys):
+        """A config source the run would not read is refused."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["threshold-scan", "--pump-min", "1", "--pump-max", "10", "--steps", "0"],
@@ -520,13 +529,17 @@ class TestBadInputs:
         # the sampled point has |z_n| up to epsilon, the chart ends at 1/2
         ["poincare", "--epsilon", "0.6"],
         ["poincare", "--epsilon", "1e300"],
+        # pumping beyond the polynomial route's range (a key of PUMP_OVERFLOW)
+        ["threshold-scan", "--pump-min", "1e14", "--pump-max", "1e15"],
     ])
     @pytest.mark.filterwarnings("error")
     def test_bad_numeric_argument_exits_2(self, argv, dimless_cfg, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main(argv + ["--config", dimless_cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        if argv[1] == "--epsilon" and float(argv[2]) >= 0.5:
+        if (tuple(argv), DIMLESS) in PUMP_OVERFLOW:
+            assert err == PUMP_OVERFLOW[tuple(argv), DIMLESS]
+        elif argv[1] == "--epsilon" and float(argv[2]) >= 0.5:
             assert err == ("error: --epsilon must be below 1/2, the chart edge "
                            f"|z| = 1/2, got {float(argv[2])}\n")
         else:
@@ -542,9 +555,10 @@ class TestBadInputs:
                                        "hypothesis = H1\nn = 1e15")),
         (["ensemble"], DIMLESS.replace("hypothesis = H1\nn = 40",
                                        "hypothesis = H1\nn = 1e300")),
-        # pumping whose square overflows a float (keys of PUMP_OVERFLOW)
-        (["spectrum"], DIMLESS.replace("gamma_scale = 2.149e-7", "gamma_scale = 1e200")),
+        # pumping beyond the float or the polynomial range (keys of PUMP_OVERFLOW)
+        (["spectrum"], _pumped("1e200")),
         (["threshold-scan", "--pump-min", "1e300", "--pump-max", "1e301"], DIMLESS),
+        (["spectrum"], _pumped("1e8")),
     ])
     def test_oversized_request_exits_2(self, argv, cfg_text, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
@@ -552,8 +566,8 @@ class TestBadInputs:
         out = tmp_path / "out.csv"
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        if tuple(argv) in PUMP_OVERFLOW:
-            assert err == PUMP_OVERFLOW[tuple(argv)]
+        if (tuple(argv), cfg_text) in PUMP_OVERFLOW:
+            assert err == PUMP_OVERFLOW[tuple(argv), cfg_text]
         else:
             assert "GiB, above the 8 GiB cap" in err
         assert err.count("\n") == 1 and len(err) < 200, err

@@ -11,6 +11,17 @@ TWO_PI = 2.0 * np.pi
 # running integrals and the oracles of the collective constants: only tests
 # evaluate them (test_poincare imports integral_I from here)
 
+def _kernel_sum(kappa: float, weights, moment_args) -> complex:
+    """sum over the two characteristic roots of w_pm * M_n(c_pm, tau)."""
+    lam_p, lam_m = kernels.lam_roots(kappa)
+    dl = lam_p - lam_m
+    total = 0.0 + 0.0j
+    for sign, lam in ((1.0, lam_p), (-1.0, lam_m)):
+        w = weights(lam) * sign / dl
+        total += w * moment_args(lam)
+    return total
+
+
 def integral_I(tau: float, kappa: float, which: int) -> complex:
     """I1(tau) = int_0^tau e^{-i s} E(tau-s) ds  and
     I2(tau) = int_0^tau (s/2) cos(s) E(tau-s) ds.
@@ -26,12 +37,12 @@ def integral_I(tau: float, kappa: float, which: int) -> complex:
         return 0.0 + 0.0j
 
     if which == 1:
-        return kernels._kernel_sum(
+        return _kernel_sum(
             kappa,
             weights=lambda lam: np.exp(lam * tau),
             moment_args=lambda lam: kernels._exp_moment(-(1j + lam), 0, tau),
         )
-    return kernels._kernel_sum(
+    return _kernel_sum(
         kappa,
         weights=lambda lam: np.exp(lam * tau),
         moment_args=lambda lam: 0.25 * (kernels._exp_moment(1j - lam, 1, tau)

@@ -456,13 +456,6 @@ class TestThresholdScan:
             valid = np.abs(mult - 1.0) > cluster_guard(bd)
             assert p.collective_max_abs_mu == np.max(np.abs(mult[valid]))
 
-    def test_verdict_tol_is_used(self, small_ensemble):
-        grid = [1.0, 10.0]
-        assert not any(p.resonance for p in threshold_scan(small_ensemble, 1e-7, grid))
-        # a negative tolerance turns max|mu| = 1 into a resonance
-        loose = threshold_scan(small_ensemble, 1e-7, grid, verdict_tol=-0.5)
-        assert all(p.resonance for p in loose)
-
     def test_rejects_negative_pump(self, small_ensemble):
         with pytest.raises(ValidationError):
             threshold_scan(small_ensemble, 1e-7, [1.0, -1.0])
