@@ -416,6 +416,7 @@ class TestCli:
         ["threshold-scan", "--pump-min", "1", "--pump-max", "10"],
     ])
     def test_negative_verdict_tol_exits_2(self, argv, tmp_path, capsys):
+        """[run] verdict_tol is an unknown key, refused before any output."""
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(DIMLESS + "verdict_tol = -0.5\n")
         out = tmp_path / "out.txt"
