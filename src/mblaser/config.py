@@ -20,15 +20,21 @@ Exactly one of the two parameter sections must be present.  Example::
     rel_tol = 1e-10
     abs_tol = 1e-10
 
-Every report embeds the resolved configuration, so a run is reproducible from
-its own output.
+The keys of [physical], [dimensionless], [ensemble] and [run] are the fields
+of PhysicalParams, DimensionlessParams, RunConfig and OdeSettings, each read
+as its field's annotated type.  Parameter keys are required; others default
+as their fields do, except [ensemble] n: [dimensionless] n, which it may only
+restate, or min(molecule_count, 10^6).  Every report embeds the resolved
+configuration, so a run is reproducible from its own output.
 """
 from __future__ import annotations
 
 import configparser
+import functools
 import math
-from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field
+from typing import (Optional, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 from .dynamics import OdeSettings
 from .ensemble import (DEFAULT_ACTIVE_VOLUME, DEFAULT_MODE_INDEX, Ensemble,
@@ -37,55 +43,61 @@ from .errors import ValidationError
 from .model import DimensionlessParams, PhysicalParams, ruby_params
 
 
-def _keys(cls) -> set:
-    return {f.name for f in fields(cls)}
+#: a schema class's fields and their resolved annotations, cached: resolving
+#: them costs about 0.1 ms a class, more than the rest of a section's parse
+_hints = functools.cache(get_type_hints)
 
 
-# the INI keys of [physical], [dimensionless] and [run] are the fields of the
-# dataclasses they build, each parameter key required; [ensemble]'s are
-# RunConfig's
-_PARAM_KEYS = {"physical": _keys(PhysicalParams),
-               "dimensionless": _keys(DimensionlessParams)}
-_RUN_KEYS = _keys(OdeSettings)
-
-
-def _triple(raw: str, name: str, cast=float) -> Tuple:
-    parts = [p.strip() for p in raw.replace("(", "").replace(")", "").split(",")]
-    if len(parts) != 3:
-        raise ValidationError(f"{name} must be a comma-separated triple, got {raw!r}")
+def _cast(raw: str, key: str, kind):
+    """``raw`` read as the annotated type ``kind``: str is stripped, float is
+    a real, int a whole number read as a real, Tuple[X, X, X] a
+    comma-separated triple of X, and Optional[X] is read as X."""
+    if get_origin(kind) is Union:
+        kind = get_args(kind)[0]
+    if get_origin(kind) is tuple:
+        parts = [p.strip() for p in raw.replace("(", "").replace(")", "").split(",")]
+        if len(parts) != 3:
+            raise ValidationError(f"{key} must be a comma-separated triple, got {raw!r}")
+        try:
+            return tuple(get_args(kind)[0](p) for p in parts)
+        except ValueError as exc:
+            raise ValidationError(f"bad {key}: {exc}") from exc
+    if kind is str:
+        return raw.strip()
     try:
-        return tuple(cast(p) for p in parts)
+        value = float(raw)
     except ValueError as exc:
-        raise ValidationError(f"bad {name}: {exc}") from exc
+        raise ValidationError(f"bad value for {key}: {exc}") from exc
+    if kind is int:
+        if not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {value!r}")
+        if int(value) != value:
+            raise ValidationError(f"{key} must be a whole number, got {value!r}")
+        value = int(value)
+    return value
 
 
-def _floats(section, keys):
-    out = {}
-    for key in sorted(keys):  # the first bad key named is the same on every run
-        if key in section:
-            try:
-                out[key] = float(section[key])
-            except ValueError as exc:
-                raise ValidationError(f"bad value for {key}: {exc}") from exc
-    return out
-
-
-def _count(value: float, key: str) -> int:
-    if not math.isfinite(value):
-        raise ValidationError(f"{key} must be finite, got {value!r}")
-    count = int(value)
-    if count != value:
-        raise ValidationError(f"{key} must be a whole number, got {value!r}")
-    return count
+def _section(parser, name: str, cls, keys=None, required=False) -> dict:
+    """The keys section [name] sets (``keys``, else all of ``cls``'s fields),
+    each cast by the annotation of its field.  Unknown keys are refused, then
+    missing ones, then bad values in sorted order: the same key on every run."""
+    keys = _hints(cls).keys() if keys is None else keys
+    sec = parser[name] if parser.has_section(name) else {}
+    if set(sec) - keys:
+        raise ValidationError(f"unknown keys in [{name}]: {sorted(set(sec) - keys)}")
+    if required and keys - set(sec):
+        raise ValidationError(f"[{name}] missing keys: {sorted(keys - set(sec))}")
+    return {key: _cast(sec[key], key, _hints(cls)[key]) for key in sorted(sec)}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration: parameters, ensemble spec, solver options."""
+    """Validated configuration: parameters, ensemble spec, solver options.
+    Its fields besides ``params`` and ``settings`` are the [ensemble] keys."""
 
     params: Union[PhysicalParams, DimensionlessParams]
+    n: int
     hypothesis: str = "H1"
-    n: int = 100
     seed: int = 0
     mode_index: Tuple[int, int, int] = DEFAULT_MODE_INDEX
     rescale_alpha_to_s: Optional[float] = None
@@ -119,13 +131,7 @@ class RunConfig:
         }
 
 
-_ENSEMBLE_KEYS = _keys(RunConfig) - {"params", "settings"}
-
-
-def _check_keys(section, allowed, name):
-    extra = set(section.keys()) - allowed
-    if extra:
-        raise ValidationError(f"unknown keys in [{name}]: {sorted(extra)}")
+_ENSEMBLE_KEYS = _hints(RunConfig).keys() - {"params", "settings"}
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
@@ -139,52 +145,30 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         raise ValidationError(f"config file not found or unreadable: {path}")
 
     has_phys = parser.has_section("physical")
-    has_dim = parser.has_section("dimensionless")
-    if has_phys == has_dim:
+    if has_phys == parser.has_section("dimensionless"):
         raise ValidationError(
             "config must contain exactly one of [physical] or [dimensionless]")
+    kind, cls = (("physical", PhysicalParams) if has_phys
+                 else ("dimensionless", DimensionlessParams))
+    params = cls(**_section(parser, kind, cls, required=True))
 
-    kind = "physical" if has_phys else "dimensionless"
-    sec, keys = parser[kind], _PARAM_KEYS[kind]
-    _check_keys(sec, keys, kind)
-    missing = keys - set(sec.keys())
-    if missing:
-        raise ValidationError(f"[{kind}] missing keys: {sorted(missing)}")
-    vals = _floats(sec, keys - {"cavity_dims"})
+    spec = _section(parser, "ensemble", RunConfig, _ENSEMBLE_KEYS)
+    if spec.get("hypothesis") not in (None, "H1", "H2"):
+        raise ValidationError(f"hypothesis must be H1 or H2, got {spec['hypothesis']!r}")
     if has_phys:
-        params = PhysicalParams(**vals, cavity_dims=_triple(sec["cavity_dims"], "cavity_dims"))
-    else:
-        params = DimensionlessParams(**{**vals, "n": _count(vals["n"], "n")})
-
-    ens = parser["ensemble"] if parser.has_section("ensemble") else {}
-    if ens:
-        _check_keys(ens, _ENSEMBLE_KEYS, "ensemble")
-    hypothesis = ens.get("hypothesis", "H1").strip()
-    if hypothesis not in ("H1", "H2"):
-        raise ValidationError(f"hypothesis must be H1 or H2, got {hypothesis!r}")
-    n_default = params.n if isinstance(params, DimensionlessParams) \
-        else int(min(params.molecule_count, 10 ** 6))
-    spec = _floats(ens, {"n", "seed", "rescale_alpha_to_s", "active_volume"})
-    spec["hypothesis"] = hypothesis
-    spec["n"] = _count(spec.get("n", n_default), "n")
-    spec["seed"] = _count(spec.get("seed", 0), "seed")
+        spec.setdefault("n", int(min(params.molecule_count, 10 ** 6)))
+    elif spec.setdefault("n", params.n) != params.n:
+        raise ValidationError(f"[ensemble] n = {spec['n']} differs from "
+                              f"[dimensionless] n = {params.n}; N takes one value")
     if seed_override is not None:
         spec["seed"] = int(seed_override)
-    for key, cast in (("mode_index", int), ("crystal_axis", float)):
-        if key in ens:
-            spec[key] = _triple(ens[key], key, cast)
 
-    run = parser["run"] if parser.has_section("run") else {}
-    if run:
-        _check_keys(run, _RUN_KEYS, "run")
-    settings = OdeSettings(**_floats(run, _RUN_KEYS))
+    settings = OdeSettings(**_section(parser, "run", OdeSettings))
     return RunConfig(params=params, settings=settings, **spec)
 
 
 def paper_preset(seed: int = 0) -> RunConfig:
     """Ruby-laser constants with a desk-sized ensemble (N = 1000) rescaled to
     S = 1e-5."""
-    return RunConfig(
-        params=ruby_params(), hypothesis="H1", n=1000, seed=seed,
-        rescale_alpha_to_s=1e-5,
-    )
+    return RunConfig(params=ruby_params(), n=1000, seed=seed,
+                     rescale_alpha_to_s=1e-5)

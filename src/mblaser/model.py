@@ -48,20 +48,26 @@ class PhysicalParams:
     molecule_count: float            # N (can exceed 2**53; float is fine)
 
     def __post_init__(self):
-        positive = {
-            "pump_frequency": self.pump_frequency,
-            "dipole_magnitude": self.dipole_magnitude,
-            "molecule_count": self.molecule_count,
-        }
-        for name, value in positive.items():
+        for name in ("pump_frequency", "dipole_magnitude", "molecule_count"):
+            value = getattr(self, name)
             if not value > 0:
                 raise ValidationError(f"{name} must be positive, got {value!r}")
-        if self.pump_amplitude < 0:
-            raise ValidationError("pump_amplitude must be >= 0")
-        if self.conductivity < 0:
-            raise ValidationError("conductivity must be >= 0")
+        for name in ("pump_amplitude", "conductivity"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
         if any(d <= 0 for d in self.cavity_dims):
             raise ValidationError("cavity dimensions must be positive")
+        for name, value in vars(self).items():
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
+        hbar_omega = self.pump_frequency * HBAR
+        for what, value in (
+                ("kappa = c conductivity/(2 pump_frequency)", self.kappa),
+                ("a coupling scale of dipole_magnitude, pump_amplitude and "
+                 "pump_frequency", max(self.coupling_scales(1.0))),
+                ("2/(pump_frequency hbar)", 2.0 / hbar_omega if hbar_omega else np.inf)):
+            if not value < np.inf:
+                raise ValidationError(f"{what} lies beyond the float range")
 
     @property
     def cavity_volume(self) -> float:

@@ -336,7 +336,8 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
     within O(sqrt(S)) of 1).  Descending, monic, length 7; the constant
     coefficient vanishes identically (one exact root at mu = 1, two when all
     gamma_n = 0).  Pumping strong enough that the other coefficients swamp the
-    leading one for `poly_roots` is refused as a ValidationError.
+    leading one for `poly_roots`, or an S whose coefficients overflow, is
+    refused as a ValidationError.
     """
     g = bd.gamma_sq_sum
     B = bd.v_border
@@ -354,10 +355,15 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
     ])
     coeffs = np.linalg.det(B) * (np.convolve(schur[:, 0, 0], schur[:, 1, 1])
                                  - np.convolve(schur[:, 0, 1], schur[:, 1, 0]))
-    if abs(coeffs[0] - 1.0) > 1e-9:
+    # each comparison is written so that NaN fails it
+    if not abs(coeffs[0] - 1.0) <= 1e-9:
         raise NumericsError("characteristic polynomial did not come out monic degree 6")
     coeffs = coeffs / coeffs[0]
-    if 1.0 < _LEADING_RATIO * math.hypot(*coeffs):
+    size = math.hypot(*coeffs)
+    if not size < math.inf:
+        raise ValidationError(f"synchronization sum S = {bd.S:.3g} puts the characteristic "
+                              "polynomial beyond the float range; lower S")
+    if not _LEADING_RATIO * size <= 1.0:
         raise ValidationError(
             f"pumping at {bd.pump_factor:.3g} times the medium's pump amplitude lies "
             "beyond the polynomial route's range: max detuning 2 pi^2 gamma_n^2 = "
@@ -371,7 +377,7 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
     if coeffs.ndim != 1 or coeffs.size != 7:
         raise ValidationError("expected 7 descending coefficients (degree 6)")
     scale = np.linalg.norm(coeffs)
-    if abs(coeffs[0]) < _LEADING_RATIO * scale:
+    if not abs(coeffs[0]) >= _LEADING_RATIO * scale:  # NaN fails too
         raise ValidationError("leading coefficient vanishes: not degree 6")
     roots = np.roots(coeffs)
     dcoeffs = np.polyder(coeffs)

@@ -1,19 +1,25 @@
 """The CLI exit-code contract: any config and any argv end in exit 0, 2 or 3.
 
-Hypothesis draws a small dimensionless config whose numeric keys take finite,
-non-finite or unparsable values, whose medium is H1 or H2 with or without a
-crystal axis (so H1 with an axis and H2 without one are both refused), and
-argv numbers that include 0, negatives, NaN and infinities.  Sizes (N, --periods, --samples-per-period, --steps) are
-small or above the memory cap, so no example allocates much.  `cli.main` runs
-in-process and writes only under tmp_path.
-An exception escaping `main` fails the test.
+Hypothesis draws a small [dimensionless] or [physical] config whose keys take
+usable, non-finite or unparsable values (the [physical] ones near the ruby
+constants, or beyond the float range once combined), whose medium is H1 or
+H2 with or without a crystal axis (so H1 with an axis and H2 without one are
+both refused), and argv numbers that include 0, negatives, NaN and
+infinities.  [ensemble] n restates [dimensionless] n unless it is drawn bad.
+Sizes (N, --periods, --samples-per-period, --steps) are small or above the
+memory cap, so no example allocates much.  `cli.main` runs in-process and
+writes only under tmp_path.  An exception escaping `main` fails the test.
 """
 import math
+from dataclasses import fields
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mblaser.cli import main
+from mblaser.config import _ENSEMBLE_KEYS
+from mblaser.dynamics import OdeSettings
+from mblaser.model import DimensionlessParams, PhysicalParams
 
 #: values no numeric key accepts, or that parse but lie outside every range
 BAD = ["nan", "inf", "-inf", "abc", "", "1e", "0x10", "1,2", "--", "-1", "0"]
@@ -37,6 +43,13 @@ def _counts(lo, hi, huge):
 
 #: (section, key, usable values, extra bad values, required)
 KEYS = [
+    ("physical", "pump_frequency", _reals(1e15, 3e15, 1e16), ["1e-300"], True),
+    ("physical", "pump_amplitude", _reals(0.0, 1.7e-6, 1e-5), [], True),
+    ("physical", "dipole_magnitude", _reals(1e-18, 4e-18), ["1e300"], True),
+    ("physical", "conductivity", _reals(0.0, 10.0, 100.0), ["1e300"], True),
+    ("physical", "cavity_dims", st.sampled_from(["12, 2, 2", "10, 3, 3"]),
+     ["0, 2, 2", "inf, 2, 2"], True),
+    ("physical", "molecule_count", _reals(1e3, 1e20), [], True),
     ("dimensionless", "kappa", _reals(0.0, 1e-7, 1e-3), ["0.5"], True),
     ("dimensionless", "alpha_scale", _reals(0.0, 1.155e-23, 1.0), [], True),
     ("dimensionless", "beta_scale", _reals(0.0, 1.824e-2, 1.0), [], True),
@@ -44,6 +57,8 @@ KEYS = [
     ("dimensionless", "n", _counts(1, 8, HUGE_N), ["2.5"], True),
     ("ensemble", "n", _counts(1, 8, HUGE_N), ["2.5"], False),
     ("ensemble", "seed", st.integers(0, 2 ** 40).map(str), ["-3"], False),
+    ("ensemble", "mode_index", st.sampled_from(["4, 1, 1", "3, 1, 1", "1, 2, 1"]),
+     ["0, 1, 1", "4, 1.5, 1", "4, 1"], False),
     ("ensemble", "rescale_alpha_to_s", _reals(1e-5, 1.0), [], False),
     ("ensemble", "active_volume", _reals(3.4, 48.0), ["100"], False),
     ("ensemble", "hypothesis", st.sampled_from(["H1", "H2"]), ["H3"], False),
@@ -57,19 +72,33 @@ KEYS = [
 
 @st.composite
 def configs(draw):
-    """An INI text in which at most two keys take a bad value."""
-    bad_keys = draw(st.sets(st.integers(0, len(KEYS) - 1), max_size=2))
-    sections = {"dimensionless": [], "ensemble": [], "run": []}
-    for i, (section, key, usable, extra_bad, required) in enumerate(KEYS):
-        if i in bad_keys:
-            value = draw(st.sampled_from(BAD + extra_bad))
+    """An INI text of one parameter section in which at most two keys take a
+    bad value."""
+    kind = draw(st.sampled_from(["dimensionless", "physical"]))
+    rows = [row for row in KEYS if row[0] in (kind, "ensemble", "run")]
+    bad_keys = draw(st.sets(st.sampled_from([row[:2] for row in rows]), max_size=2))
+    sections = {kind: {}, "ensemble": {}, "run": {}}
+    for section, key, usable, extra_bad, required in rows:
+        if (section, key) in bad_keys:
+            # a key's own bad values are drawn as often as all of BAD
+            value = draw(st.sampled_from(
+                extra_bad if extra_bad and draw(st.booleans()) else BAD))
+        elif (section, key) == ("ensemble", "n"):
+            # N has one value: restate [dimensionless] n or leave it out.  A
+            # [physical] ensemble is always sized, else it samples 1e6 molecules
+            if kind == "physical":
+                value = draw(usable)
+            elif draw(st.booleans()):
+                value = sections[kind]["n"]
+            else:
+                continue
         elif required or draw(st.booleans()):
             value = draw(usable)
         else:
             continue
-        sections[section].append(f"{key} = {value}")
-    return "".join(f"[{name}]\n" + "".join(line + "\n" for line in lines)
-                   for name, lines in sections.items())
+        sections[section][key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
 
 
 def _real(*finite_range, huge=()):
@@ -113,3 +142,13 @@ def test_exit_code_contract(cfg_text, command, tmp_path):
     cfg.write_text(cfg_text)
     rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / f"out{suffix}")])
     assert rc in (0, 2, 3)
+
+
+def test_keys_cover_the_schema():
+    """KEYS draws every field of the four schema dataclasses."""
+    schema = {(name, f.name) for name, cls in (("physical", PhysicalParams),
+                                               ("dimensionless", DimensionlessParams),
+                                               ("run", OdeSettings))
+              for f in fields(cls)}
+    schema |= {("ensemble", key) for key in _ENSEMBLE_KEYS}
+    assert {row[:2] for row in KEYS} == schema

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,13 @@ rel_tol = 1e-10
 abs_tol = 1e-11
 max_step = 0.5
 """
+
+
+def _set_keys(text: str, values: dict) -> str:
+    """``text`` with each named key's line set to the given value."""
+    for key, value in values.items():
+        text = re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text)
+    return text
 
 
 def _pumped(gamma_scale: str) -> str:
@@ -179,6 +187,9 @@ class TestConfig:
          "H1 draws every dipole direction and takes no crystal axis"),
         (DIMLESS.replace("hypothesis = H1", "hypothesis = H2\ncrystal_axis = nan, 0, 0"),
          "crystal axis must be finite and nonzero, got (nan, 0.0, 0.0)"),
+        # [dimensionless] n owns N: [ensemble] n may restate it, not change it
+        (DIMLESS.replace("hypothesis = H1\nn = 40", "hypothesis = H1\nn = 300"),
+         "[ensemble] n = 300 differs from [dimensionless] n = 40; N takes one value"),
     ])
     def test_schema_messages(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "schema.cfg"
@@ -243,6 +254,28 @@ class TestConfig:
             },
             "run": {"rel_tol": 1e-10, "abs_tol": 1e-11, "max_step": 0.5},
         }
+
+    @pytest.mark.parametrize("text", [PHYSICAL_H2, DIMLESS, None],
+                             ids=["physical_h2", "dimensionless", "paper_preset"])
+    def test_report_config_reloads_to_the_same_run(self, text, tmp_path):
+        """The config block of a report, written back as INI, loads to an
+        equal RunConfig: a run is reproducible from its own output."""
+        if text is None:
+            run = paper_preset(3)
+        else:
+            (tmp_path / "source.cfg").write_text(text)
+            run = load_config(str(tmp_path / "source.cfg"))
+        block = json.loads(json.dumps(run.describe()))
+        params = block["params"]
+        sections = {params.pop("kind"): params, "ensemble": block["ensemble"],
+                    "run": block["run"]}
+        again = tmp_path / "again.cfg"
+        again.write_text("".join(
+            f"[{name}]\n" + "".join(
+                f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}\n"
+                for key, v in keys.items() if v is not None)
+            for name, keys in sections.items()))
+        assert load_config(str(again)) == run
 
     def test_ensemble_geometry_samples_the_direct_call(self, tmp_path):
         """mode_index and active_volume set under [ensemble] sample the medium
@@ -491,6 +524,46 @@ class TestBadInputs:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values,message", [
+        ({"conductivity": "inf"}, "conductivity must be finite, got inf"),
+        ({"conductivity": "1e300"},
+         "kappa = c conductivity/(2 pump_frequency) lies beyond the float range"),
+        ({"cavity_dims": "inf, 2, 2"}, "cavity_dims must be finite, got (inf, 2.0, 2.0)"),
+        ({"pump_frequency": "1e-300"},
+         "kappa = c conductivity/(2 pump_frequency) lies beyond the float range"),
+        ({"pump_amplitude": "inf"}, "pump_amplitude must be finite, got inf"),
+        ({"dipole_magnitude": "1e300"},
+         "a coupling scale of dipole_magnitude, pump_amplitude and pump_frequency "
+         "lies beyond the float range"),
+        ({"conductivity": "0", "pump_frequency": "1e-300"},
+         "2/(pump_frequency hbar) lies beyond the float range"),
+    ])
+    def test_physical_value_beyond_float_range_exits_2(self, values, message,
+                                                       tmp_path, capsys):
+        """Non-finite [physical] values, and values whose kappa, coupling
+        scales or S weight leave the float range, are refused by name."""
+        cfg = tmp_path / "ruby.cfg"
+        cfg.write_text(_set_keys(PHYSICAL, values))
+        out = tmp_path / "out.json"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["alpha_scale", "beta_scale"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_polynomial_overflow_names_S(self, key, tmp_path, capsys):
+        """An unrescaled scale of 1e300 overflows the characteristic
+        polynomial to NaN; the refusal names S, not the pumping."""
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(_set_keys(DIMLESS.replace("rescale_alpha_to_s = 1e-5\n", ""),
+                                 {key: "1e300"}))
+        out = tmp_path / "out.json"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: synchronization sum S = ") and "pumping" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method,n", [("DOP853", "40"), ("Radau", "1e5")])
     def test_method_key_is_unknown(self, method, n, tmp_path, capsys):
         """DOP853 is the only integrator: naming any method, even that one,
@@ -552,10 +625,9 @@ class TestBadInputs:
         (["simulate", "--samples-per-period", "100000000000"], DIMLESS),
         (["threshold-scan", "--pump-min", "1", "--pump-max", "10",
           "--steps", "1000000000000"], DIMLESS),
-        (["ensemble"], DIMLESS.replace("hypothesis = H1\nn = 40",
-                                       "hypothesis = H1\nn = 1e15")),
-        (["ensemble"], DIMLESS.replace("hypothesis = H1\nn = 40",
-                                       "hypothesis = H1\nn = 1e300")),
+        # both n keys, which must agree
+        (["ensemble"], DIMLESS.replace("n = 40", "n = 1e15")),
+        (["ensemble"], DIMLESS.replace("n = 40", "n = 1e300")),
         # pumping beyond the float or the polynomial range (keys of PUMP_OVERFLOW)
         (["spectrum"], _pumped("1e200")),
         (["threshold-scan", "--pump-min", "1e300", "--pump-max", "1e301"], DIMLESS),

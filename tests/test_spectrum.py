@@ -281,6 +281,11 @@ class TestPolyRoots:
         with pytest.raises(ValidationError):
             poly_roots(np.array([0.0, 1, 0, 0, 0, 0, 1]))
 
+    def test_nan_coefficient_is_refused(self):
+        """A NaN makes the degree undecidable: refused before `np.roots`."""
+        with pytest.raises(ValidationError):
+            poly_roots(np.array([1.0, np.nan, 0, 0, 0, 0, 1]))
+
 
 class TestEigenvectors:
     def test_back_substitution_residuals(self):
