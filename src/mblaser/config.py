@@ -158,8 +158,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     if has_phys:
         spec.setdefault("n", int(min(params.molecule_count, 10 ** 6)))
     elif spec.setdefault("n", params.n) != params.n:
-        raise ValidationError(f"[ensemble] n = {spec['n']} differs from "
-                              f"[dimensionless] n = {params.n}; N takes one value")
+        raise ValidationError(f"[ensemble] n = {spec['n']:.12g} differs from "
+                              f"[dimensionless] n = {params.n:.12g}; N takes one value")
     if seed_override is not None:
         spec["seed"] = int(seed_override)
 

@@ -190,6 +190,8 @@ class TestConfig:
         # [dimensionless] n owns N: [ensemble] n may restate it, not change it
         (DIMLESS.replace("hypothesis = H1\nn = 40", "hypothesis = H1\nn = 300"),
          "[ensemble] n = 300 differs from [dimensionless] n = 40; N takes one value"),
+        (DIMLESS.replace("n = 40\n\n[ensemble]", "n = 1e300\n\n[ensemble]"),
+         "[ensemble] n = 40 differs from [dimensionless] n = 1e+300; N takes one value"),
     ])
     def test_schema_messages(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "schema.cfg"
