@@ -48,12 +48,29 @@ def _open_out(path: str):
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    """Write strict JSON: a non-finite value is a named numeric failure."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=_json_default)
+    except ValueError:
+        raise NumericsError(f"{_non_finite_key(payload)} is not finite; "
+                            "nothing written") from None
     if path:
         with _open_out(path) as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _non_finite_key(obj, path: str = "report") -> Optional[str]:
+    """Dotted key of the first non-finite number in a report, or None."""
+    if isinstance(obj, dict):
+        found = (_non_finite_key(v, f"{path}.{k}") for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple, np.ndarray)) and np.ndim(obj):
+        found = (_non_finite_key(v, f"{path}[{i}]") for i, v in enumerate(obj))
+    else:
+        return path if isinstance(obj, (float, complex)) and not np.isfinite(obj) else None
+    return next(filter(None, found), None)
 
 
 def _json_default(obj):

@@ -20,8 +20,10 @@ Only the exact forms are computed here, except J1 and J2, whose closed forms
 (`constants_J`) hold to O(kappa^2).  The classic leading-order
 expressions (e^{-kappa tau} sin tau for E, the truncated I1/I2, and the real
 A/B component tables) live in the tests that pin their O(kappa^2) truncation
-order, as do the running integrals I1(tau), I2(tau) and the oracles of the
-collective constants, which only the tests evaluate.
+order, as do the running integrals I1(tau), I2(tau), which only the tests
+evaluate.  The collective response kernels of the period-map differential are
+not computed here: `spectrum.BlockDifferential.propagator` gives them exactly,
+and the tests check its S -> 0 limit against their quadrature oracles.
 """
 from __future__ import annotations
 
@@ -245,38 +247,3 @@ def constants_AB_oracle(kappa: float, tol: float = 1e-12) -> dict:
     out["B3"] = quadrature(lambda t: t * np.cos(t) * Ed(two_pi - t), 0, two_pi, tol).real
     return out
 
-
-# ---------------------------------------------------------------------------
-# collective one-period response kernel
-# ---------------------------------------------------------------------------
-
-#: Complex coefficient of the second-order collective feedback over one period:
-#: a molecular coordinate z drives the field, whose response drives z (and the
-#: field itself) back.  xi = -(1/2) * int_0^2pi e^{it} int_0^t e^{-is} E'(t-s) ds dt
-#: evaluated at kappa = 0; kappa-corrections enter only at the dropped
-#: O(kappa * S) order.
-RESPONSE_XI: complex = complex(-PI ** 2 / 2.0, -PI / 4.0)
-
-
-def response_kernel() -> np.ndarray:
-    """Real 2x2 representation of RESPONSE_XI acting on (Re, Im) pairs."""
-    return np.array([[RESPONSE_XI.real, -RESPONSE_XI.imag],
-                     [RESPONSE_XI.imag, RESPONSE_XI.real]])
-
-
-#: One-period dressing of the molecular response to the field by the
-#: collective current it excites on the way (per unit synchronization sum S).
-#: For a unit perturbation along a0 (free field mode -E) or b0 (mode E'),
-#: the chain  field -> molecules -> current -> field  adds
-#:     delta(dz_n/d a0) = beta_n S * W_DRESS_A,   same with B for b0,
-#: where (at kappa = 0, exactly)
-#:     W_DRESS_A = pi^3/6 + pi/8 + i pi^2/4
-#:     W_DRESS_B = -pi^2/4 + i (pi^3/6 - pi/8).
-W_DRESS_A: complex = complex(PI ** 3 / 6.0 + PI / 8.0, PI ** 2 / 4.0)
-W_DRESS_B: complex = complex(-PI ** 2 / 4.0, PI ** 3 / 6.0 - PI / 8.0)
-
-
-def border_dressing() -> np.ndarray:
-    """Real 2x2 kernel [[Re wa, Re wb], [Im wa, Im wb]] of the W dressing."""
-    return np.array([[W_DRESS_A.real, W_DRESS_B.real],
-                     [W_DRESS_A.imag, W_DRESS_B.imag]])

@@ -1,33 +1,42 @@
 """Multiplier spectrum of the period-map differential at the ground state.
 
-The differential has a bordered block structure in the reduced coordinates
-(a, b, Re z_1, Im z_1, ...):
+At the ground state the linearized reduced chart closes on the field (a, b)
+and on Z = sum alpha_n z_n.  In the rotating frame W = Z e^{-i tau} = u + iv,
+with one unit-beta molecule zeta = p + iq rotated alike, its coefficients are
+constant (S = sum alpha_n beta_n):
 
-    [ M    V_1 ... V_N ]        M   = (1 - 2 pi kappa) I + S m
-    [ W_1  D_1+X_11 ...]        V_n = +pi alpha_n K
-    [ ...       ...    ]        W_n = beta_n Wb,  Wb = -pi K + S * dressing
-    [ W_N  ...  D_N+X_NN]       X_nn' = beta_n alpha_n' m
+    a' = b,  b' = -a - 2 kappa b + v,  u' = v,  v' = -u - S b,  p' = q,  q' = -p - b.
 
-with K = [[1-kappa pi, kappa/2], [-kappa/2, 1-kappa pi]], S = sum alpha_n
-beta_n, and m the real representation of the one-period response coefficient
-xi = -pi^2/2 - i pi/4 (kernels.RESPONSE_XI).  D_n = diag(1, 1 - delta_n) is
-the local molecular propagator block, with the second-order pumping
-correction delta_n = 2 pi^2 gamma_n^2.  Every block is pinned against the
-finite-difference Jacobian of the numerically integrated period map.  The
-blocks are kept as the per-molecule scalars times the shared 2x2 kernels;
-dense assembly writes them straight from those scalars.
+The frame is back in place at tau = 2 pi, so the propagator P = expm(2 pi A)
+in the order (a, b, u, v, p, q) gives the blocks in the reduced coordinates
+(a, b, Re z_1, Im z_1, ...) exactly in S and kappa, S = 0 included:
+
+    [ M    V_1 ... V_N ]        M   = P[ab, ab]
+    [ W_1  D_1+X_11 ...]        V_n = alpha_n Vb,  Vb = P[ab, uv]
+    [ ...       ...    ]        W_n = beta_n Wb,   Wb = P[pq, ab]
+    [ W_N  ...  D_N+X_NN]       X_nn' = beta_n alpha_n' Xb,  Xb = P[pq, uv]
+
+Their S -> 0 limit at kappa = 0 is the successive-approximation map's (Vb =
+pi I, Xb the response coefficient -pi^2/2 - i pi/4, an O(S) W dressing).
+D_n = diag(1, 1 - delta_n), delta_n = 2 pi^2 gamma_n^2, is the local
+molecular block; the other O(gamma^2) pump terms are not included.  At zero
+pump E = a^2 + b^2 + |W|^2/S decays at the rate 4 kappa b^2 and the Floquet
+exponents sum to -2 kappa, so no multiplier leaves the unit circle.  The
+blocks are pinned against the finite-difference Jacobian of the numeric
+period map; dense assembly writes them straight from the per-molecule
+scalars and the shared 2x2 kernels.
 
 Eliminating the molecular rows reduces the eigenproblem to a 2x2 family
 
-    M(mu) = (M - mu) + pi K (I - R(mu) m)^{-1} R(mu) Wb,
+    M(mu) = (M - mu) + Vb (I - R(mu) Xb)^{-1} R(mu) Wb,
     R(mu) = diag( S/(mu-1),  sum_n alpha_n beta_n / (mu - 1 + delta_n) ),
 
 whose determinant, cleared of the (mu-1)^2 denominators using the expansion
 sum_n alpha_n beta_n/(mu-1+delta_n) ~ S/(mu-1) - 2 pi^2 G/(mu-1)^2
 (G = sum alpha_n beta_n gamma_n^2), is a degree-six polynomial.  It is the
 determinant of a 4x4 polynomial system whose field-row/molecular-column block
-pi K is constant and invertible, so it is computed as the Schur form
-det(pi K) det(C - D (pi K)^{-1} A), a 2x2 determinant of cubics.  One root
+Vb is constant and invertible, so it is computed as the Schur form
+det(Vb) det(C - D Vb^{-1} A), a 2x2 determinant of cubics.  One root
 always sits exactly at mu = 1 (two when all gamma_n = 0): the nontrivial
 content is a quartic, and the remaining multipliers of the full matrix
 cluster near 1 and near the eigenvalues of D_n.
@@ -52,10 +61,10 @@ from functools import cached_property
 from typing import List, Literal, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
 from .ensemble import Ensemble
 from .errors import CapacityError, NumericsError, ValidationError
-from .kernels import border_dressing, response_kernel
 
 PI = np.pi
 DENSE_CAP = 500
@@ -79,12 +88,8 @@ SERIES_TERMS = 18
 _MOMENT_BLOCK = 16384
 #: largest ratio of the reduced matrix's singular values at an eigenvalue
 _NULL_TOL = 1e-4
-
-
-def coupling_matrix(kappa: float) -> np.ndarray:
-    """The 2x2 kernel K shared by the V and W borders."""
-    return np.array([[1.0 - kappa * PI, kappa / 2.0],
-                     [-kappa / 2.0, 1.0 - kappa * PI]])
+#: largest cond(Vb): the Schur form's leading coefficient is then 1 to ~2e-10
+_V_COND_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -138,9 +143,9 @@ class BlockDifferential:
     alpha, beta and gamma are the couplings of the sampled medium, shared and
     not copied; at this pump level the molecules see ``pump_factor * gamma``.
     The borders are held as these scalars times shared 2x2 kernels (V_n =
-    alpha_n v_border, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n)).
-    S and G are read off the moment summary, so rescaling the pump changes
-    only ``pump_factor``.
+    alpha_n v_border, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n)),
+    each a block of the one-period ``propagator``.  S and G are read off the
+    moment summary, so rescaling the pump changes only ``pump_factor``.
     """
 
     alpha: np.ndarray
@@ -178,25 +183,29 @@ class BlockDifferential:
                      * self.moments.ab[1])
 
     @cached_property
-    def M(self) -> np.ndarray:
-        """The (2, 2) field block (1 - 2 pi kappa) I + S m."""
-        return (1.0 - 2.0 * PI * self.kappa) * np.eye(2) + self.S * self.cross_kernel
+    def propagator(self) -> np.ndarray:
+        """P = expm(2 pi A), the (6, 6) one-period propagator in the order
+        (a, b, u, v, p, q) (module docstring).  It does not depend on the pump;
+        a non-finite P, or a Vb too ill-conditioned to divide by, is refused."""
+        S, kappa = self.S, self.kappa
+        # three unit oscillators (a, b), (u, v), (p, q), coupled through b and v
+        gen = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+        gen[1, 1], gen[1, 3], gen[3, 1], gen[5, 1] = -2.0 * kappa, 1.0, -S, -1.0
+        with np.errstate(all="ignore"):
+            P = expm(2.0 * PI * gen)
+            cond = np.linalg.cond(P[:2, 2:4]) if np.all(np.isfinite(P)) else np.inf
+        if not cond <= _V_COND_MAX:
+            raise ValidationError(
+                f"synchronization sum S = {S:.3g} with kappa = {kappa:.3g} leaves the "
+                "one-period propagator non-finite or its field-from-collective block "
+                "singular; lower S or kappa")
+        return P
 
-    @cached_property
-    def v_border(self) -> np.ndarray:
-        """pi K, V_n = alpha_n * v_border: every route reads V from here."""
-        return PI * coupling_matrix(self.kappa)
-
-    @cached_property
-    def w_border(self) -> np.ndarray:
-        """-pi K + S * border_dressing(), W_n = beta_n * w_border; the O(S)
-        dressing matters for entrywise agreement with the FD Jacobian."""
-        return -self.v_border + self.S * border_dressing()
-
-    @cached_property
-    def cross_kernel(self) -> np.ndarray:
-        """m, the (2, 2) real form of the one-period response coefficient."""
-        return response_kernel()
+    # the shared kernels of the blocks, as the module docstring names them
+    M = property(lambda self: self.propagator[:2, :2])
+    v_border = property(lambda self: self.propagator[:2, 2:4])        # Vb
+    w_border = property(lambda self: self.propagator[4:, :2])         # Wb
+    cross_kernel = property(lambda self: self.propagator[4:, 2:4])    # Xb
 
     def gamma_detuning(self) -> np.ndarray:
         """Cluster detunings delta_n = 2 pi^2 gamma_n^2 at this pump."""
@@ -297,9 +306,9 @@ def _eliminate(mu: complex, bd: BlockDifferential):
     """The reduced 2x2 at mu with the elimination that gives it, (red, R, core).
 
     Eliminating the molecular rows of the block eigenproblem leaves the
-    collective response P = core^{-1} R Wb v0, core = I - R m, so that
-        M(mu) = (M - mu) + pi K core^{-1} R Wb,
-    Wb the shared border factor (W_n = beta_n Wb), with the full resolvent
+    collective response Y = core^{-1} R Wb v0, core = I - R Xb, so that
+        M(mu) = (M - mu) + Vb core^{-1} R Wb,
+    with the shared kernels of the module docstring and the full resolvent
     sum (its moment series, or the per-molecule sum near the cluster).
     """
     R = _resolvent_sums(mu, bd)
@@ -326,11 +335,12 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
     Determinant of the collective 4x4 system after clearing the (mu-1)^2
     denominators with the expanded resolvent sums,
 
-        [ A  B ]   A = (M - I) - u I             B = pi K
-        [ C  D ],  C = -u^2 R(u) Wb              D = u^2 I - u^2 R(u) m,
+        [ A  B ]   A = (M - I) - u I             B = Vb
+        [ C  D ],  C = -u^2 R(u) Wb              D = u^2 I - u^2 R(u) Xb,
 
     with u^2 R = diag(S u, S u - 2 pi^2 G).  The field-row/molecular-column
-    block B is constant and invertible, so det = det(B) det(C - D B^{-1} A),
+    block B is constant and invertible (`BlockDifferential.propagator`
+    refuses an ill-conditioned one), so det = det(B) det(C - D B^{-1} A),
     a 2x2 determinant of cubics.  Assembled natively in u so the coefficients
     carry the small coupling scales without cancellation (the multipliers sit
     within O(sqrt(S)) of 1).  Descending, monic, length 7; the constant
@@ -403,7 +413,7 @@ def _null_direction(mu: complex, bd: BlockDifferential):
 
     v0 is the unit near-null vector of the reduced 2x2; the molecular parts of
     the eigenvector are beta_n rhs_0/(mu - 1) and beta_n rhs_1/(mu - 1 +
-    delta_n), with rhs = Wb v0 + m P and P the collective alpha-weighted
+    delta_n), with rhs = Wb v0 + Xb Y and Y the collective alpha-weighted
     response.
     """
     red, R, core = _eliminate(mu, bd)
@@ -419,8 +429,8 @@ def _null_direction(mu: complex, bd: BlockDifferential):
 def eigvec_back_substitute(mu: complex, bd: BlockDifferential) -> np.ndarray:
     """Unit eigenvector of the block matrix at a root of det M(mu).
 
-    The molecular parts follow from v_n = (mu - D_n)^{-1} beta_n (-pi K v0 +
-    m P) (see `_null_direction`).  The Maxwell component v0 never vanishes
+    The molecular parts follow from v_n = (mu - D_n)^{-1} beta_n (Wb v0 +
+    Xb Y) (see `_null_direction`).  The Maxwell component v0 never vanishes
     for roots of the reduced determinant.
     """
     v0, rhs = _null_direction(mu, bd)

@@ -50,7 +50,7 @@ KEYS = [
     ("physical", "cavity_dims", st.sampled_from(["12, 2, 2", "10, 3, 3"]),
      ["0, 2, 2", "inf, 2, 2"], True),
     ("physical", "molecule_count", _reals(1e3, 1e20), [], True),
-    ("dimensionless", "kappa", _reals(0.0, 1e-7, 1e-3), ["0.5"], True),
+    ("dimensionless", "kappa", _reals(0.0, 1e-7, 1e-3, 0.05, 0.5), ["1e200"], True),
     ("dimensionless", "alpha_scale", _reals(0.0, 1.155e-23, 1.0), [], True),
     ("dimensionless", "beta_scale", _reals(0.0, 1.824e-2, 1.0), [], True),
     ("dimensionless", "gamma_scale", _reals(0.0, 2.149e-7, 1e-3), [], True),

@@ -539,11 +539,17 @@ class TestBadInputs:
          "lies beyond the float range"),
         ({"conductivity": "0", "pump_frequency": "1e-300"},
          "2/(pump_frequency hbar) lies beyond the float range"),
+        # kappa = 1e200: finite, but the one-period propagator is not
+        ({"conductivity": "2e205"},
+         "synchronization sum S = 1.51e-24 with kappa = 1e+200 leaves the one-period "
+         "propagator non-finite or its field-from-collective block singular; "
+         "lower S or kappa"),
     ])
     def test_physical_value_beyond_float_range_exits_2(self, values, message,
                                                        tmp_path, capsys):
         """Non-finite [physical] values, and values whose kappa, coupling
-        scales or S weight leave the float range, are refused by name."""
+        scales, S weight or one-period propagator leave the float range, are
+        refused by name."""
         cfg = tmp_path / "ruby.cfg"
         cfg.write_text(_set_keys(PHYSICAL, values))
         out = tmp_path / "out.json"
@@ -564,6 +570,20 @@ class TestBadInputs:
         assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("error: synchronization sum S = ") and "pumping" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_report_exits_3(self, tmp_path, capsys):
+        """An unrescaled alpha_scale = 1e300 overflows the standard error of
+        S.  The JSON report is strict: the run names the value and writes
+        nothing."""
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(_set_keys(DIMLESS.replace("rescale_alpha_to_s = 1e-5\n", ""),
+                                 {"alpha_scale": "1e300"}))
+        out = tmp_path / "out.json"
+        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "numeric failure: report.S.std_error is not finite; nothing written")
         assert not out.exists()
 
     @pytest.mark.parametrize("method,n", [("DOP853", "40"), ("Radau", "1e5")])

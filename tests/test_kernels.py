@@ -3,6 +3,7 @@ import pytest
 
 from mblaser import kernels
 from mblaser.errors import ValidationError
+from mblaser.spectrum import BlockDifferential, detuning_moments
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -63,7 +64,8 @@ def integral_I_oracle(tau: float, kappa: float, which: int,
 
 
 def response_kernel_oracle(tol: float = 1e-10) -> complex:
-    """Double-quadrature oracle for RESPONSE_XI (kappa = 0)."""
+    """Double-quadrature oracle for the one-period response coefficient xi
+    (kappa = 0)."""
     def inner(t):
         if t <= 0:
             return 0.0 + 0.0j
@@ -297,12 +299,36 @@ class TestPeriodConstants:
             assert abs(getattr(kc, name) - value) <= 50.0 * kappa ** 2, name
 
 
+def _propagator(S: float, kappa: float = 0.0) -> np.ndarray:
+    """The one-period propagator of a one-molecule medium with sum S."""
+    one = np.ones(1)
+    return BlockDifferential(alpha=S * one, beta=one, gamma=0.0 * one, kappa=kappa,
+                             moments=detuning_moments(S * one, one, 0.0 * one)).propagator
+
+
+def _real_form(c: complex) -> np.ndarray:
+    """The 2x2 real matrix of multiplication by c on (Re, Im) pairs."""
+    return np.array([[c.real, -c.imag], [c.imag, c.real]])
+
+
 class TestCollectiveKernels:
+    """The collective kernels of the successive-approximation map are the
+    S -> 0 limit of `spectrum.BlockDifferential.propagator`."""
+
     def test_response_kernel_oracle(self):
-        assert abs(response_kernel_oracle() - kernels.RESPONSE_XI) <= 1e-9
+        cross = _propagator(0.0)[4:, 2:4]
+        assert np.max(np.abs(cross - _real_form(response_kernel_oracle()))) <= 1e-9
 
     def test_border_dressing_oracle(self):
-        wa = border_dressing_oracle("a")
-        wb = border_dressing_oracle("b")
-        assert abs(wa - kernels.W_DRESS_A) <= 1e-5
-        assert abs(wb - kernels.W_DRESS_B) <= 1e-5
+        h = 1e-6
+        dw = (_propagator(h)[4:, :2] - _propagator(-h)[4:, :2]) / (2.0 * h)
+        assert abs(complex(*dw[:, 0]) - border_dressing_oracle("a")) <= 1e-5
+        assert abs(complex(*dw[:, 1]) - border_dressing_oracle("b")) <= 1e-5
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-3, 1e-2])
+    def test_v_border_is_pi_k(self, kappa):
+        """V = pi K with K = [[1 - kappa pi, kappa/2], [-kappa/2, 1 - kappa pi]]
+        at S = 0, up to O(kappa^2) (about 22 kappa^2)."""
+        K = np.array([[1.0 - kappa * PI, kappa / 2.0], [-kappa / 2.0, 1.0 - kappa * PI]])
+        gap = np.max(np.abs(_propagator(0.0, kappa)[:2, 2:4] - PI * K))
+        assert gap <= 30.0 * kappa ** 2 + 1e-14

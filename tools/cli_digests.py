@@ -1,10 +1,10 @@
 """sha256 of every CLI output at a fixed seed, for byte-identity checks.
 
 Writes two dimensionless desk configs (the perfbench coupling scales with
-N = 40 and N = 300, seed 7, S rescaled to 1e-5), runs the subcommands below
-in this process through `mblaser.cli.main`, and prints ``sha256  name`` per
-output; `verify-all` writes its runtimes to stderr, so its stdout is hashed
-as it is.  Run it against each checkout and compare the two listings:
+N = 40 and N = 300, seed 7, S rescaled to 1e-5) and a third at N = 40 with S
+rescaled to 1e-3, runs the subcommands below in this process through
+`mblaser.cli.main`, and prints ``sha256  name`` per output; `verify-all`
+writes its runtimes to stderr, so its stdout is hashed as it is.  Run it against each checkout and compare the two listings:
 
     PYTHONPATH=src python tools/cli_digests.py [OUTDIR]
 
@@ -37,7 +37,7 @@ n = {n}
 hypothesis = H1
 n = {n}
 seed = 7
-rescale_alpha_to_s = 1e-5
+rescale_alpha_to_s = {s}
 
 [run]
 rel_tol = 1e-10
@@ -45,7 +45,7 @@ abs_tol = 1e-10
 """
 
 #: (output name, subcommand and its arguments); each source is one of the
-#: two configs or the ruby preset at seed 7
+#: two S = 1e-5 configs or the ruby preset at seed 7
 PER_SOURCE = [
     ("ensemble.json", ["ensemble"]),
     ("simulate.csv", ["simulate", "--periods", "1"]),
@@ -74,7 +74,7 @@ def digests(outdir: Path):
     sources = {}
     for n in (40, 300):
         path = outdir / f"n{n}.cfg"
-        path.write_text(CONFIG.format(n=n), encoding="utf-8")
+        path.write_text(CONFIG.format(n=n, s="1e-5"), encoding="utf-8")
         sources[f"n{n}"] = ["--config", str(path)]
     sources["paper"] = ["--paper-constants", "--seed", "7"]
 
@@ -83,6 +83,14 @@ def digests(outdir: Path):
         for suffix, argv in PER_SOURCE:
             names.append(f"{label}.{suffix}")
             _run(main, argv + source, outdir / names[-1])
+    # S = 1e-3, where the blocks' S dependence beyond first order decides
+    # the verdict: the spectral outputs only
+    path = outdir / "n40-s1e-3.cfg"
+    path.write_text(CONFIG.format(n=40, s="1e-3"), encoding="utf-8")
+    for suffix, argv in PER_SOURCE:
+        if argv[0] in ("spectrum", "threshold-scan"):
+            names.append(f"n40-s1e-3.{suffix}")
+            _run(main, argv + ["--config", str(path)], outdir / names[-1])
     names.append("n40.ensemble.csv")
     _run(main, ["ensemble"] + sources["n40"], outdir / names[-1])
 
