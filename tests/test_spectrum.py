@@ -70,9 +70,9 @@ class TestAssembleBlocks:
         # opposite sign would make the unpumped ground state expanding
         bd = assemble_blocks(small_ensemble, 1e-7)
         lead = -PI * _coupling_matrix(1e-7) + bd.S * DRESSING
+        W = _borders(assemble_full(bd))[1]
         for i in range(small_ensemble.n):
-            W = _borders(assemble_full(bd))[1][i] / small_ensemble.beta[i]
-            assert np.max(np.abs(W - lead)) <= 10.0 * bd.S ** 2
+            assert np.max(np.abs(W[i] / small_ensemble.beta[i] - lead)) <= 10.0 * bd.S ** 2
 
     def test_d_variants(self, small_ensemble):
         bd_id = assemble_blocks(small_ensemble, 1e-7, d_variant="identity")
