@@ -111,9 +111,8 @@ def cmd_ensemble(args) -> int:
                      f"Sigma_analytic={sig_rep.analytic!r}\n")
             writer = csv.writer(fh)
             writer.writerow(["n", "alpha", "beta", "gamma"])
-            for i in range(e.n):
-                writer.writerow([i, repr(float(e.alpha[i])), repr(float(e.beta[i])),
-                                 repr(float(e.gamma[i]))])
+            for i, row in enumerate(zip(e.alpha, e.beta, e.gamma)):
+                writer.writerow([i, *(repr(float(v)) for v in row)])
         print(f"wrote {args.out}")
     else:
         summary["molecules"] = {

@@ -30,9 +30,14 @@ Re z and Im z as two contiguous rows.  The full chart's derivative has no such
 form (c_n1' needs c_n2 and c_n2' needs c_n1), so it stays on `solve_ivp`.
 The packing stays in this module; every public function here takes and
 returns `FullState` / `ReducedState`.
+
+Both integrators stop after STEP_BUDGET step attempts per 2 pi of span (a
+shorter span gets one period's worth), so a medium too stiff to integrate
+ends in a NumericsError naming its largest couplings instead of running on.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Tuple
 
@@ -46,6 +51,9 @@ from .model import FullState, ReducedState
 
 TWO_PI = 2.0 * np.pi
 CHART_GUARD = 1e-6  # refuse reduced dynamics within this distance of |z| = 1/2
+#: step attempts per 2 pi of integration span; the desk media take 9-33 per
+#: period at rel_tol 1e-10 to 1e-13, and about 930 at gamma_scale = 100
+STEP_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -159,20 +167,58 @@ def _reduced_stage(e: Ensemble, kappa: float) -> Callable:
 # integration
 # ---------------------------------------------------------------------------
 
+class _StepBudgetExceeded(NumericsError):
+    """An integration used up its STEP_BUDGET."""
+
+
+def _max_evaluations(tau0: float, tau1: float) -> float:
+    """DOP853 right-hand-side evaluations within the step budget: 2 for the
+    first step size, then one per stage of each attempt."""
+    return 2 + _STAGES * STEP_BUDGET * max(1.0, (tau1 - tau0) / TWO_PI)
+
+
+def _budget_message(tau0: float, tau1: float) -> str:
+    return (f"integration exhausted its budget of {STEP_BUDGET} step attempts per "
+            f"period over {(tau1 - tau0) / TWO_PI:.3g} period(s)")
+
+
+@contextmanager
+def _naming_couplings(e: Ensemble):
+    """Name the medium's largest couplings when its integration runs out of
+    steps."""
+    try:
+        yield
+    except _StepBudgetExceeded as exc:
+        raise NumericsError(
+            f"{exc}: max|gamma_n| = {float(np.max(np.abs(e.gamma))):.3g} and "
+            f"max|beta_n| = {float(np.max(np.abs(e.beta))):.3g} make the medium too "
+            "stiff; lower the couplings or the pump amplitude") from None
+
+
 def integrate(rhs: Callable, y0: np.ndarray, tau0: float, tau1: float,
               settings: OdeSettings = OdeSettings(),
               t_eval: Sequence[float] = None):
     """Adaptive DOP853 (Dormand-Prince 8(5,3)) solve of a flat real system.
 
     Returns the final state vector, or (times, states) when ``t_eval`` is
-    given.  Step-size underflow and solver failures raise NumericsError.
+    given.  Step-size underflow, solver failures and an exhausted step budget
+    (counted at 12 evaluations per attempt) raise NumericsError.
     """
     if tau1 < tau0:
         raise ValidationError("tau1 must be >= tau0")
     if tau1 == tau0 and t_eval is None:
         return np.array(y0, dtype=float)
+    max_nfev, nfev = _max_evaluations(tau0, tau1), 0
+
+    def counted(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > max_nfev:
+            raise _StepBudgetExceeded(_budget_message(tau0, tau1))
+        return rhs(t, y)
+
     # method by keyword: perfbench's tracer reads it to count solver steps
-    sol = solve_ivp(rhs, (tau0, tau1), np.asarray(y0, dtype=float),
+    sol = solve_ivp(counted, (tau0, tau1), np.asarray(y0, dtype=float),
                     method="DOP853", rtol=settings.rel_tol,
                     atol=settings.abs_tol, max_step=settings.max_step,
                     t_eval=t_eval, dense_output=False)
@@ -185,7 +231,8 @@ def integrate(rhs: Callable, y0: np.ndarray, tau0: float, tau1: float,
 
 def integrate_full(state0: FullState, tau0: float, tau1: float, e: Ensemble,
                    kappa: float, settings: OdeSettings = OdeSettings()) -> FullState:
-    y = integrate(_flat_rhs_full(e, kappa), pack_full(state0), tau0, tau1, settings)
+    with _naming_couplings(e):
+        y = integrate(_flat_rhs_full(e, kappa), pack_full(state0), tau0, tau1, settings)
     return unpack_full(y, state0.n_molecules)
 
 
@@ -197,9 +244,10 @@ def integrate_reduced(state0: ReducedState, tau0: float, tau1: float, e: Ensembl
     if tau1 == tau0:
         return ReducedState(a=float(state0.a), b=float(state0.b), z=state0.z.copy())
     z = np.stack([state0.z.real, state0.z.imag])
-    a, b, z, _, _ = _dop853_reduced(_reduced_stage(e, kappa), float(state0.a),
-                                    float(state0.b), z, float(tau0), float(tau1),
-                                    settings)
+    with _naming_couplings(e):
+        a, b, z, _, _ = _dop853_reduced(_reduced_stage(e, kappa), float(state0.a),
+                                        float(state0.b), z, float(tau0), float(tau1),
+                                        settings)
     return ReducedState(a=a, b=b, z=z[0] + 1j * z[1])
 
 
@@ -230,7 +278,8 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
     Returns (a, b, z, accepted times, stage evaluations).  Raises
     ValidationError on a non-finite initial state, as solve_ivp refuses one
     (the step-size rule would loop on NaN), NumericsError when the step falls
-    below the minimum and ChartBoundaryError when a stage leaves the chart.
+    below the minimum or the step budget runs out, and ChartBoundaryError
+    when a stage leaves the chart.
     """
     if not (np.isfinite(a) and np.isfinite(b) and np.all(np.isfinite(z))):
         raise ValidationError("the initial state must be finite")
@@ -275,7 +324,7 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
     else:
         h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     h_abs = min(100 * h0, h1, interval, max_step)
-    nfev = 2
+    nfev, max_nfev = 2, _max_evaluations(tau0, tau1)
 
     times = [t]
     while t < tau1:
@@ -290,6 +339,8 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
                 raise NumericsError(
                     "integration failed: Required step size is less than "
                     "spacing between numbers.")
+            if nfev + _STAGES > max_nfev:
+                raise _StepBudgetExceeded(_budget_message(tau0, tau1))
             t_new = min(t + h_abs, tau1)
             h_abs = h = t_new - t
             for k in range(1, _STAGES):
@@ -346,8 +397,9 @@ def sample_trajectory(state0: FullState, taus: Sequence[float], e: Ensemble,
                       ) -> Iterator[Tuple[float, FullState]]:
     """Integrate the full system from ``taus[0]`` and yield (tau, state) at
     each of ``taus``, unpacking one sample at a time."""
-    t, ys = integrate(_flat_rhs_full(e, kappa), pack_full(state0), taus[0],
-                      taus[-1], settings, t_eval=taus)
+    with _naming_couplings(e):
+        t, ys = integrate(_flat_rhs_full(e, kappa), pack_full(state0), taus[0],
+                          taus[-1], settings, t_eval=taus)
     for i in range(ys.shape[1]):
         yield t[i], unpack_full(ys[:, i], state0.n_molecules)
 

@@ -34,7 +34,7 @@ DEFAULT_MODE_INDEX = (4, 1, 1)
 
 #: Peak bytes per molecule while sampling: 16 float64 live as the mode is
 #: evaluated (positions, dipoles, mode values, 6 trig columns, pump projection),
-#: 128 by tracemalloc, plus one float64 of headroom.  The ensemble keeps 5.
+#: 128 by tracemalloc, plus one float64 of headroom.  The ensemble keeps 2.
 SAMPLING_BYTES_PER_MOLECULE = 136
 
 
@@ -84,40 +84,52 @@ def default_mode_amplitude(k: Tuple[int, int, int],
     raise ValidationError("could not build a transverse amplitude")  # pragma: no cover
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Sampled active medium.  The cavity damping kappa is not a property of
     the molecules: the parameters own it and every consumer takes it.
 
     A molecule enters the collective sums only through the projections of its
-    unit dipole direction onto the mode and onto its pumping direction, so
-    those two (N,) arrays sit next to the couplings and no per-molecule
-    geometry is kept.  alpha*beta >= 0 holds exactly for every molecule.
+    unit dipole direction onto the mode and onto its pumping direction, the
+    only (N,) arrays kept.  The couplings are their scalar multiples, derived
+    on each read, so alpha_n beta_n >= 0 holds for every molecule.
     """
 
     hypothesis: Hypothesis
-    alpha: np.ndarray          # (N,)
-    beta: np.ndarray           # (N,)
-    gamma: np.ndarray          # (N,)
     proj_mode: np.ndarray      # (N,) Phat_n . X(x_n), cm^{-3/2}
     proj_pump: np.ndarray      # (N,) Phat_n . phat_n, dimensionless
+    alpha_coef: float
+    beta_coef: float
+    gamma_coef: float          # at the sampled pump amplitude
     mode_amplitude: np.ndarray  # (3,) unit vector
     cavity_dims: Tuple[float, float, float]
     dipole_magnitude: float    # |P| (1.0 for dimensionless ensembles)
     pump_amplitude: float      # a_p (1.0 for dimensionless ensembles)
-    sum_weight: float          # 2/(Omega_p hbar): S = sum_weight * sum (P.X)^2
+    alpha_rescale: float = 1.0  # the desk convention's common factor on alpha
+    pump_scale: float = 1.0    # pump_amplitude over the sampled one
     crystal_dipole: Optional[np.ndarray] = None  # unit axis, H2 only
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "proj_mode", "proj_pump",
-                     "mode_amplitude"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("proj_mode", "proj_pump", "mode_amplitude"):
+            object.__setattr__(self, name, _read_only(
+                np.asarray(getattr(self, name), dtype=float)))
 
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[0]
+    # the order of each product is part of the outputs' rounding
+    alpha = property(lambda self: _read_only(
+        self.alpha_coef * self.proj_mode * self.alpha_rescale))
+    beta = property(lambda self: _read_only(self.beta_coef * self.proj_mode))
+    gamma = property(lambda self: _read_only(
+        self.gamma_coef * self.proj_pump * self.pump_scale))
+
+    # 2/(Omega_p hbar) times the desk rescale: S = sum_weight * sum (P.X)^2
+    sum_weight = property(lambda self: self.alpha_coef * self.beta_coef
+                          / self.dipole_magnitude ** 2 * self.alpha_rescale)
+    n = property(lambda self: self.proj_mode.shape[0])
 
     @property
     def cavity_volume(self) -> float:
@@ -133,9 +145,9 @@ class Ensemble:
         return pump_amplitude / self.pump_amplitude
 
     def with_pump_amplitude(self, pump_amplitude: float) -> "Ensemble":
-        """Same medium, rescaled pumping: gamma_n scales linearly with a_p."""
+        """Same medium, rescaled pumping: O(1), gamma_n follows a_p through ``pump_scale``."""
         factor = self.pump_factor(pump_amplitude)
-        return dataclasses.replace(self, gamma=self.gamma * factor,
+        return dataclasses.replace(self, pump_scale=self.pump_scale * factor,
                                    pump_amplitude=pump_amplitude)
 
 
@@ -227,7 +239,6 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
         dipole_mag = params.dipole_magnitude
         pump_amp = params.pump_amplitude
         alpha_coef, beta_coef, gamma_coef = params.coupling_scales(1.0)
-        sum_weight = 2.0 / (params.pump_frequency * HBAR)
         n_eff = int(params.molecule_count) if n is None else int(n)
     elif isinstance(params, DimensionlessParams):
         dims = DEFAULT_CAVITY
@@ -237,7 +248,6 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
         alpha_coef = params.alpha_scale / x_rms
         beta_coef = params.beta_scale / x_rms
         gamma_coef = params.gamma_scale
-        sum_weight = alpha_coef * beta_coef
         n_eff = params.n if n is None else int(n)
     else:
         raise ValidationError("params must be PhysicalParams or DimensionlessParams")
@@ -262,25 +272,19 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
     proj_mode = np.einsum("ij,ij->i", dip_dirs,
                           cuboid_mode(positions, mode_index, dims, amp))
 
-    alpha = alpha_coef * proj_mode
-    beta = beta_coef * proj_mode
-    gamma = gamma_coef * proj_pump
-
-    rescale = 1.0
-    if rescale_alpha_to_s is not None:
-        s_now = float(np.sum(alpha * beta))
-        if s_now <= 0:
-            raise ValidationError("cannot rescale a degenerate ensemble (S = 0)")
-        rescale = rescale_alpha_to_s / s_now
-        alpha = alpha * rescale
-
-    return Ensemble(
-        hypothesis=hypothesis, alpha=alpha, beta=beta, gamma=gamma,
-        proj_mode=proj_mode, proj_pump=proj_pump, mode_amplitude=amp,
-        cavity_dims=tuple(dims), dipole_magnitude=dipole_mag,
-        pump_amplitude=pump_amp, sum_weight=sum_weight * rescale,
+    e = Ensemble(
+        hypothesis=hypothesis, proj_mode=proj_mode, proj_pump=proj_pump,
+        alpha_coef=alpha_coef, beta_coef=beta_coef, gamma_coef=gamma_coef,
+        mode_amplitude=amp, cavity_dims=tuple(dims), dipole_magnitude=dipole_mag,
+        pump_amplitude=pump_amp,
         crystal_dipole=None if hypothesis == "H1" else dip_dirs[0].copy(),
     )
+    if rescale_alpha_to_s is None:
+        return e
+    s_now = float(np.sum(e.alpha * e.beta))
+    if s_now <= 0:
+        raise ValidationError("cannot rescale a degenerate ensemble (S = 0)")
+    return dataclasses.replace(e, alpha_rescale=rescale_alpha_to_s / s_now)
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,15 @@ cluster near 1 and near the eigenvalues of D_n.
 The per-molecule sums are statistics of the medium.  With r_n = gamma_n^2 /
 max gamma^2, which does not change when the pump is rescaled, the moments
 m_k = sum alpha_n beta_n r_n^k and b_k = sum beta_n^2 r_n^k (k < 18) are
-computed once in O(N K).  At u = mu - 1 and q = max delta / |u| the exact
-resolvent sum is the Laurent series sum_k m_k (-max delta / u)^k / u, and
-the eigenvector norm needed for the Maxwell component is a series in b_k; both
-are truncated below 2^-53 relative for q <= 0.1 (SERIES_RADIUS).  The cluster
-guard keeps every verdict-bearing root far inside that radius; only points
-near the molecular cluster fall back to the direct O(N) sums.  A whole
-`threshold_scan` therefore costs one O(N K) pass plus O(1) per grid point.
+multiples of one family sum proj_mode_n^2 r_n^k, computed once in O(N K),
+since alpha_n and beta_n share the projection.  At u = mu - 1 and q = max
+delta / |u| the exact resolvent sum is the Laurent series sum_k m_k (-max
+delta / u)^k / u, and the eigenvector norm needed for the Maxwell component
+is a series in b_k; both are truncated below 2^-53 relative for q <= 0.1
+(SERIES_RADIUS).  The cluster guard keeps every verdict-bearing root far
+inside that radius; only points near the molecular cluster fall back to the
+direct O(N) sums.  A whole `threshold_scan` therefore costs one O(N K) pass
+plus O(1) per grid point.
 """
 from __future__ import annotations
 
@@ -94,66 +96,56 @@ _V_COND_MAX = 1e6
 
 @dataclass(frozen=True)
 class DetuningMoments:
-    """Pump-invariant moment summary of the medium.
-
-    With r_n = gamma_n^2 / max gamma^2: ``ab[k] = sum alpha_n beta_n r_n^k``
-    and ``bb[k] = sum beta_n^2 r_n^k`` for k < SERIES_TERMS.  Rescaling the
-    pump scales every gamma_n by one factor and leaves r_n unchanged.
-    """
+    """Pump-invariant moment summary of the medium (module docstring):
+    ``ab[k]`` = m_k and ``bb[k]`` = b_k for k < SERIES_TERMS."""
 
     ab: np.ndarray
     bb: np.ndarray
-    gamma_sq_max: float        # max gamma_n^2 of the medium they were taken from
+    gamma_sq_max: float        # max gamma_n^2 at pump_scale = 1
 
 
-def detuning_moments(alpha: np.ndarray, beta: np.ndarray,
-                     gamma: np.ndarray) -> DetuningMoments:
-    """The moments in one blocked O(N * SERIES_TERMS) pass.
+def detuning_moments(e: Ensemble) -> DetuningMoments:
+    """The moments from one blocked pass over sum proj_mode_n^2 r_n^k.
 
     ``ab[0]`` is S; it is taken as one pairwise sum, rounded exactly as
     `ensemble.sum_S`, so M and the dense route do not move.
     """
-    g_max = float(np.max(np.abs(gamma), initial=0.0))
+    # |gamma_coef| max|proj_pump| rounds as max|gamma_n|: rounding is monotone
+    g_max = abs(e.gamma_coef) * float(np.max(np.abs(e.proj_pump), initial=0.0))
     try:
         g2_max = g_max ** 2
     except OverflowError:
         raise ValidationError(
             f"pumping rate max|gamma_n| = {g_max:.3g} squares beyond the float "
             "range; lower gamma_scale or pump_amplitude") from None
-    weights = alpha * beta
-    out = np.zeros((2, SERIES_TERMS))
-    for start in range(0, gamma.size, _MOMENT_BLOCK):
+    m = np.zeros(SERIES_TERMS)
+    for start in range(0, e.n, _MOMENT_BLOCK):
         block = slice(start, start + _MOMENT_BLOCK)
-        ab = weights[block]
-        bb = beta[block] ** 2
-        r = gamma[block] ** 2 / g2_max if g2_max > 0 else np.zeros_like(ab)
+        x2 = e.proj_mode[block] ** 2
+        r = ((e.gamma_coef * e.proj_pump[block]) ** 2 / g2_max if g2_max > 0
+             else np.zeros_like(x2))
         p = np.ones_like(r)
         for k in range(SERIES_TERMS):
-            out[0, k] += ab @ p
-            out[1, k] += bb @ p
+            m[k] += x2 @ p
             p *= r
-    out[0, 0] = np.sum(weights)
-    return DetuningMoments(ab=out[0], bb=out[1], gamma_sq_max=g2_max)
+    ab = e.alpha_coef * e.beta_coef * e.alpha_rescale * m
+    ab[0] = np.sum(e.alpha * e.beta)
+    return DetuningMoments(ab=ab, bb=e.beta_coef ** 2 * m, gamma_sq_max=g2_max)
 
 
 @dataclass(frozen=True)
 class BlockDifferential:
     """Blocks of the period-map differential at the ground state.
 
-    alpha, beta and gamma are the couplings of the sampled medium, shared and
-    not copied; at this pump level the molecules see ``pump_factor * gamma``.
-    The borders are held as these scalars times shared 2x2 kernels (V_n =
-    alpha_n v_border, W_n = beta_n w_border, D_n = diag(1, 1 - delta_n)),
-    each a block of the one-period ``propagator``.  S and G are read off the
-    moment summary, so rescaling the pump changes only ``pump_factor``.
+    The borders are the per-molecule scalars of ``medium`` times shared 2x2
+    kernels (V_n = alpha_n v_border, W_n = beta_n w_border, D_n = diag(1, 1 -
+    delta_n)), each a block of the one-period ``propagator``.  S and G are
+    read off the moment summary, so the pump level is ``medium.pump_scale``.
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
+    medium: Ensemble
     kappa: float
     moments: DetuningMoments
-    pump_factor: float = 1.0
 
     def __post_init__(self):
         # the one scalar check per pump level; a Python float ** raises on
@@ -165,11 +157,12 @@ class BlockDifferential:
         if not finite:
             raise ValidationError(
                 "pumping out of float range: the detunings 2 pi^2 gamma_n^2 overflow "
-                f"at {self.pump_factor:.3g} times the medium's pump amplitude")
+                f"at {self.medium.pump_scale:.3g} times the medium's pump amplitude")
 
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[0]
+    n = property(lambda self: self.medium.n)
+    alpha = property(lambda self: self.medium.alpha)
+    beta = property(lambda self: self.medium.beta)
+    gamma = property(lambda self: self.medium.gamma)   # at this pump level
 
     @property
     def S(self) -> float:
@@ -179,27 +172,33 @@ class BlockDifferential:
     @property
     def gamma_sq_sum(self) -> float:
         """G = sum alpha_n beta_n gamma_n^2 at this pump, from the k = 1 moment."""
-        return float(self.pump_factor ** 2 * self.moments.gamma_sq_max
+        return float(self.medium.pump_scale ** 2 * self.moments.gamma_sq_max
                      * self.moments.ab[1])
 
     @cached_property
     def propagator(self) -> np.ndarray:
         """P = expm(2 pi A), the (6, 6) one-period propagator in the order
-        (a, b, u, v, p, q) (module docstring).  It does not depend on the pump;
-        a non-finite P, or a Vb too ill-conditioned to divide by, is refused."""
+        (a, b, u, v, p, q) (module docstring).  It does not depend on the pump.
+        A non-finite P, a Vb too ill-conditioned to divide by, or a P off the
+        sum rule log|det P| = trace(2 pi A) by more than VERDICT_TOL / 10 is
+        refused."""
         S, kappa = self.S, self.kappa
         # three unit oscillators (a, b), (u, v), (p, q), coupled through b and v
         gen = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
         gen[1, 1], gen[1, 3], gen[3, 1], gen[5, 1] = -2.0 * kappa, 1.0, -S, -1.0
         with np.errstate(all="ignore"):
             P = expm(2.0 * PI * gen)
-            cond = np.linalg.cond(P[:2, 2:4]) if np.all(np.isfinite(P)) else np.inf
+            finite = np.all(np.isfinite(P))
+            cond = np.linalg.cond(P[:2, 2:4]) if finite else np.inf
+            residual = abs(np.linalg.slogdet(P)[1] + 4.0 * PI * kappa) if finite else np.inf
         if not cond <= _V_COND_MAX:
-            raise ValidationError(
-                f"synchronization sum S = {S:.3g} with kappa = {kappa:.3g} leaves the "
-                "one-period propagator non-finite or its field-from-collective block "
-                "singular; lower S or kappa")
-        return P
+            fault = "non-finite or its field-from-collective block singular"
+        elif not residual <= VERDICT_TOL / 10:   # NaN and -inf fail too
+            fault = f"{residual:.2g} off its sum rule log|det P| = -4 pi kappa"
+        else:
+            return P
+        raise ValidationError(f"synchronization sum S = {S:.3g} with kappa = {kappa:.3g} "
+                              f"leaves the one-period propagator {fault}; lower S or kappa")
 
     # the shared kernels of the blocks, as the module docstring names them
     M = property(lambda self: self.propagator[:2, :2])
@@ -209,17 +208,19 @@ class BlockDifferential:
 
     def gamma_detuning(self) -> np.ndarray:
         """Cluster detunings delta_n = 2 pi^2 gamma_n^2 at this pump."""
-        return 2.0 * PI ** 2 * (self.pump_factor * self.gamma) ** 2
+        return 2.0 * PI ** 2 * self.gamma ** 2
 
     @property
     def detuning_max(self) -> float:
         """max_n delta_n, from the moment summary (no pass over molecules)."""
-        return 2.0 * PI ** 2 * self.pump_factor ** 2 * self.moments.gamma_sq_max
+        return 2.0 * PI ** 2 * self.medium.pump_scale ** 2 * self.moments.gamma_sq_max
 
     def with_pump_factor(self, factor: float) -> "BlockDifferential":
         """The blocks with every gamma_n scaled by ``factor``: O(1), since
         only G and the detunings depend on the pump."""
-        return dataclasses.replace(self, pump_factor=self.pump_factor * factor)
+        e = self.medium
+        return dataclasses.replace(self, medium=dataclasses.replace(
+            e, pump_scale=e.pump_scale * factor, pump_amplitude=e.pump_amplitude * factor))
 
 
 def assemble_blocks(e: Ensemble, kappa: float,
@@ -231,8 +232,7 @@ def assemble_blocks(e: Ensemble, kappa: float,
     """
     if d_variant not in ("identity", "gamma"):
         raise ValidationError(f"unknown d_variant {d_variant!r}")
-    bd = BlockDifferential(alpha=e.alpha, beta=e.beta, gamma=e.gamma, kappa=kappa,
-                           moments=detuning_moments(e.alpha, e.beta, e.gamma))
+    bd = BlockDifferential(medium=e, kappa=kappa, moments=detuning_moments(e))
     return bd.with_pump_factor(0.0) if d_variant == "identity" else bd
 
 
@@ -246,14 +246,15 @@ def assemble_full(bd: BlockDifferential) -> np.ndarray:
     dim = 2 + 2 * n
     out = np.zeros((dim, dim))
     out[:2, :2] = bd.M
+    alpha, beta = bd.alpha, bd.beta
     for a in range(2):
         for b in range(2):
-            out[a, 2 + b::2] = bd.alpha * bd.v_border[a, b]
-            out[2 + a::2, b] = bd.beta * bd.w_border[a, b]
+            out[a, 2 + b::2] = alpha * bd.v_border[a, b]
+            out[2 + a::2, b] = beta * bd.w_border[a, b]
     mol = np.arange(2, dim)
     out[mol, mol] = 1.0
     out[mol[1::2], mol[1::2]] -= bd.gamma_detuning()
-    cross = np.einsum("i,j,ab->iajb", bd.beta, bd.alpha, bd.cross_kernel)
+    cross = np.einsum("i,j,ab->iajb", beta, alpha, bd.cross_kernel)
     out[2:, 2:] += cross.reshape(2 * n, 2 * n)
     return out
 
@@ -375,7 +376,7 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
                               "polynomial beyond the float range; lower S")
     if not _LEADING_RATIO * size <= 1.0:
         raise ValidationError(
-            f"pumping at {bd.pump_factor:.3g} times the medium's pump amplitude lies "
+            f"pumping at {bd.medium.pump_scale:.3g} times the medium's pump amplitude lies "
             "beyond the polynomial route's range: max detuning 2 pi^2 gamma_n^2 = "
             f"{bd.detuning_max:.3g}")
     return coeffs

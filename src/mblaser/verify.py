@@ -303,12 +303,12 @@ def criterion_9_ground_state_fixed_point() -> CriterionResult:
 def criterion_10_threshold_scan() -> CriterionResult:
     """Pump scan over 3 decades: recording clauses plus the verdict flip.
 
-    The flip clause is expected to fail: the FD-verified differential is
-    contractive at every pumping level (the molecular response to the field
-    carries the sign that damps the collective mode, and pumping only deepens
-    the contraction), so the verdict never changes.  A flip would require the
-    opposite border sign, which the differential oracle rules out.  The
-    recording and runtime clauses all hold.
+    The flip clause is expected to fail on this medium.  Proven: at zero
+    pump no multiplier leaves the unit circle, for every S.  Measured: this
+    S = 1e-5 medium has no collective pair near +-1, and the differential is
+    contractive at every point of the grid, so the verdict never changes.
+    (At S = 2.25 and pump x1e4 the FD oracle does find a multiplier above 1.)
+    The recording and runtime clauses all hold.
     """
     e = desk_ensemble(300, seed=9)
     grid = np.geomspace(1e1, 1e4, 25)   # pump in units of the ruby amplitude

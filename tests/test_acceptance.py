@@ -1,12 +1,13 @@
 """Acceptance gate: one test per criterion, one pass/fail line each.
 
-Criterion 10's verdict-flip clause is a known red: the finite-difference
-oracle shows the ground-state period map is contractive at every pumping
-level (pumping deepens the contraction rather than driving growth), so the
-resonance verdict never flips on any pump grid.  A flip would require the
-opposite sign on the molecular border blocks, which the differential oracle
-(criterion 6) rules out.  The test is marked xfail(strict) so the suite
-stays green while the failure stays visible and any behavior change flags.
+Criterion 10's verdict-flip clause is a known red.  At zero pump no
+multiplier leaves the unit circle, for every S (proven).  Criterion 10's
+S = 1e-5 medium has no collective pair near +-1, and the differential is
+contractive at every point of its grid (measured), so its verdict never
+flips.  Pumping can make other media unstable: at S = 2.25 and pump x1e4
+the finite-difference oracle finds a multiplier of 1.0000000317.  The test
+is marked xfail(strict) so the suite stays green while the failure stays
+visible and any behavior change flags.
 """
 import pytest
 
@@ -29,9 +30,9 @@ def test_criterion(criterion):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="verdict never flips: the FD-verified differential is contractive "
-           "at every pumping level, and a flip would need the opposite "
-           "molecular-border sign, which criterion 6 rules out")
+    reason="verdict never flips: criterion 10's S = 1e-5 medium has no "
+           "collective pair near +-1, and the differential is contractive at "
+           "every grid point")
 def test_criterion_10_threshold_scan():
     result = _run(verify.criterion_10_threshold_scan)
     assert result.passed, result.detail

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mblaser
+from mblaser import dynamics
 from mblaser.cli import main
 from mblaser.config import _ENSEMBLE_KEYS, load_config, paper_preset
 from mblaser.dynamics import OdeSettings
@@ -544,17 +545,43 @@ class TestBadInputs:
          "synchronization sum S = 1.51e-24 with kappa = 1e+200 leaves the one-period "
          "propagator non-finite or its field-from-collective block singular; "
          "lower S or kappa"),
+        # the desk medium (values naming kappa set DIMLESS): a finite
+        # propagator that has lost its sum rule log|det P| = -4 pi kappa
+        ({"kappa": "0", "rescale_alpha_to_s": "1e20"},
+         "synchronization sum S = 1e+20 with kappa = 0 leaves the one-period "
+         "propagator 0.00061 off its sum rule log|det P| = -4 pi kappa; lower S or kappa"),
+        ({"kappa": "1e4", "rescale_alpha_to_s": "1e-3"},
+         "synchronization sum S = 0.001 with kappa = 1e+04 leaves the one-period "
+         "propagator 1.3e+05 off its sum rule log|det P| = -4 pi kappa; lower S or kappa"),
     ])
     def test_physical_value_beyond_float_range_exits_2(self, values, message,
                                                        tmp_path, capsys):
         """Non-finite [physical] values, and values whose kappa, coupling
-        scales, S weight or one-period propagator leave the float range, are
-        refused by name."""
+        scales, S weight or one-period propagator leave the float range or
+        its accuracy, are refused by name."""
         cfg = tmp_path / "ruby.cfg"
-        cfg.write_text(_set_keys(PHYSICAL, values))
+        cfg.write_text(_set_keys(DIMLESS if "kappa" in values else PHYSICAL, values))
         out = tmp_path / "out.json"
         assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["simulate", "--periods", "1"],
+                                      ["poincare", "--mode", "numeric"]])
+    def test_stiff_medium_exhausts_the_step_budget(self, argv, tmp_path, capsys,
+                                                   monkeypatch):
+        """gamma_scale = 1e8 would take about 1e8 steps a period.  The step
+        budget, patched low so the test is quick, ends the run with exit 3
+        naming the couplings, and nothing is written."""
+        monkeypatch.setattr(dynamics, "STEP_BUDGET", 50)
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text(_pumped("1e8"))
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: integration exhausted its budget of 50 "
+                              "step attempts per period over 1 period(s): max|gamma_n| "
+                              "= 9.75e+07 and max|beta_n| = ")
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["alpha_scale", "beta_scale"])

@@ -5,6 +5,7 @@ import pytest
 
 from scipy.integrate import solve_ivp
 
+from mblaser import dynamics
 from mblaser.dynamics import (CHART_GUARD, OdeSettings, TWO_PI, _dop853_reduced,
                               _flat_rhs_full, _reduced_stage, gauge_rotate,
                               integrate, integrate_full, integrate_reduced,
@@ -164,7 +165,7 @@ class TestIntegrate:
         a0, b0 = 0.7, -0.4
         state0 = FullState(a=a0, b=b0, c=ground_state(e.n).c)
         import dataclasses
-        silent = dataclasses.replace(e, alpha=np.zeros(e.n))
+        silent = dataclasses.replace(e, alpha_coef=0.0)
         out = integrate_full(state0, 0.0, TWO_PI, silent, kappa, TIGHT)
         expect = (a0 * fundamental_solution_deriv(TWO_PI, kappa)
                   + (b0 + 2 * kappa * a0) * fundamental_solution(TWO_PI, kappa))
@@ -350,8 +351,7 @@ class TestReducedStepper:
         # allows, so the first step is rejected below that minimum; the
         # molecules are decoupled so that no stage leaves the chart first
         import dataclasses
-        e = dataclasses.replace(nopump_ensemble, alpha=np.zeros(nopump_ensemble.n),
-                                beta=np.zeros(nopump_ensemble.n))
+        e = dataclasses.replace(nopump_ensemble, alpha_coef=0.0, beta_coef=0.0)
         state = ReducedState(a=0.01, b=-0.02, z=_random_z(e.n, 0.2, 5))
         span = (1e15, 1e15 + 100.0)
         sol = solve_ivp(flat_rhs_reduced(e, DESK_KAPPA), span, pack_reduced(state),
@@ -391,6 +391,40 @@ class TestReducedStepper:
         _dop853_reduced(_reduced_stage(e, DESK_KAPPA), 0.01, -0.02, zz, 0.0,
                         TWO_PI, OdeSettings())
         assert np.array_equal(zz, before)
+
+
+class TestStepBudget:
+    """Both integrators take at most STEP_BUDGET attempts per period: a run
+    needing k attempts passes at a budget of k and stops at k - 1."""
+
+    def test_reduced_stepper(self, small_ensemble, monkeypatch):
+        e = small_ensemble
+        state = ReducedState(a=0.01, b=-0.02, z=np.zeros(e.n, dtype=complex))
+        args = (_reduced_stage(e, DESK_KAPPA), state.a, state.b, np.zeros((2, e.n)),
+                0.0, TWO_PI, OdeSettings())
+        attempts = (_dop853_reduced(*args)[4] - 2) // 12
+        monkeypatch.setattr(dynamics, "STEP_BUDGET", attempts)
+        _dop853_reduced(*args)
+        monkeypatch.setattr(dynamics, "STEP_BUDGET", attempts - 1)
+        with pytest.raises(NumericsError, match=f"budget of {attempts - 1} step attempts"):
+            _dop853_reduced(*args)
+        with pytest.raises(NumericsError, match=r"max\|gamma_n\| = \S+ and max\|beta_n\| = "):
+            integrate_reduced(state, 0.0, TWO_PI, e, DESK_KAPPA)
+
+    def test_solve_ivp_path(self, monkeypatch):
+        def oscillator(t, y):
+            return np.array([y[1], -y[0]])
+
+        y0 = np.array([1.0, 0.0])
+        sol = solve_ivp(oscillator, (0.0, TWO_PI), y0, method="DOP853",
+                        rtol=1e-10, atol=1e-10)
+        attempts = (sol.nfev - 2) // 12
+        monkeypatch.setattr(dynamics, "STEP_BUDGET", attempts)
+        assert np.array_equal(integrate(oscillator, y0, 0.0, TWO_PI), sol.y[:, -1])
+        monkeypatch.setattr(dynamics, "STEP_BUDGET", attempts - 1)
+        with pytest.raises(NumericsError, match=f"budget of {attempts - 1} step attempts "
+                           "per period over 1 period"):
+            integrate(oscillator, y0, 0.0, TWO_PI)
 
 
 class TestAveragedPropagator:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,24 @@ class TestCollectiveSums:
         doubled = small_ensemble.with_pump_amplitude(2.0 * small_ensemble.pump_amplitude)
         assert np.allclose(doubled.gamma, 2.0 * small_ensemble.gamma)
         assert np.array_equal(doubled.alpha, small_ensemble.alpha)
+
+    def test_pump_rescaling_shares_the_projections(self, small_ensemble):
+        e = small_ensemble
+        target = 1e3 / 7.0 * e.pump_amplitude
+        scaled = e.with_pump_amplitude(target)
+        for name in ("proj_mode", "proj_pump"):
+            assert np.shares_memory(getattr(scaled, name), getattr(e, name))
+        # rounded as a stored gamma_n rescaled by the pump factor
+        assert np.array_equal(scaled.gamma,
+                              (e.gamma_coef * e.proj_pump) * e.pump_factor(target))
+        for couplings in (scaled.alpha, scaled.beta, scaled.gamma):
+            with pytest.raises(ValueError):
+                couplings[0] = 0.0
+
+    def test_keeps_two_per_molecule_arrays(self, small_ensemble):
+        e = small_ensemble
+        kept = [f.name for f in dataclasses.fields(e) if np.shape(getattr(e, f.name)) == (e.n,)]
+        assert kept == ["proj_mode", "proj_pump"]
 
     def test_sigma_follows_pump_rescaling(self):
         # Sigma carries a_p^2 through the ensemble's pump amplitude

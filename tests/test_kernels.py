@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mblaser import kernels
+from mblaser.ensemble import Ensemble
 from mblaser.errors import ValidationError
 from mblaser.spectrum import BlockDifferential, detuning_moments
 
@@ -301,9 +302,12 @@ class TestPeriodConstants:
 
 def _propagator(S: float, kappa: float = 0.0) -> np.ndarray:
     """The one-period propagator of a one-molecule medium with sum S."""
-    one = np.ones(1)
-    return BlockDifferential(alpha=S * one, beta=one, gamma=0.0 * one, kappa=kappa,
-                             moments=detuning_moments(S * one, one, 0.0 * one)).propagator
+    one = Ensemble(hypothesis="H1", proj_mode=np.ones(1), proj_pump=np.zeros(1),
+                   alpha_coef=S, beta_coef=1.0, gamma_coef=0.0,
+                   mode_amplitude=np.array([0.0, 1.0, 0.0]), cavity_dims=(1.0, 1.0, 1.0),
+                   dipole_magnitude=1.0, pump_amplitude=1.0)
+    return BlockDifferential(medium=one, kappa=kappa,
+                             moments=detuning_moments(one)).propagator
 
 
 def _real_form(c: complex) -> np.ndarray:

@@ -9,8 +9,8 @@ from mblaser.dynamics import OdeSettings
 from mblaser.ensemble import sample_ensemble
 from mblaser.errors import CapacityError, NumericsError, ValidationError
 from mblaser.poincare import jacobian_fd, make_numeric_map
-from mblaser.spectrum import (SERIES_RADIUS, _detuned_norm_sum, _detuned_sum,
-                              _maxwell_component, _resolvent_sums,
+from mblaser.spectrum import (SERIES_RADIUS, SERIES_TERMS, _detuned_norm_sum,
+                              _detuned_sum, _maxwell_component, _resolvent_sums,
                               assemble_blocks, assemble_full,
                               char_polynomial_centered,
                               VERDICT_TOL, cluster_guard,
@@ -212,8 +212,8 @@ class TestAssembleFull:
     def test_capacity_cap(self):
         e = _desk(20)
         bd = assemble_blocks(e, DESK_KAPPA)
-        big = dataclasses.replace(
-            bd, alpha=np.zeros(501), beta=np.zeros(501), gamma=np.zeros(501))
+        big = dataclasses.replace(bd, medium=dataclasses.replace(
+            bd.medium, proj_mode=np.zeros(501), proj_pump=np.zeros(501)))
         with pytest.raises(CapacityError):
             assemble_full(big)
 
@@ -471,9 +471,25 @@ class TestMomentSeries:
     def test_s_and_g_from_moments(self, bd):
         ab = bd.alpha * bd.beta
         assert bd.S == pytest.approx(math.fsum(ab), rel=1e-14, abs=0.0)
-        g = math.fsum(ab * (bd.pump_factor * bd.gamma) ** 2)
+        g = math.fsum(ab * bd.gamma ** 2)   # the couplings at this pump level
         assert bd.gamma_sq_sum == pytest.approx(g, rel=1e-14, abs=0.0)
         assert bd.with_pump_factor(3.0).gamma_sq_sum == pytest.approx(9.0 * g, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("scale", ["alpha_scale", "beta_scale"])
+    @pytest.mark.parametrize("pump", [1.0, 1e3])
+    def test_families_against_direct_sums(self, scale, pump):
+        """Neither family may be the other times a ratio of sums, which is
+        0/0 or S/0 with alpha or beta zero: each must match its direct sum
+        (alpha_n beta_n = 0 in both media), at either pump level."""
+        e = sample_ensemble(dataclasses.replace(desk_params(40), **{scale: 0.0}), "H1", 7)
+        e = e.with_pump_amplitude(pump * e.pump_amplitude)
+        moments = assemble_blocks(e, DESK_KAPPA).moments
+        r = e.gamma ** 2 / np.max(e.gamma ** 2)
+        for family, terms in ((moments.ab, e.alpha * e.beta), (moments.bb, e.beta ** 2)):
+            direct = np.array([math.fsum(terms * r ** k) for k in range(SERIES_TERMS)])
+            assert np.all(np.abs(family - direct) <= 1e-14 * direct)
+        assert not moments.ab.any()
+        assert moments.bb.all() == (scale == "alpha_scale")
 
     def test_identity_variant_has_no_detuning(self, small_ensemble):
         bd = assemble_blocks(small_ensemble, 1e-7, d_variant="identity")

@@ -10,7 +10,14 @@ writes its runtimes to stderr, so its stdout is hashed as it is.  Run it against
 
 The outputs are kept in OUTDIR when one is given, else in a temporary
 directory that is removed.  BLAS runs on one thread unless the environment
-already sets the thread count.
+already sets the thread count.  Two OUTDIRs written earlier are compared
+with
+
+    python tools/cli_digests.py --compare OLD NEW
+
+which prints, for each output whose bytes differ, how many numbers moved and
+the largest relative change, or "text differs" when anything other than a
+number changed.
 """
 from __future__ import annotations
 
@@ -18,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -104,8 +112,39 @@ def digests(outdir: Path):
         yield hashlib.sha256((outdir / name).read_bytes()).hexdigest(), name
 
 
+#: a decimal number, as the outputs write them (a number inside a name, as
+#: in "n300", is matched too, and compares equal)
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def compare(old: Path, new: Path):
+    """Yield one line per output that differs between two OUTDIRs."""
+    for name in sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}):
+        if not ((old / name).is_file() and (new / name).is_file()):
+            yield f"{name}: missing in {old if (new / name).is_file() else new}"
+            continue
+        a, b = ((d / name).read_text(encoding="utf-8") for d in (old, new))
+        if a == b:
+            continue
+        moved = [(float(x), float(y)) for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))
+                 if float(x) != float(y)]
+        # with no number moved, the same values are written otherwise ("1.0", "1.00")
+        if _NUMBER.split(a) != _NUMBER.split(b) or not moved:
+            yield f"{name}: text differs"
+            continue
+        worst = max(abs(y - x) / max(abs(x), abs(y)) for x, y in moved)
+        yield (f"{name}: {len(moved)} number(s) moved, largest relative change "
+               f"{worst:.2g}")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--compare"]:
+        if len(argv) != 3:
+            raise SystemExit("usage: cli_digests.py --compare OLD NEW")
+        for line in compare(Path(argv[1]), Path(argv[2])):
+            print(line)
+        return 0
     with contextlib.ExitStack() as stack:
         if argv:
             outdir = Path(argv[0])
