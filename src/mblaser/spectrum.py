@@ -59,7 +59,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Literal, Optional, Sequence
 
 import numpy as np
@@ -133,19 +132,46 @@ def detuning_moments(e: Ensemble) -> DetuningMoments:
     return DetuningMoments(ab=ab, bb=e.beta_coef ** 2 * m, gamma_sq_max=g2_max)
 
 
+def _period_propagator(S: float, kappa: float) -> np.ndarray:
+    """P = expm(2 pi A), the (6, 6) one-period propagator in the order
+    (a, b, u, v, p, q) (module docstring), read-only.  It does not depend on
+    the pump.  A non-finite P, a Vb conditioned worse than _V_COND_MAX, or a
+    P off the sum rule log|det P| = trace(2 pi A) by more than VERDICT_TOL / 10
+    is refused."""
+    # three unit oscillators (a, b), (u, v), (p, q), coupled through b and v
+    gen = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+    gen[1, 1], gen[1, 3], gen[3, 1], gen[5, 1] = -2.0 * kappa, 1.0, -S, -1.0
+    with np.errstate(all="ignore"):
+        P = expm(2.0 * PI * gen)
+        finite = np.all(np.isfinite(P))
+        cond = np.linalg.cond(P[:2, 2:4]) if finite else np.inf
+        residual = abs(np.linalg.slogdet(P)[1] + 4.0 * PI * kappa) if finite else np.inf
+    if not cond <= _V_COND_MAX:
+        fault = "non-finite or its field-from-collective block singular"
+    elif not residual <= VERDICT_TOL / 10:   # NaN and -inf fail too
+        fault = f"{residual:.2g} off its sum rule log|det P| = -4 pi kappa"
+    else:
+        P.flags.writeable = False
+        return P
+    raise ValidationError(f"synchronization sum S = {S:.3g} with kappa = {kappa:.3g} "
+                          f"leaves the one-period propagator {fault}; lower S or kappa")
+
+
 @dataclass(frozen=True)
 class BlockDifferential:
     """Blocks of the period-map differential at the ground state.
 
     The borders are the per-molecule scalars of ``medium`` times shared 2x2
     kernels (V_n = alpha_n v_border, W_n = beta_n w_border, D_n = diag(1, 1 -
-    delta_n)), each a block of the one-period ``propagator``.  S and G are
-    read off the moment summary, so the pump level is ``medium.pump_scale``.
+    delta_n)), each a block of the one-period ``propagator``, which
+    `assemble_blocks` builds once for every pump level.  S and G are read off
+    the moment summary, so the pump level is ``medium.pump_scale``.
     """
 
     medium: Ensemble
     kappa: float
     moments: DetuningMoments
+    propagator: np.ndarray
 
     def __post_init__(self):
         # the one scalar check per pump level; a Python float ** raises on
@@ -175,31 +201,6 @@ class BlockDifferential:
         return float(self.medium.pump_scale ** 2 * self.moments.gamma_sq_max
                      * self.moments.ab[1])
 
-    @cached_property
-    def propagator(self) -> np.ndarray:
-        """P = expm(2 pi A), the (6, 6) one-period propagator in the order
-        (a, b, u, v, p, q) (module docstring).  It does not depend on the pump.
-        A non-finite P, a Vb too ill-conditioned to divide by, or a P off the
-        sum rule log|det P| = trace(2 pi A) by more than VERDICT_TOL / 10 is
-        refused."""
-        S, kappa = self.S, self.kappa
-        # three unit oscillators (a, b), (u, v), (p, q), coupled through b and v
-        gen = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
-        gen[1, 1], gen[1, 3], gen[3, 1], gen[5, 1] = -2.0 * kappa, 1.0, -S, -1.0
-        with np.errstate(all="ignore"):
-            P = expm(2.0 * PI * gen)
-            finite = np.all(np.isfinite(P))
-            cond = np.linalg.cond(P[:2, 2:4]) if finite else np.inf
-            residual = abs(np.linalg.slogdet(P)[1] + 4.0 * PI * kappa) if finite else np.inf
-        if not cond <= _V_COND_MAX:
-            fault = "non-finite or its field-from-collective block singular"
-        elif not residual <= VERDICT_TOL / 10:   # NaN and -inf fail too
-            fault = f"{residual:.2g} off its sum rule log|det P| = -4 pi kappa"
-        else:
-            return P
-        raise ValidationError(f"synchronization sum S = {S:.3g} with kappa = {kappa:.3g} "
-                              f"leaves the one-period propagator {fault}; lower S or kappa")
-
     # the shared kernels of the blocks, as the module docstring names them
     M = property(lambda self: self.propagator[:2, :2])
     v_border = property(lambda self: self.propagator[:2, 2:4])        # Vb
@@ -217,7 +218,8 @@ class BlockDifferential:
 
     def with_pump_factor(self, factor: float) -> "BlockDifferential":
         """The blocks with every gamma_n scaled by ``factor``: O(1), since
-        only G and the detunings depend on the pump."""
+        only G and the detunings depend on the pump; the propagator is
+        shared."""
         e = self.medium
         return dataclasses.replace(self, medium=dataclasses.replace(
             e, pump_scale=e.pump_scale * factor, pump_amplitude=e.pump_amplitude * factor))
@@ -232,7 +234,9 @@ def assemble_blocks(e: Ensemble, kappa: float,
     """
     if d_variant not in ("identity", "gamma"):
         raise ValidationError(f"unknown d_variant {d_variant!r}")
-    bd = BlockDifferential(medium=e, kappa=kappa, moments=detuning_moments(e))
+    moments = detuning_moments(e)
+    bd = BlockDifferential(medium=e, kappa=kappa, moments=moments,
+                           propagator=_period_propagator(float(moments.ab[0]), kappa))
     return bd.with_pump_factor(0.0) if d_variant == "identity" else bd
 
 
@@ -591,9 +595,9 @@ def threshold_scan(e: Ensemble, kappa: float,
     point.
 
     gamma_n scales linearly with the pump amplitude; everything else of the
-    sampled medium is held fixed.  The blocks and their moment summary are
-    assembled once, and each grid point only rescales the pump-dependent
-    scalars, so a point costs O(1) in N.
+    sampled medium is held fixed.  The blocks, their moment summary and the
+    propagator are assembled once, and each grid point only rescales the
+    pump-dependent scalars, so a point costs O(1) in N.
     """
     base = assemble_blocks(e, kappa)
     points = []

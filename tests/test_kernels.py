@@ -4,7 +4,7 @@ import pytest
 from mblaser import kernels
 from mblaser.ensemble import Ensemble
 from mblaser.errors import ValidationError
-from mblaser.spectrum import BlockDifferential, detuning_moments
+from mblaser.spectrum import assemble_blocks
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -306,8 +306,7 @@ def _propagator(S: float, kappa: float = 0.0) -> np.ndarray:
                    alpha_coef=S, beta_coef=1.0, gamma_coef=0.0,
                    mode_amplitude=np.array([0.0, 1.0, 0.0]), cavity_dims=(1.0, 1.0, 1.0),
                    dipole_magnitude=1.0, pump_amplitude=1.0)
-    return BlockDifferential(medium=one, kappa=kappa,
-                             moments=detuning_moments(one)).propagator
+    return assemble_blocks(one, kappa).propagator
 
 
 def _real_form(c: complex) -> np.ndarray:

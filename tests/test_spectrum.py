@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import DESK_KAPPA, desk_params
+from mblaser import spectrum
 from mblaser.dynamics import OdeSettings
 from mblaser.ensemble import sample_ensemble
 from mblaser.errors import CapacityError, NumericsError, ValidationError
@@ -537,6 +539,18 @@ class TestThresholdScan:
             mult = resonance_verdict(bd).multipliers
             valid = np.abs(mult - 1.0) > cluster_guard(bd)
             assert p.collective_max_abs_mu == np.max(np.abs(mult[valid]))
+
+    def test_one_propagator_per_scan(self, monkeypatch):
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(spectrum, "expm", counting_expm)
+        e = _desk(50, seed=29)
+        threshold_scan(e, DESK_KAPPA, np.geomspace(1e1, 1e4, 5) * e.pump_amplitude)
+        assert len(calls) == 1
 
     def test_rejects_negative_pump(self, small_ensemble):
         with pytest.raises(ValidationError):
