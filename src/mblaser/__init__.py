@@ -2,7 +2,7 @@
 
 One-mode laser field coupled to N pumped two-level molecules: time
 integration, gauge-reduced period maps, the block differential at the ground
-state, multiplier spectra via a degree-six reduction, and pumping-threshold
+state, multiplier spectra via a degree-four reduction, and pumping-threshold
 scans -- with every closed form validated against an independent numerical
 oracle.
 """

@@ -193,8 +193,7 @@ def cmd_spectrum(args) -> int:
                                   if np.isfinite(rep.collective_max_abs_mu) else None),
         "resonance": rep.resonance,
         "multipliers": rep.multipliers,
-        # None marks roots standing in for the molecular cluster, which carry
-        # no back-substituted eigenvector
+        # None marks roots inside the cluster guard, which carry no eigenvector
         "maxwell_components": [float(c) if np.isfinite(c) else None
                                for c in rep.maxwell_components],
         "roots_near_one": rep.roots_near_one,

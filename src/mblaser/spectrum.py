@@ -29,17 +29,16 @@ scalars and the shared 2x2 kernels.
 Eliminating the molecular rows reduces the eigenproblem to a 2x2 family
 
     M(mu) = (M - mu) + Vb (I - R(mu) Xb)^{-1} R(mu) Wb,
-    R(mu) = diag( S/(mu-1),  sum_n alpha_n beta_n / (mu - 1 + delta_n) ),
+    R(mu) = diag(S/u, r(u)),  u = mu - 1,  r(u) = sum_n alpha_n beta_n / (u + delta_n).
 
-whose determinant, cleared of the (mu-1)^2 denominators using the expansion
-sum_n alpha_n beta_n/(mu-1+delta_n) ~ S/(mu-1) - 2 pi^2 G/(mu-1)^2
-(G = sum alpha_n beta_n gamma_n^2), is a degree-six polynomial.  It is the
-determinant of a 4x4 polynomial system whose field-row/molecular-column block
-Vb is constant and invertible, so it is computed as the Schur form
-det(Vb) det(C - D Vb^{-1} A), a 2x2 determinant of cubics.  One root
-always sits exactly at mu = 1 (two when all gamma_n = 0): the nontrivial
-content is a quartic, and the remaining multipliers of the full matrix
-cluster near 1 and near the eigenvalues of D_n.
+As (u, v) - S (p, q) is a free oscillator, P[uv, ab] = S Wb and P[uv, uv] - I
+= S Xb, so u is a collective root exactly when it is an eigenvalue of the 4x4
+T(rho) = P[:4, :4] - I - rho e_v e_v^T with rho = S/r(u) - u: the reduction
+to degree four.  At zero pump rho = 0 and the roots are e^{2 pi lambda} - 1.
+Otherwise T is taken at the mean detuning rho-bar = 2 pi^2 G / S (G = sum
+alpha_n beta_n gamma_n^2) and each root is iterated to the fixed point rho <-
+S/r(u) - u, a step shrinking the error by about q^2 (q below).  The other
+multipliers cluster near 1 and near the eigenvalues of D_n.
 
 The per-molecule sums are statistics of the medium.  With r_n = gamma_n^2 /
 max gamma^2, which does not change when the pump is rescaled, the moments
@@ -73,8 +72,8 @@ DENSE_CAP = 500
 DVariant = Literal["identity", "gamma"]
 Method = Literal["polynomial", "both"]
 VERDICT_TOL = 1e-9  # roundoff guard on the strict max|mu| > 1 comparison
-#: smallest ratio of a degree-6 polynomial's leading coefficient to the norm
-#: of all seven that the root finder takes as degree six
+#: smallest ratio of a polynomial's leading coefficient to the norm of all
+#: its coefficients that the root finder takes as of full degree
 _LEADING_RATIO = 1e-12
 
 #: largest q = max delta_n / |mu - 1| at which the resolvent sums are summed
@@ -89,8 +88,10 @@ SERIES_TERMS = 18
 _MOMENT_BLOCK = 16384
 #: largest ratio of the reduced matrix's singular values at an eigenvalue
 _NULL_TOL = 1e-4
-#: largest cond(Vb): the Schur form's leading coefficient is then 1 to ~2e-10
+#: largest cond(Vb), which keeps the field part of T's eigenvectors off zero
 _V_COND_MAX = 1e6
+#: cap on the fixed-point steps per collective root (q = 0.1 needs about 5)
+_FIXED_POINT_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -331,49 +332,42 @@ def reduced_matrix(mu: complex, bd: BlockDifferential) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial (degree six)
+# the collective 4x4 T(rho) and its characteristic polynomial (degree four)
 # ---------------------------------------------------------------------------
 
+def _collective_block(bd: BlockDifferential, rho: complex) -> np.ndarray:
+    """T(rho) = P[:4, :4] - I - rho e_v e_v^T (module docstring)."""
+    T = (bd.propagator[:4, :4] - np.eye(4)).astype(np.result_type(rho))
+    T[3, 3] -= rho
+    return T
+
+
+def _mean_detuning(bd: BlockDifferential) -> float:
+    """rho-bar = 2 pi^2 G / S (0 at S = 0, where T's molecular rows vanish)."""
+    return 2.0 * PI ** 2 * bd.gamma_sq_sum / bd.S if bd.S else 0.0
+
+
+def _char_poly(a: np.ndarray) -> np.ndarray:
+    """det(u I - a), descending, by the Faddeev-LeVerrier recursion."""
+    coeffs, b = [1.0], np.eye(len(a))
+    for k in range(1, len(a) + 1):
+        ab = a @ b
+        coeffs.append(-np.trace(ab) / k)
+        b = ab + coeffs[-1] * np.eye(len(a))
+    return np.array(coeffs)
+
+
 def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
-    """Degree-6 polynomial in the shifted variable u = mu - 1.
-
-    Determinant of the collective 4x4 system after clearing the (mu-1)^2
-    denominators with the expanded resolvent sums,
-
-        [ A  B ]   A = (M - I) - u I             B = Vb
-        [ C  D ],  C = -u^2 R(u) Wb              D = u^2 I - u^2 R(u) Xb,
-
-    with u^2 R = diag(S u, S u - 2 pi^2 G).  The field-row/molecular-column
-    block B is constant and invertible (`BlockDifferential.propagator`
-    refuses an ill-conditioned one), so det = det(B) det(C - D B^{-1} A),
-    a 2x2 determinant of cubics.  Assembled natively in u so the coefficients
-    carry the small coupling scales without cancellation (the multipliers sit
-    within O(sqrt(S)) of 1).  Descending, monic, length 7; the constant
-    coefficient vanishes identically (one exact root at mu = 1, two when all
-    gamma_n = 0).  Pumping strong enough that the other coefficients swamp the
+    """Degree-4 polynomial det(u I - T(rho-bar)) in u = mu - 1, descending
+    and monic.  T(rho) is linear in rho in one entry, so no power of rho-bar
+    is formed.  Pumping strong enough that the other coefficients swamp the
     leading one for `poly_roots`, or an S whose coefficients overflow, is
     refused as a ValidationError.
     """
-    g = bd.gamma_sq_sum
-    B = bd.v_border
-    b_inv = np.linalg.inv(B)
-    # coefficient matrices, highest power of u first
-    r1 = np.diag([bd.S, bd.S])                     # u^2 R = r1 u + r0
-    r0 = np.diag([0.0, -2.0 * PI ** 2 * g])
-    e1, e0 = -b_inv, b_inv @ (bd.M - np.eye(2))    # B^{-1} A
-    d1, d0 = -r1 @ bd.cross_kernel, -r0 @ bd.cross_kernel   # D = u^2 I + d1 u + d0
-    schur = np.stack([                             # C - D B^{-1} A, a cubic
-        -e1,
-        -(e0 + d1 @ e1),
-        -r1 @ bd.w_border - (d1 @ e0 + d0 @ e1),
-        -r0 @ bd.w_border - d0 @ e0,
-    ])
-    coeffs = np.linalg.det(B) * (np.convolve(schur[:, 0, 0], schur[:, 1, 1])
-                                 - np.convolve(schur[:, 0, 1], schur[:, 1, 0]))
+    T = _collective_block(bd, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _char_poly(T) + _mean_detuning(bd) * np.append(0.0, _char_poly(T[:3, :3]))
     # each comparison is written so that NaN fails it
-    if not abs(coeffs[0] - 1.0) <= 1e-9:
-        raise NumericsError("characteristic polynomial did not come out monic degree 6")
-    coeffs = coeffs / coeffs[0]
     size = math.hypot(*coeffs)
     if not size < math.inf:
         raise ValidationError(f"synchronization sum S = {bd.S:.3g} puts the characteristic "
@@ -387,13 +381,15 @@ def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
 
 
 def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
-    """Companion-matrix roots refined by one guarded Newton step each."""
+    """Companion-matrix roots of a polynomial of any degree, refined by one
+    guarded Newton step each."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 1 or coeffs.size != 7:
-        raise ValidationError("expected 7 descending coefficients (degree 6)")
+    if coeffs.ndim != 1 or coeffs.size < 2:
+        raise ValidationError("expected descending coefficients of degree 1 or more")
+    degree = coeffs.size - 1
     scale = np.linalg.norm(coeffs)
     if not abs(coeffs[0]) >= _LEADING_RATIO * scale:  # NaN fails too
-        raise ValidationError("leading coefficient vanishes: not degree 6")
+        raise ValidationError(f"leading coefficient vanishes: not degree {degree}")
     roots = np.roots(coeffs)
     dcoeffs = np.polyder(coeffs)
     for i, r in enumerate(roots):
@@ -404,7 +400,7 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
             if abs(step) < 0.1 * max(1.0, abs(r)):
                 roots[i] = r - step
     worst = max(abs(np.polyval(coeffs, r)) for r in roots)
-    if worst > 1e-10 * scale * max(1.0, np.max(np.abs(roots)) ** 6):
+    if worst > 1e-10 * scale * max(1.0, np.max(np.abs(roots)) ** degree):
         raise NumericsError(f"root residual {worst:.2e} too large")
     return roots
 
@@ -413,13 +409,13 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
 # eigenvectors and the verdict
 # ---------------------------------------------------------------------------
 
-def _null_direction(mu: complex, bd: BlockDifferential):
-    """(v0, rhs) at a root of det M(mu).
+def eigvec_back_substitute(mu: complex, bd: BlockDifferential) -> np.ndarray:
+    """Unit eigenvector of the block matrix at a root of det M(mu).
 
-    v0 is the unit near-null vector of the reduced 2x2; the molecular parts of
-    the eigenvector are beta_n rhs_0/(mu - 1) and beta_n rhs_1/(mu - 1 +
-    delta_n), with rhs = Wb v0 + Xb Y and Y the collective alpha-weighted
-    response.
+    v0 is the unit near-null vector of the reduced 2x2 (`_eliminate`); the
+    molecular parts are v_n = (mu - D_n)^{-1} beta_n rhs with rhs = Wb v0 +
+    Xb Y and Y the collective alpha-weighted response.  The Maxwell
+    component v0 never vanishes for roots of the reduced determinant.
     """
     red, R, core = _eliminate(mu, bd)
     _, sing, vh = np.linalg.svd(red)
@@ -428,17 +424,7 @@ def _null_direction(mu: complex, bd: BlockDifferential):
             f"mu = {mu} is not an eigenvalue: reduced matrix well conditioned")
     v0 = vh[1].conj()
     wb_v0 = bd.w_border @ v0
-    return v0, wb_v0 + bd.cross_kernel @ np.linalg.solve(core, R @ wb_v0)
-
-
-def eigvec_back_substitute(mu: complex, bd: BlockDifferential) -> np.ndarray:
-    """Unit eigenvector of the block matrix at a root of det M(mu).
-
-    The molecular parts follow from v_n = (mu - D_n)^{-1} beta_n (Wb v0 +
-    Xb Y) (see `_null_direction`).  The Maxwell component v0 never vanishes
-    for roots of the reduced determinant.
-    """
-    v0, rhs = _null_direction(mu, bd)
+    rhs = wb_v0 + bd.cross_kernel @ np.linalg.solve(core, R @ wb_v0)
     det = bd.gamma_detuning()
     u = mu - 1.0
     vec = np.empty(2 + 2 * bd.n, dtype=complex)
@@ -448,15 +434,13 @@ def eigvec_back_substitute(mu: complex, bd: BlockDifferential) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _maxwell_component(mu: complex, bd: BlockDifferential) -> float:
-    """|(a, b)-part| of the unit eigenvector at a root, from the moment sums.
-
-    Equals ``norm(eigvec_back_substitute(mu, bd)[:2])`` without building the
-    2N+2 vector: with |v0| = 1 the squared norm of the unnormalized vector is
+def _maxwell_component(u: complex, vec: np.ndarray, bd: BlockDifferential) -> float:
+    """``norm(eigvec_back_substitute(1 + u, bd)[:2])`` from T's eigenvector
+    ``vec`` = (f, Y) at the root u and the moment sums: scaled to |f| = 1,
+    with rhs = Wb f + Xb Y, the unnormalized vector's squared norm is
     1 + |rhs_0|^2 sum beta_n^2/|u|^2 + |rhs_1|^2 sum beta_n^2/|u + delta_n|^2.
     """
-    v0, rhs = _null_direction(mu, bd)
-    u = mu - 1.0
+    rhs = (bd.w_border @ vec[:2] + bd.cross_kernel @ vec[2:]) / np.linalg.norm(vec[:2])
     mol = (abs(rhs[0]) ** 2 * bd.moments.bb[0] / abs(u) ** 2
            + abs(rhs[1]) ** 2 * _detuned_norm_sum(u, bd))
     return float(1.0 / np.sqrt(1.0 + mol))
@@ -469,7 +453,7 @@ class SpectrumReport:
     multipliers: np.ndarray
     max_abs_mu: float
     #: max |mu| outside the cluster guard (NaN if none); ``max_abs_mu`` also
-    #: counts the polynomial route's cluster roots, as |mu| = 1
+    #: counts the molecular cluster, as |mu| = 1
     collective_max_abs_mu: float
     resonance: bool
     maxwell_components: np.ndarray   # |(a,b)-part| per reported eigenvector
@@ -484,55 +468,44 @@ class SpectrumReport:
         return float(np.min(vals)) if vals.size else np.nan
 
 
-def _refine_root_exact(mu: complex, bd: BlockDifferential) -> complex:
-    """Newton-polish a root of the expanded polynomial against the exact-sum
-    reduced determinant in three steps (removes the Laurent-expansion bias at
-    larger gamma)."""
-    for _ in range(3):
-        f = np.linalg.det(reduced_matrix(mu, bd))
-        h = 1e-7 * (abs(mu - 1.0) + 1e-9)
-        fp = np.linalg.det(reduced_matrix(mu + h, bd))
-        deriv = (fp - f) / h
-        if abs(deriv) < 1e-30:
-            break
-        step = f / deriv
-        if abs(step) > 0.5 * (abs(mu - 1.0) + 1e-9):
-            break
-        mu = mu - step
-    return mu
-
-
 def cluster_guard(bd: BlockDifferential, factor: float = 10.0) -> float:
-    """Radius around mu = 1 where the Laurent-expanded polynomial is not a
-    valid description (molecular cluster zone)."""
+    """Radius around mu = 1 of the molecular cluster zone, where a root of T
+    is not taken as collective; outside it q < 1 / factor."""
     return factor * max(bd.detuning_max, 1e-12)
 
 
-def _polynomial_spectrum(bd: BlockDifferential):
-    """Roots of the degree-6 polynomial with per-root Maxwell components.
+def _fixed_point(u: complex, vec: np.ndarray, bd: BlockDifferential):
+    """T's root near u and its eigenvector at rho = S/r(u) - u, iterated until
+    a step is roundoff (the error left is about q^2 times that step), else
+    NumericsError.  At zero pump, and at S = 0, rho-bar is already exact."""
+    if bd.S == 0.0 or bd.detuning_max == 0.0:
+        return u, vec
+    for _ in range(_FIXED_POINT_STEPS):
+        T = _collective_block(bd, bd.S / _detuned_sum(u, bd) - u)
+        vals, vecs = np.linalg.eig(T)
+        i = np.argmin(np.abs(vals - u))
+        step, u, vec = abs(vals[i] - u), vals[i], vecs[:, i]
+        # a step within eig's own backward error, eps |T|, is roundoff
+        if step <= 4.0 * np.finfo(float).eps * np.linalg.norm(T):
+            return u, vec
+    raise NumericsError(f"the collective root near mu = {1.0 + u:.6g} did not settle "
+                        f"in {_FIXED_POINT_STEPS} fixed-point steps")
 
-    Roots inside the cluster guard are expansion artifacts standing in for
-    the molecular cluster (true cluster multipliers lie in the hull between
-    1 - 2 pi^2 gamma_n^2 and 1); they are reported but carry no eigvector and
-    do not enter the verdict.  Valid roots are polished against the exact-sum
-    determinant; their Maxwell components come from the moment sums, so no
-    eigenvector is built.
-    """
-    roots = 1.0 + poly_roots(char_polynomial_centered(bd))
-    comps = np.full(roots.shape, np.nan)
-    valid = np.zeros(roots.shape, dtype=bool)
-    guard = cluster_guard(bd)
-    for i, r in enumerate(roots):
-        if abs(r - 1.0) <= guard:
-            continue
-        r = _refine_root_exact(r, bd)
-        roots[i] = r
-        valid[i] = True
-        try:
-            comps[i] = _maxwell_component(r, bd)
-        except NumericsError:
-            pass    # not a clean null direction: the component stays NaN
-    return roots, comps, valid
+
+def _polynomial_spectrum(bd: BlockDifferential):
+    """The four roots of T(rho-bar), each outside the cluster guard taken to
+    its fixed point with its Maxwell component; roots inside the guard lie
+    among the molecular cluster and carry no eigenvector.  The range
+    refusals of `char_polynomial_centered` guard this route too."""
+    char_polynomial_centered(bd)
+    us, vecs = np.linalg.eig(_collective_block(bd, _mean_detuning(bd)))
+    us = us.astype(complex)
+    comps = np.full(us.shape, np.nan)
+    valid = np.abs(us) > cluster_guard(bd)
+    for i in np.flatnonzero(valid):
+        us[i], vec = _fixed_point(us[i], vecs[:, i], bd)
+        comps[i] = _maxwell_component(us[i], vec, bd)
+    return 1.0 + us, comps, valid
 
 
 def _dense_spectrum(bd: BlockDifferential):
@@ -555,9 +528,8 @@ def resonance_verdict(bd: BlockDifferential,
     if method == "polynomial":
         mult, comps, valid = _polynomial_spectrum(bd)
         proots = mult.copy()
-        # cluster roots stand in for multipliers bounded by |mu| <= 1 exactly
-        max_mu = float(max(np.max(np.abs(mult[valid]), initial=0.0),
-                           1.0 if not valid.all() else 0.0))
+        # the molecular cluster, bounded by |mu| <= 1, counts as |mu| = 1
+        max_mu = float(np.max(np.abs(mult[valid]), initial=1.0))
     elif method == "both":
         proots = _polynomial_spectrum(bd)[0]
         mult, comps = _dense_spectrum(bd)

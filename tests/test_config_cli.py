@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mblaser
-from mblaser import dynamics
+from mblaser import dynamics, spectrum
 from mblaser.cli import main
 from mblaser.config import _ENSEMBLE_KEYS, load_config, paper_preset
 from mblaser.dynamics import OdeSettings
@@ -102,8 +102,8 @@ PUMP_OVERFLOW = {
         "error: pumping at 1 times the medium's pump amplitude lies beyond the "
         "polynomial route's range: max detuning 2 pi^2 gamma_n^2 = 1.88e+17\n",
     (("threshold-scan", "--pump-min", "1e14", "--pump-max", "1e15"), DIMLESS):
-        "error: pumping at 1.62e+14 times the medium's pump amplitude lies beyond "
-        "the polynomial route's range: max detuning 2 pi^2 gamma_n^2 = 2.26e+16\n",
+        "error: pumping at 1e+14 times the medium's pump amplitude lies beyond "
+        "the polynomial route's range: max detuning 2 pi^2 gamma_n^2 = 8.67e+15\n",
 }
 
 
@@ -497,6 +497,19 @@ class TestCli:
         assert "cross_method_max_gap" not in payload
         assert payload["resonance"] is False
 
+    def test_colliding_pairs_above_dense_cap(self, tmp_path):
+        """At kappa = 0 and S = 2.25 one collective pair is a double root at
+        mu = -1 on the unit circle; the polynomial route alone reads it to
+        roundoff."""
+        cfg = tmp_path / "collide.cfg"
+        cfg.write_text(_set_keys(DIMLESS, {"n": 600, "kappa": 0, "rescale_alpha_to_s": 2.25}))
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["method"] == "polynomial"
+        assert abs(payload["collective_max_abs_mu"] - 1.0) <= 1e-12
+        assert payload["resonance"] is False
+
     def test_both_within_dense_cap_skips_nothing(self, dimless_cfg, tmp_path, capsys):
         out = tmp_path / "spec.json"
         assert main(["spectrum", "--config", dimless_cfg, "--out", str(out)]) == 0
@@ -582,6 +595,19 @@ class TestBadInputs:
         assert err.startswith("numeric failure: integration exhausted its budget of 50 "
                               "step attempts per period over 1 period(s): max|gamma_n| "
                               "= 9.75e+07 and max|beta_n| = ")
+        assert not out.exists()
+
+    def test_unsettled_fixed_point_exits_3(self, tmp_path, capsys, monkeypatch):
+        """At pump x3.3e4, q = max delta / |mu - 1| is about 0.1 and each
+        collective root needs about five fixed-point steps.  With the cap
+        patched to 2 the run exits 3 and writes no half-polished root."""
+        monkeypatch.setattr(spectrum, "_FIXED_POINT_STEPS", 2)
+        cfg = tmp_path / "pumped.cfg"
+        cfg.write_text(_pumped("7.09e-3"))
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: the collective root near mu = ")
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["alpha_scale", "beta_scale"])

@@ -148,9 +148,8 @@ class TestPropagator:
     def test_zero_pump_sum_rule_and_bound(self, S, kappa):
         # the Floquet exponents sum to -2 kappa, and E = a^2 + b^2 + |W|^2/S
         # decays at the rate 4 kappa b^2: no multiplier leaves the unit circle.
-        # The dense route checks the bound: at S = 1 and kappa = 0 the two
-        # collective pairs collide, and the polynomial's double root is only
-        # good to about sqrt(eps)
+        # The dense route checks the bound here; TestDegreeFour checks the
+        # polynomial route's roots
         bd = assemble_blocks(_medium(20, S, kappa), kappa).with_pump_factor(0.0)
         sign, logdet = np.linalg.slogdet(assemble_full(bd))
         assert sign == 1.0
@@ -269,6 +268,14 @@ class TestReducedMatrix:
             assert val <= 1e-8 * norm2
 
 
+def _t_matrix(bd):
+    """T(rho-bar) = P[:4, :4] - I - rho-bar e_v e_v^T, with the mean detuning
+    rho-bar = 2 pi^2 G / S."""
+    T = bd.propagator[:4, :4] - np.eye(4)
+    T[3, 3] -= 2.0 * PI ** 2 * bd.gamma_sq_sum / bd.S
+    return T
+
+
 class TestCharPolynomial:
     def test_decoupled_is_pure_power(self):
         params = dataclasses.replace(desk_params(3), alpha_scale=0.0, kappa=0.0,
@@ -276,37 +283,30 @@ class TestCharPolynomial:
         e = sample_ensemble(params, "H1", seed=0)
         bd = assemble_blocks(e, 0.0)
         cent = char_polynomial_centered(bd)
-        # p(u) = u^6 exactly
+        # p(u) = u^4 exactly
         assert cent[0] == 1.0
         assert np.max(np.abs(cent[1:])) <= 1e-14
 
-    def test_constant_term_vanishes(self, small_ensemble):
-        cent = char_polynomial_centered(assemble_blocks(small_ensemble, 1e-7))
-        assert abs(cent[-1]) <= 1e-24
-
-    def test_mu5_coefficient_tracks_trace(self):
-        e = _desk(30, seed=3)
-        bd = assemble_blocks(e, DESK_KAPPA)
+    @pytest.mark.parametrize("pump", [1.0, 1e4])
+    def test_first_coefficient_is_minus_trace(self, pump):
+        bd = assemble_blocks(_desk(30, seed=3), DESK_KAPPA).with_pump_factor(pump)
         centered = char_polynomial_centered(bd)
-        # the mu^5 coefficient of p(u) with u = mu - 1 is centered[1] - 6; at
-        # S -> 0 it is -(4 + tr M), and finite-S corrections are O(S)
-        assert abs(centered[1] - 6 - (-(4.0 + np.trace(bd.M)))) <= 10.0 * bd.S
+        # the u^3 coefficient of det(u I - T) is -tr T
+        T = _t_matrix(bd)
+        assert abs(centered[1] + np.trace(T)) <= 1e-15 * np.sum(np.abs(np.diag(T)))
 
     @pytest.mark.parametrize("pump", [1.0, 1e4])
-    def test_matches_determinant_of_u_matrix(self, pump):
-        # independent oracle for the Schur-complement expansion: the 4x4
-        # system in u = mu - 1 evaluated at a point and handed to LU
+    def test_matches_determinant_of_t_matrix(self, pump):
+        # independent oracle for the Faddeev-LeVerrier coefficients: the 4x4
+        # u I - T(rho-bar) evaluated at a point and handed to LU
         bd = assemble_blocks(_desk(30, seed=3), 1e-7).with_pump_factor(pump)
         coeffs = char_polynomial_centered(bd)
+        T = _t_matrix(bd)
         for r in (1e-3, 1e-2, 1e-1, 1.0):
             for phase in (0.4, 2.5):
                 u = r * np.exp(1j * phase)
-                u2r = np.diag([bd.S * u, bd.S * u - 2 * PI ** 2 * bd.gamma_sq_sum])
-                mat = np.block([
-                    [bd.M - np.eye(2) - u * np.eye(2), bd.v_border],
-                    [-u2r @ bd.w_border, u ** 2 * np.eye(2) - u2r @ bd.cross_kernel]])
                 scale = np.polyval(np.abs(coeffs), r)
-                assert abs(np.polyval(coeffs, u) - np.linalg.det(mat)) <= 1e-13 * scale
+                assert abs(np.polyval(coeffs, u) - np.linalg.det(u * np.eye(4) - T)) <= 1e-13 * scale
 
     def test_roots_match_dense(self):
         e = _desk(10, seed=13)
@@ -316,6 +316,64 @@ class TestCharPolynomial:
         guard = cluster_guard(bd, factor=100.0)
         for mu in dense[np.abs(dense - 1.0) > guard]:
             assert np.min(np.abs(roots - mu)) <= 1e-6
+
+
+class TestDegreeFour:
+    """The collective multipliers as the eigenvalues of the 4x4 T(rho)."""
+
+    @pytest.mark.parametrize("S", [1e-5, 1e-3, 0.1, 1.0, 2.25])
+    def test_zero_pump_roots_are_the_floquet_multipliers(self, S):
+        # at kappa = 0 the collective multipliers are exp(+-2 pi i omega+-),
+        # omega+- = sqrt(1 + S/4) +- sqrt(S)/2; the pairs collide at S = 1
+        # and S = 2.25
+        bd = assemble_blocks(_medium(20, S, 0.0), 0.0).with_pump_factor(0.0)
+        u = resonance_verdict(bd).multipliers - 1.0
+        omega = math.sqrt(1.0 + S / 4.0) + np.array([1.0, -1.0]) * math.sqrt(S) / 2.0
+        assert u.size == 4
+        for expect in np.expm1(2j * PI * np.concatenate([omega, -omega])):
+            assert np.min(np.abs(u - expect)) <= 1e-13
+
+    @pytest.mark.parametrize("S", [1e-5, 1e-3, 0.1, 1.0, 2.25])
+    @pytest.mark.parametrize("kappa", [0.0, 1e-7, 0.05])
+    def test_zero_pump_sum_rule(self, S, kappa):
+        bd = assemble_blocks(_medium(20, S, kappa), kappa).with_pump_factor(0.0)
+        mult = resonance_verdict(bd).multipliers
+        assert mult.size == 4
+        assert abs(np.sum(np.log(np.abs(mult))) + 4.0 * PI * kappa) <= 1e-12
+
+    @pytest.mark.parametrize("S", [1.0, 2.25])
+    def test_colliding_pairs_match_dense(self, S):
+        bd = assemble_blocks(_medium(40, S, 0.0), 0.0)
+        rep = resonance_verdict(bd)
+        dense = resonance_verdict(bd, method="both")
+        assert abs(rep.collective_max_abs_mu - dense.collective_max_abs_mu) <= 1e-12
+        assert not rep.resonance
+
+    @staticmethod
+    def _strongly_pumped():
+        """Criterion 10's medium at x3.3e4, where q = max delta / |mu - 1|
+        is about 0.1 and the fixed point needs the most steps."""
+        e = desk_ensemble(300, seed=9)
+        return assemble_blocks(e, DESK_KAPPA).with_pump_factor(e.pump_factor(3.3e4))
+
+    def test_reduced_determinant_vanishes_at_strong_pump(self):
+        bd = self._strongly_pumped()
+        mult = resonance_verdict(bd).multipliers
+        mult = mult[np.abs(mult - 1.0) > cluster_guard(bd)]
+        assert mult.size == 4
+        assert bd.detuning_max / np.min(np.abs(mult - 1.0)) == pytest.approx(0.098, abs=1e-3)
+        eps = np.finfo(float).eps
+        for mu in mult:
+            # the roundoff of det at a singular 2x2: |red| times the error of
+            # its entries, eps (|M| + |mu|) from forming M - mu
+            red = reduced_matrix(mu, bd)
+            floor = eps * np.linalg.norm(red) * (np.linalg.norm(bd.M) + abs(mu))
+            assert abs(np.linalg.det(red)) <= 8.0 * floor
+
+    def test_unsettled_fixed_point_is_refused(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_FIXED_POINT_STEPS", 2)
+        with pytest.raises(NumericsError, match="did not settle in 2 fixed-point steps"):
+            resonance_verdict(self._strongly_pumped())
 
 
 class TestPolyRoots:

@@ -1,8 +1,9 @@
 """sha256 of every CLI output at a fixed seed, for byte-identity checks.
 
 Writes two dimensionless desk configs (the perfbench coupling scales with
-N = 40 and N = 300, seed 7, S rescaled to 1e-5) and a third at N = 40 with S
-rescaled to 1e-3, runs the subcommands below in this process through
+N = 40 and N = 300, seed 7, S rescaled to 1e-5), a third at N = 40 with S
+rescaled to 1e-3 and a fourth at N = 600 with kappa = 0 and S = 2.25, runs
+the subcommands below in this process through
 `mblaser.cli.main`, and prints ``sha256  name`` per output; `verify-all`
 writes its runtimes to stderr, so its stdout is hashed as it is.  Run it against each checkout and compare the two listings:
 
@@ -17,7 +18,7 @@ with
 
 which prints, for each output whose bytes differ, how many numbers moved and
 the largest relative change, or "text differs" when anything other than a
-number changed.
+number changed.  The configs, which are inputs, are not compared.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 CONFIG = """\
 [dimensionless]
-kappa = 1e-7
+kappa = {kappa}
 alpha_scale = 1.154700538379252e-23
 beta_scale = 0.01824171466633889
 gamma_scale = 2.148499210110585e-07
@@ -82,7 +83,7 @@ def digests(outdir: Path):
     sources = {}
     for n in (40, 300):
         path = outdir / f"n{n}.cfg"
-        path.write_text(CONFIG.format(n=n, s="1e-5"), encoding="utf-8")
+        path.write_text(CONFIG.format(n=n, s="1e-5", kappa="1e-7"), encoding="utf-8")
         sources[f"n{n}"] = ["--config", str(path)]
     sources["paper"] = ["--paper-constants", "--seed", "7"]
 
@@ -94,11 +95,18 @@ def digests(outdir: Path):
     # S = 1e-3, where the blocks' S dependence beyond first order decides
     # the verdict: the spectral outputs only
     path = outdir / "n40-s1e-3.cfg"
-    path.write_text(CONFIG.format(n=40, s="1e-3"), encoding="utf-8")
+    path.write_text(CONFIG.format(n=40, s="1e-3", kappa="1e-7"), encoding="utf-8")
     for suffix, argv in PER_SOURCE:
         if argv[0] in ("spectrum", "threshold-scan"):
             names.append(f"n40-s1e-3.{suffix}")
             _run(main, argv + ["--config", str(path)], outdir / names[-1])
+    # kappa = 0 and S = 2.25, where the two collective pairs collide (a
+    # double root at mu = -1); N = 600 is above the dense cap, so the
+    # polynomial route alone gives the verdict
+    path = outdir / "n600-k0-s2.25.cfg"
+    path.write_text(CONFIG.format(n=600, s="2.25", kappa="0"), encoding="utf-8")
+    names.append("n600-k0-s2.25.spectrum.json")
+    _run(main, ["spectrum", "--config", str(path)], outdir / names[-1])
     names.append("n40.ensemble.csv")
     _run(main, ["ensemble"] + sources["n40"], outdir / names[-1])
 
@@ -119,7 +127,8 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 def compare(old: Path, new: Path):
     """Yield one line per output that differs between two OUTDIRs."""
-    for name in sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}):
+    names = {p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}
+    for name in sorted(n for n in names if not n.endswith(".cfg")):
         if not ((old / name).is_file() and (new / name).is_file()):
             yield f"{name}: missing in {old if (new / name).is_file() else new}"
             continue
