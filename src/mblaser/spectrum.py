@@ -108,26 +108,23 @@ def detuning_moments(e: Ensemble) -> DetuningMoments:
     """The moments from one blocked pass over sum proj_mode_n^2 r_n^k.
 
     ``ab[0]`` is S; it is taken as one pairwise sum, rounded exactly as
-    `ensemble.sum_S`, so M and the dense route do not move.
+    `ensemble.sum_S`, so M and the dense route do not move.  Pumping past the
+    float range gives ``gamma_sq_max`` = inf, which `BlockDifferential` refuses.
     """
     # |gamma_coef| max|proj_pump| rounds as max|gamma_n|: rounding is monotone
     g_max = abs(e.gamma_coef) * float(np.max(np.abs(e.proj_pump), initial=0.0))
-    try:
-        g2_max = g_max ** 2
-    except OverflowError:
-        raise ValidationError(
-            f"pumping rate max|gamma_n| = {g_max:.3g} squares beyond the float "
-            "range; lower gamma_scale or pump_amplitude") from None
+    g2_max = g_max * g_max
     m = np.zeros(SERIES_TERMS)
-    for start in range(0, e.n, _MOMENT_BLOCK):
-        block = slice(start, start + _MOMENT_BLOCK)
-        x2 = e.proj_mode[block] ** 2
-        r = ((e.gamma_coef * e.proj_pump[block]) ** 2 / g2_max if g2_max > 0
-             else np.zeros_like(x2))
-        p = np.ones_like(r)
-        for k in range(SERIES_TERMS):
-            m[k] += x2 @ p
-            p *= r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, e.n, _MOMENT_BLOCK):
+            block = slice(start, start + _MOMENT_BLOCK)
+            x2 = e.proj_mode[block] ** 2
+            r = ((e.gamma_coef * e.proj_pump[block]) ** 2 / g2_max if g2_max > 0
+                 else np.zeros_like(x2))
+            p = np.ones_like(r)
+            for k in range(SERIES_TERMS):
+                m[k] += x2 @ p
+                p *= r
     ab = e.alpha_coef * e.beta_coef * e.alpha_rescale * m
     ab[0] = np.sum(e.alpha * e.beta)
     return DetuningMoments(ab=ab, bb=e.beta_coef ** 2 * m, gamma_sq_max=g2_max)
@@ -175,13 +172,9 @@ class BlockDifferential:
     propagator: np.ndarray
 
     def __post_init__(self):
-        # the one scalar check per pump level; a Python float ** raises on
-        # overflow where numpy would give inf
-        try:
-            finite = math.isfinite(self.detuning_max)
-        except OverflowError:
-            finite = False
-        if not finite:
+        # the blocks' float range, checked once per pump level; an overflow
+        # gives inf and 0 * inf gives NaN, which both fail
+        if not self.detuning_max < math.inf:
             raise ValidationError(
                 "pumping out of float range: the detunings 2 pi^2 gamma_n^2 overflow "
                 f"at {self.medium.pump_scale:.3g} times the medium's pump amplitude")
@@ -199,8 +192,8 @@ class BlockDifferential:
     @property
     def gamma_sq_sum(self) -> float:
         """G = sum alpha_n beta_n gamma_n^2 at this pump, from the k = 1 moment."""
-        return float(self.medium.pump_scale ** 2 * self.moments.gamma_sq_max
-                     * self.moments.ab[1])
+        s = self.medium.pump_scale
+        return float(s * s * self.moments.gamma_sq_max * self.moments.ab[1])
 
     # the shared kernels of the blocks, as the module docstring names them
     M = property(lambda self: self.propagator[:2, :2])
@@ -215,7 +208,8 @@ class BlockDifferential:
     @property
     def detuning_max(self) -> float:
         """max_n delta_n, from the moment summary (no pass over molecules)."""
-        return 2.0 * PI ** 2 * self.medium.pump_scale ** 2 * self.moments.gamma_sq_max
+        s = self.medium.pump_scale
+        return 2.0 * PI ** 2 * (s * s) * self.moments.gamma_sq_max
 
     def with_pump_factor(self, factor: float) -> "BlockDifferential":
         """The blocks with every gamma_n scaled by ``factor``: O(1), since
@@ -360,19 +354,14 @@ def _char_poly(a: np.ndarray) -> np.ndarray:
 def char_polynomial_centered(bd: BlockDifferential) -> np.ndarray:
     """Degree-4 polynomial det(u I - T(rho-bar)) in u = mu - 1, descending
     and monic.  T(rho) is linear in rho in one entry, so no power of rho-bar
-    is formed.  Pumping strong enough that the other coefficients swamp the
-    leading one for `poly_roots`, or an S whose coefficients overflow, is
-    refused as a ValidationError.
+    is formed.  Pumping that makes the other coefficients overflow or swamp
+    the leading one for `poly_roots` is refused as a ValidationError; those
+    of T(0) belong to zero-pump roots |mu - 1| <= 2 and can do neither.
     """
     T = _collective_block(bd, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = _char_poly(T) + _mean_detuning(bd) * np.append(0.0, _char_poly(T[:3, :3]))
-    # each comparison is written so that NaN fails it
-    size = math.hypot(*coeffs)
-    if not size < math.inf:
-        raise ValidationError(f"synchronization sum S = {bd.S:.3g} puts the characteristic "
-                              "polynomial beyond the float range; lower S")
-    if not _LEADING_RATIO * size <= 1.0:
+    if not _LEADING_RATIO * math.hypot(*coeffs) <= 1.0:   # inf and NaN fail too
         raise ValidationError(
             f"pumping at {bd.medium.pump_scale:.3g} times the medium's pump amplitude lies "
             "beyond the polynomial route's range: max detuning 2 pi^2 gamma_n^2 = "
@@ -496,7 +485,7 @@ def _polynomial_spectrum(bd: BlockDifferential):
     """The four roots of T(rho-bar), each outside the cluster guard taken to
     its fixed point with its Maxwell component; roots inside the guard lie
     among the molecular cluster and carry no eigenvector.  The range
-    refusals of `char_polynomial_centered` guard this route too."""
+    refusal of `char_polynomial_centered` guards this route too."""
     char_polynomial_centered(bd)
     us, vecs = np.linalg.eig(_collective_block(bd, _mean_detuning(bd)))
     us = us.astype(complex)

@@ -85,16 +85,16 @@ def _set_keys(text: str, values: dict) -> str:
     return text
 
 
-def _pumped(gamma_scale: str) -> str:
-    return DIMLESS.replace("gamma_scale = 2.149e-7", f"gamma_scale = {gamma_scale}")
+def _pumped(gamma_scale: str, s: str = "1e-5") -> str:
+    return _set_keys(DIMLESS, {"gamma_scale": gamma_scale, "rescale_alpha_to_s": s})
 
 
 #: (argv, config) whose pumping lies beyond the float range or the
 #: polynomial route's range, and the message
 PUMP_OVERFLOW = {
     (("spectrum",), _pumped("1e200")):
-        "error: pumping rate max|gamma_n| = 9.75e+199 squares beyond the float "
-        "range; lower gamma_scale or pump_amplitude\n",
+        "error: pumping out of float range: the detunings 2 pi^2 gamma_n^2 "
+        "overflow at 1 times the medium's pump amplitude\n",
     (("threshold-scan", "--pump-min", "1e300", "--pump-max", "1e301"), DIMLESS):
         "error: pumping out of float range: the detunings 2 pi^2 gamma_n^2 "
         "overflow at 1e+300 times the medium's pump amplitude\n",
@@ -104,6 +104,14 @@ PUMP_OVERFLOW = {
     (("threshold-scan", "--pump-min", "1e14", "--pump-max", "1e15"), DIMLESS):
         "error: pumping at 1e+14 times the medium's pump amplitude lies beyond "
         "the polynomial route's range: max detuning 2 pi^2 gamma_n^2 = 8.67e+15\n",
+    # at S = 1e4 only the mean detuning overflows the polynomial, which names
+    # the pump, not S
+    (("spectrum",), _pumped("1e152", s="1e4")):
+        "error: pumping at 1 times the medium's pump amplitude lies beyond the "
+        "polynomial route's range: max detuning 2 pi^2 gamma_n^2 = 1.88e+305\n",
+    (("threshold-scan", "--pump-min", "1", "--pump-max", "10"), _pumped("3e152", s="1e4")):
+        "error: pumping at 1 times the medium's pump amplitude lies beyond the "
+        "polynomial route's range: max detuning 2 pi^2 gamma_n^2 = 1.69e+306\n",
 }
 
 
@@ -614,8 +622,8 @@ class TestBadInputs:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_polynomial_overflow_names_S(self, key, tmp_path, capsys):
-        """An unrescaled scale of 1e300 overflows the characteristic
-        polynomial to NaN; the refusal names S, not the pumping."""
+        """An unrescaled scale of 1e300 leaves the one-period propagator
+        non-finite; the refusal names S and kappa, not the pumping."""
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(_set_keys(DIMLESS.replace("rescale_alpha_to_s = 1e-5\n", ""),
                                  {key: "1e300"}))
@@ -623,6 +631,7 @@ class TestBadInputs:
         assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("error: synchronization sum S = ") and "pumping" not in err
+        assert "leaves the one-period propagator non-finite" in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -707,6 +716,8 @@ class TestBadInputs:
         (["spectrum"], _pumped("1e200")),
         (["threshold-scan", "--pump-min", "1e300", "--pump-max", "1e301"], DIMLESS),
         (["spectrum"], _pumped("1e8")),
+        (["spectrum"], _pumped("1e152", s="1e4")),
+        (["threshold-scan", "--pump-min", "1", "--pump-max", "10"], _pumped("3e152", s="1e4")),
     ])
     def test_oversized_request_exits_2(self, argv, cfg_text, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
