@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError, require_capacity
 from .model import (HBAR, RUBY_ACTIVE_VOLUME, RUBY_CAVITY, DimensionlessParams,
-                    PhysicalParams)
+                    PhysicalParams, _as_locked)
 
 Hypothesis = Literal["H1", "H2"]
 
@@ -84,11 +84,6 @@ def default_mode_amplitude(k: Tuple[int, int, int],
     raise ValidationError("could not build a transverse amplitude")  # pragma: no cover
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class Ensemble:
     """Sampled active medium.  The cavity damping kappa is not a property of
@@ -116,14 +111,14 @@ class Ensemble:
 
     def __post_init__(self):
         for name in ("proj_mode", "proj_pump", "mode_amplitude"):
-            object.__setattr__(self, name, _read_only(
+            object.__setattr__(self, name, _as_locked(
                 np.asarray(getattr(self, name), dtype=float)))
 
     # the order of each product is part of the outputs' rounding
-    alpha = property(lambda self: _read_only(
+    alpha = property(lambda self: _as_locked(
         self.alpha_coef * self.proj_mode * self.alpha_rescale))
-    beta = property(lambda self: _read_only(self.beta_coef * self.proj_mode))
-    gamma = property(lambda self: _read_only(
+    beta = property(lambda self: _as_locked(self.beta_coef * self.proj_mode))
+    gamma = property(lambda self: _as_locked(
         self.gamma_coef * self.proj_pump * self.pump_scale))
 
     # 2/(Omega_p hbar) times the desk rescale: S = sum_weight * sum (P.X)^2
