@@ -9,10 +9,15 @@ infinities.  [ensemble] n restates [dimensionless] n unless it is drawn bad.
 Sizes (N, --periods, --samples-per-period, --steps) are small or above the
 memory cap, so no example allocates much.  `cli.main` runs in-process and
 writes only under tmp_path.  An exception escaping `main` fails the test.
+
+KEYS leave huge pumping out: `simulate` and `poincare` integrate a medium
+that stiff for about 4 s before `dynamics.STEP_BUDGET` stops them.  The
+spectral commands refuse it at once, so a fixed sweep covers them instead.
 """
 import math
 from dataclasses import fields
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -152,3 +157,37 @@ def test_keys_cover_the_schema():
               for f in fields(cls)}
     schema |= {("ensemble", key) for key in _ENSEMBLE_KEYS}
     assert {row[:2] for row in KEYS} == schema
+
+
+PUMP_SWEEP_CONFIG = """\
+[dimensionless]
+kappa = 1e-7
+alpha_scale = 1.155e-23
+beta_scale = 1.824e-2
+gamma_scale = {gamma_scale}
+n = 40
+
+[ensemble]
+seed = 7
+rescale_alpha_to_s = {s}
+"""
+
+
+@pytest.mark.parametrize("s", ["1e-5", "1e4"])
+@pytest.mark.parametrize("gamma_scale",
+                         ["1e8", "1e100", "1e152", "3e152", "1e154", "1e200", "1e300"])
+@pytest.mark.parametrize("argv", [["spectrum"],
+                                  ["threshold-scan", "--pump-min", "1", "--pump-max", "10",
+                                   "--steps", "2"]])
+@pytest.mark.filterwarnings("error")
+def test_pumping_beyond_range_names_the_pump(argv, gamma_scale, s, tmp_path, capsys):
+    """Pumping beyond the polynomial route's range or the float range exits 2
+    with one line that names the pump, whatever S, and writes nothing."""
+    cfg = tmp_path / "pumped.cfg"
+    cfg.write_text(PUMP_SWEEP_CONFIG.format(gamma_scale=gamma_scale, s=s))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pumping") and err.count("\n") == 1
+    assert len(err) < 200 and "synchronization sum" not in err
+    assert not out.exists()
