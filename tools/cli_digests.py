@@ -5,7 +5,11 @@ N = 40 and N = 300, seed 7, S rescaled to 1e-5), a third at N = 40 with S
 rescaled to 1e-3 and a fourth at N = 600 with kappa = 0 and S = 2.25, runs
 the subcommands below in this process through
 `mblaser.cli.main`, and prints ``sha256  name`` per output; `verify-all`
-writes its runtimes to stderr, so its stdout is hashed as it is.  Run it against each checkout and compare the two listings:
+writes its runtimes to stderr, so its stdout is hashed as it is.  One more
+output, ``refusals.txt``, holds the exit code and stderr of each run in
+REFUSED, so that a change to a refusal's wording shows; a listed run that
+does not exit 2 fails the tool.  Run it against each checkout and compare
+the two listings:
 
     PYTHONPATH=src python tools/cli_digests.py [OUTDIR]
 
@@ -65,6 +69,21 @@ PER_SOURCE = [
 ]
 
 
+#: runs on the N = 40 desk config that must exit 2, each (rescale_alpha_to_s,
+#: kappa, gamma_scale, argv): the pump beyond the polynomial route's range and
+#: beyond the float range in both spectral commands, the pump at S = 1e4 that
+#: once drew a message naming S, and the propagator's S/kappa refusal
+DESK_GAMMA = "2.148499210110585e-07"
+REFUSED = [
+    ("1e-5", "1e-7", "1e8", ["spectrum"]),
+    ("1e-5", "1e-7", "1e200", ["spectrum"]),
+    ("1e-5", "1e-7", "1e8", ["threshold-scan", "--pump-min", "1", "--pump-max", "10"]),
+    ("1e-5", "1e-7", "1e200", ["threshold-scan", "--pump-min", "1", "--pump-max", "10"]),
+    ("1e4", "1e-7", "1e152", ["spectrum"]),
+    ("1e20", "0", DESK_GAMMA, ["spectrum"]),
+]
+
+
 def _run(main, argv, out=None) -> str:
     """Run one CLI call; return its stdout, and fail on a nonzero exit
     unless it is `verify-all` naming a failing criterion (exit 3)."""
@@ -116,8 +135,29 @@ def digests(outdir: Path):
     names.append("verify-all.txt")
     (outdir / names[-1]).write_text(_run(main, ["verify-all"]), encoding="utf-8")
 
+    names.append("refusals.txt")
+    (outdir / names[-1]).write_text(_refusals(main, outdir), encoding="utf-8")
+
     for name in names:
         yield hashlib.sha256((outdir / name).read_bytes()).hexdigest(), name
+
+
+def _refusals(main, outdir: Path) -> str:
+    """The exit code and stderr of each run in REFUSED, one block per run."""
+    path = outdir / "refused.cfg"
+    blocks = []
+    for s, kappa, gamma, argv in REFUSED:
+        path.write_text(CONFIG.format(n=40, s=s, kappa=kappa).replace(
+            f"gamma_scale = {DESK_GAMMA}", f"gamma_scale = {gamma}"), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", str(path), "--out", str(outdir / "refused.out")])
+        if code != 2:
+            raise SystemExit(f"mblaser {' '.join(argv)} at S = {s}, kappa = {kappa}, "
+                             f"gamma_scale = {gamma} exited {code}, not 2")
+        blocks.append(f"{' '.join(argv)}  [S = {s}, kappa = {kappa}, "
+                      f"gamma_scale = {gamma}]\nexit {code}\n{err.getvalue()}")
+    return "\n".join(blocks)
 
 
 #: a decimal number, as the outputs write them (a number inside a name, as
