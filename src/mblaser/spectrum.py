@@ -41,17 +41,20 @@ S/r(u) - u, a step shrinking the error by about q^2 (q below).  The other
 multipliers cluster near 1 and near the eigenvalues of D_n.
 
 The per-molecule sums are statistics of the medium.  With r_n = gamma_n^2 /
-max gamma^2, which does not change when the pump is rescaled, the moments
-m_k = sum alpha_n beta_n r_n^k and b_k = sum beta_n^2 r_n^k (k < 18) are
-multiples of one family sum proj_mode_n^2 r_n^k, computed once in O(N K),
-since alpha_n and beta_n share the projection.  At u = mu - 1 and q = max
-delta / |u| the exact resolvent sum is the Laurent series sum_k m_k (-max
-delta / u)^k / u, and the eigenvector norm needed for the Maxwell component
-is a series in b_k; both are truncated below 2^-53 relative for q <= 0.1
-(SERIES_RADIUS).  The cluster guard keeps every verdict-bearing root far
-inside that radius; only points near the molecular cluster fall back to the
-direct O(N) sums.  A whole `threshold_scan` therefore costs one O(N K) pass
-plus O(1) per grid point.
+max gamma^2 = (proj_pump_n / max|proj_pump|)^2, which does not change when
+the pump is rescaled, the moments m_k = sum alpha_n beta_n r_n^k and b_k =
+sum beta_n^2 r_n^k (k < 18) are multiples of one family sum proj_mode_n^2
+r_n^k, since alpha_n and beta_n share the projection.  One blocked pass
+computes that family as a (4, 5) grid, k = i + 4 j: per block, the rows
+proj_mode_n^2 r_n^i (i < 4) times the rows r_n^(4 j) (j < 5), one small
+matrix product.  At u = mu - 1 and q = max delta / |u| the exact resolvent
+sum is the Laurent series sum_k m_k (-max delta / u)^k / u, and the
+eigenvector norm needed for the Maxwell component is a series in b_k; both
+are truncated below 2^-53 relative for q <= 0.1 (SERIES_RADIUS).  The
+cluster guard keeps every verdict-bearing root far inside that radius; only
+points near the molecular cluster fall back to the direct O(N) sums.  A
+whole `threshold_scan` therefore costs one O(N K) pass plus O(1) per grid
+point.
 """
 from __future__ import annotations
 
@@ -82,10 +85,13 @@ SERIES_RADIUS = 0.1
 #: moments kept: at q = SERIES_RADIUS the slower of the two series (the
 #: eigenvector norm, terms bounded by (k + 1) q^k) is truncated below 2^-53
 SERIES_TERMS = 18
-#: molecules per block of the moment pass; a block's weights and running
-#: power stay in cache across all SERIES_TERMS powers (at N = 1e6, one core:
-#: 32 ms against 100 ms for the same loop over the whole arrays)
+#: molecules per block of the moment pass; a block's rows stay in cache
+#: through its matrix product (the whole pass, S's sum included, takes about
+#: 10.5 ms at N = 1e6 on one core of a 2-core Xeon)
 _MOMENT_BLOCK = 16384
+#: the moment pass's grid: m_(i + 4 j) = sum_n x_n^2 r_n^i r_n^(4 j) for
+#: i < 4 and j < 5, 20 >= SERIES_TERMS entries (r^4 is taken as two squarings)
+_MOMENT_GRID = (4, 5)
 #: largest ratio of the reduced matrix's singular values at an eigenvalue
 _NULL_TOL = 1e-4
 #: largest cond(Vb), which keeps the field part of T's eigenvectors off zero
@@ -107,27 +113,56 @@ class DetuningMoments:
 def detuning_moments(e: Ensemble) -> DetuningMoments:
     """The moments from one blocked pass over sum proj_mode_n^2 r_n^k.
 
-    ``ab[0]`` is S; it is taken as one pairwise sum, rounded exactly as
-    `ensemble.sum_S`, so M and the dense route do not move.  Pumping past the
-    float range gives ``gamma_sq_max`` = inf, which `BlockDifferential` refuses.
+    With x_n = proj_mode_n, each block of _MOMENT_BLOCK molecules gives the
+    rows lo_i = x_n^2 r_n^i (i < 4) and hi_j = r_n^(4 j) (j < 5, so hi_0 =
+    1); the block's (4, 5) grid of sums sum_n lo_i hi_j, whose [i, j] entry
+    adds to m_(i + 4 j), is one matrix product lo @ hi^T.  r_n = (proj_pump_n
+    / max|proj_pump|)^2 lies in [0, 1], so no power overflows.  ``ab[0]`` is
+    S: its terms are written block by block, rounded as `Ensemble.alpha *
+    beta` rounds them, and taken as one pairwise sum, as `ensemble.sum_S`
+    takes it, so M and the dense route do not move.  Pumping past the float
+    range gives ``gamma_sq_max`` = inf and a beta coupling past it a
+    non-finite ``bb``; `BlockDifferential` refuses both.
     """
-    # |gamma_coef| max|proj_pump| rounds as max|gamma_n|: rounding is monotone
-    g_max = abs(e.gamma_coef) * float(np.max(np.abs(e.proj_pump), initial=0.0))
+    pp = e.proj_pump
+    # max|proj_pump| without an |.| temporary; |gamma_coef| max|proj_pump|
+    # rounds as max|gamma_n|, since rounding is monotone
+    p_max = max(float(np.max(pp, initial=0.0)), -float(np.min(pp, initial=0.0)))
+    g_max = abs(e.gamma_coef) * p_max
     g2_max = g_max * g_max
-    m = np.zeros(SERIES_TERMS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, e.n, _MOMENT_BLOCK):
-            block = slice(start, start + _MOMENT_BLOCK)
-            x2 = e.proj_mode[block] ** 2
-            r = ((e.gamma_coef * e.proj_pump[block]) ** 2 / g2_max if g2_max > 0
-                 else np.zeros_like(x2))
-            p = np.ones_like(r)
-            for k in range(SERIES_TERMS):
-                m[k] += x2 @ p
-                p *= r
+    rows, cols = _MOMENT_GRID
+    grid = np.zeros((rows, cols))
+    s_terms = np.empty(e.n)
+    block = min(e.n, _MOMENT_BLOCK)
+    lo, hi = np.empty((rows, block)), np.empty((cols, block))
+    hi[0] = 1.0
+    r = np.zeros(block)                  # stays 0 when there is no pumping
+    tmp = np.empty(block)
+    for start in range(0, e.n, block):
+        x = e.proj_mode[start:start + block]
+        size = x.shape[0]
+        lo_b, hi_b, r_b, tmp_b = lo[:, :size], hi[:, :size], r[:size], tmp[:size]
+        s_b = s_terms[start:start + size]
+        np.multiply(e.alpha_coef, x, out=s_b)
+        s_b *= e.alpha_rescale
+        s_b *= np.multiply(e.beta_coef, x, out=tmp_b)
+        np.multiply(x, x, out=lo_b[0])
+        if g2_max > 0:
+            np.divide(pp[start:start + size], p_max, out=r_b)
+            r_b *= r_b
+        for i in range(1, rows):
+            np.multiply(lo_b[i - 1], r_b, out=lo_b[i])
+        np.multiply(r_b, r_b, out=hi_b[1])
+        hi_b[1] *= hi_b[1]
+        for j in range(2, cols):
+            np.multiply(hi_b[j - 1], hi_b[1], out=hi_b[j])
+        grid += lo_b @ hi_b.T
+    m = grid.ravel(order="F")[:SERIES_TERMS]    # m_(i + 4 j) sits at [i, j]
     ab = e.alpha_coef * e.beta_coef * e.alpha_rescale * m
-    ab[0] = np.sum(e.alpha * e.beta)
-    return DetuningMoments(ab=ab, bb=e.beta_coef ** 2 * m, gamma_sq_max=g2_max)
+    ab[0] = np.sum(s_terms)
+    with np.errstate(over="ignore", invalid="ignore"):   # BlockDifferential refuses inf
+        bb = e.beta_coef * e.beta_coef * m
+    return DetuningMoments(ab=ab, bb=bb, gamma_sq_max=g2_max)
 
 
 def _period_propagator(S: float, kappa: float) -> np.ndarray:
@@ -178,6 +213,10 @@ class BlockDifferential:
             raise ValidationError(
                 "pumping out of float range: the detunings 2 pi^2 gamma_n^2 overflow "
                 f"at {self.medium.pump_scale:.3g} times the medium's pump amplitude")
+        if not np.all(np.isfinite(self.moments.bb)):
+            raise ValidationError(
+                "beta coupling out of float range: the sums of beta_n^2 overflow at "
+                f"beta_n = {self.medium.beta_coef:.3g} times proj_mode_n; lower beta_scale")
 
     n = property(lambda self: self.medium.n)
     alpha = property(lambda self: self.medium.alpha)

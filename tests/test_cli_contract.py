@@ -10,10 +10,12 @@ Sizes (N, --periods, --samples-per-period, --steps) are small or above the
 memory cap, so no example allocates much.  `cli.main` runs in-process and
 writes only under tmp_path.  An exception escaping `main` fails the test.
 
-KEYS leave huge pumping out: `simulate` and `poincare` integrate a medium
-that stiff for about 4 s before `dynamics.STEP_BUDGET` stops them.  The
-spectral commands refuse it at once, so a fixed sweep covers them instead.
+KEYS leave huge pumping and a huge beta coupling out: `simulate` and
+`poincare` integrate a medium that stiff for about 4 s before
+`dynamics.STEP_BUDGET` stops them.  The spectral commands refuse both at
+once, so fixed sweeps cover them instead.
 """
+import json
 import math
 from dataclasses import fields
 
@@ -191,3 +193,46 @@ def test_pumping_beyond_range_names_the_pump(argv, gamma_scale, s, tmp_path, cap
     assert err.startswith("error: pumping") and err.count("\n") == 1
     assert len(err) < 200 and "synchronization sum" not in err
     assert not out.exists()
+
+
+BETA_SWEEP_CONFIG = """\
+[dimensionless]
+kappa = 1e-7
+alpha_scale = 1.155e-23
+beta_scale = {beta_scale}
+gamma_scale = 2.149e-7
+n = 40
+
+[ensemble]
+seed = 7
+rescale_alpha_to_s = 1e-5
+"""
+
+
+@pytest.mark.parametrize("beta_scale", ["1e100", "1e150", "1e154", "1e160", "1e300"])
+@pytest.mark.parametrize("argv", [["spectrum"],
+                                  ["threshold-scan", "--pump-min", "1", "--pump-max", "10",
+                                   "--steps", "2"]])
+@pytest.mark.filterwarnings("error")
+def test_beta_coupling_beyond_range_names_beta(argv, beta_scale, tmp_path, capsys):
+    """A beta coupling whose norm sums b_k = beta_coef^2 m_k stay finite runs
+    with strict output; past the float range (from about beta_scale = 2e153
+    at N = 40) the run exits 2 with one line that names beta, and writes
+    nothing."""
+    cfg = tmp_path / "coupled.cfg"
+    cfg.write_text(BETA_SWEEP_CONFIG.format(beta_scale=beta_scale))
+    out = tmp_path / ("out.json" if argv[0] == "spectrum" else "out.csv")
+    rc = main(argv + ["--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if float(beta_scale) < 1e153:
+        assert rc == 0
+        text = out.read_text()
+        if argv[0] == "spectrum":
+            json.loads(text, parse_constant=pytest.fail)
+        else:
+            assert not {"nan", "inf"} & set(text.lower().replace(",", " ").split())
+    else:
+        assert rc == 2
+        assert err.startswith("error: beta coupling") and err.count("\n") == 1
+        assert len(err) < 200 and "beta_scale" in err
+        assert not out.exists()

@@ -8,11 +8,12 @@ from scipy.linalg import expm
 from conftest import DESK_KAPPA, desk_params
 from mblaser import spectrum
 from mblaser.dynamics import OdeSettings
-from mblaser.ensemble import sample_ensemble
+from mblaser.ensemble import sample_ensemble, sum_S
 from mblaser.errors import CapacityError, NumericsError, ValidationError
 from mblaser.poincare import jacobian_fd, make_numeric_map
-from mblaser.spectrum import (SERIES_RADIUS, SERIES_TERMS, _detuned_norm_sum,
-                              _detuned_sum, _maxwell_component, _resolvent_sums,
+from mblaser.spectrum import (_MOMENT_BLOCK, SERIES_RADIUS, SERIES_TERMS,
+                              _detuned_norm_sum, _detuned_sum,
+                              _maxwell_component, _resolvent_sums,
                               assemble_blocks, assemble_full,
                               char_polynomial_centered,
                               VERDICT_TOL, cluster_guard,
@@ -550,6 +551,40 @@ class TestMomentSeries:
             assert np.all(np.abs(family - direct) <= 1e-14 * direct)
         assert not moments.ab.any()
         assert moments.bb.all() == (scale == "alpha_scale")
+
+    #: one molecule short of a block, one past it, and a partial third block
+    BLOCKED_N = (_MOMENT_BLOCK - 1, _MOMENT_BLOCK + 1, 2 * _MOMENT_BLOCK + 7)
+
+    @pytest.mark.parametrize("n", BLOCKED_N)
+    def test_blocked_pass_against_direct_sums(self, n):
+        """Across block edges both families match their direct sums and S is
+        `sum_S`'s pairwise sum, bit for bit."""
+        e = _desk(n, seed=n)
+        bd = assemble_blocks(e, DESK_KAPPA)
+        r = e.gamma ** 2 / np.max(e.gamma ** 2)
+        for family, terms in ((bd.moments.ab, e.alpha * e.beta), (bd.moments.bb, e.beta ** 2)):
+            direct = np.array([math.fsum(terms * r ** k) for k in range(SERIES_TERMS)])
+            assert np.all(np.abs(family - direct) <= 1e-14 * direct)
+        assert bd.S == sum_S(e).empirical
+
+    @pytest.mark.parametrize("n", BLOCKED_N)
+    def test_blocked_pass_without_pumping(self, n):
+        params = dataclasses.replace(desk_params(n), gamma_scale=0.0)
+        moments = assemble_blocks(
+            sample_ensemble(params, "H1", n, rescale_alpha_to_s=1e-5), DESK_KAPPA).moments
+        assert moments.gamma_sq_max == 0.0
+        assert not moments.ab[1:].any() and not moments.bb[1:].any()
+        assert moments.ab[0] > 0.0 and moments.bb[0] > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_blocked_pass_refuses_overflowing_pumping(self):
+        """r_n does not involve gamma, so pumping past the float range raises
+        no warning in the pass and gets the blocks' pump refusal."""
+        params = dataclasses.replace(desk_params(_MOMENT_BLOCK + 1), gamma_scale=1e300)
+        e = sample_ensemble(params, "H1", 5, rescale_alpha_to_s=1e-5)
+        assert spectrum.detuning_moments(e).gamma_sq_max == math.inf
+        with pytest.raises(ValidationError, match="^pumping out of float range"):
+            assemble_blocks(e, DESK_KAPPA)
 
     def test_identity_variant_has_no_detuning(self, small_ensemble):
         bd = assemble_blocks(small_ensemble, 1e-7, d_variant="identity")

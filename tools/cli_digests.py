@@ -70,17 +70,21 @@ PER_SOURCE = [
 
 
 #: runs on the N = 40 desk config that must exit 2, each (rescale_alpha_to_s,
-#: kappa, gamma_scale, argv): the pump beyond the polynomial route's range and
-#: beyond the float range in both spectral commands, the pump at S = 1e4 that
-#: once drew a message naming S, and the propagator's S/kappa refusal
+#: kappa, key, value, argv) with one [dimensionless] key set to value: the
+#: pump beyond the polynomial route's range and beyond the float range in
+#: both spectral commands, the pump at S = 1e4 that once drew a message
+#: naming S, the propagator's S/kappa refusal and a beta coupling beyond the
+#: float range
 DESK_GAMMA = "2.148499210110585e-07"
+SCAN = ["threshold-scan", "--pump-min", "1", "--pump-max", "10"]
 REFUSED = [
-    ("1e-5", "1e-7", "1e8", ["spectrum"]),
-    ("1e-5", "1e-7", "1e200", ["spectrum"]),
-    ("1e-5", "1e-7", "1e8", ["threshold-scan", "--pump-min", "1", "--pump-max", "10"]),
-    ("1e-5", "1e-7", "1e200", ["threshold-scan", "--pump-min", "1", "--pump-max", "10"]),
-    ("1e4", "1e-7", "1e152", ["spectrum"]),
-    ("1e20", "0", DESK_GAMMA, ["spectrum"]),
+    ("1e-5", "1e-7", "gamma_scale", "1e8", ["spectrum"]),
+    ("1e-5", "1e-7", "gamma_scale", "1e200", ["spectrum"]),
+    ("1e-5", "1e-7", "gamma_scale", "1e8", SCAN),
+    ("1e-5", "1e-7", "gamma_scale", "1e200", SCAN),
+    ("1e4", "1e-7", "gamma_scale", "1e152", ["spectrum"]),
+    ("1e20", "0", "gamma_scale", DESK_GAMMA, ["spectrum"]),
+    ("1e-5", "1e-7", "beta_scale", "1e300", ["spectrum"]),
 ]
 
 
@@ -146,17 +150,18 @@ def _refusals(main, outdir: Path) -> str:
     """The exit code and stderr of each run in REFUSED, one block per run."""
     path = outdir / "refused.cfg"
     blocks = []
-    for s, kappa, gamma, argv in REFUSED:
-        path.write_text(CONFIG.format(n=40, s=s, kappa=kappa).replace(
-            f"gamma_scale = {DESK_GAMMA}", f"gamma_scale = {gamma}"), encoding="utf-8")
+    for s, kappa, key, value, argv in REFUSED:
+        path.write_text(re.sub(f"^{key} = .*$", f"{key} = {value}",
+                               CONFIG.format(n=40, s=s, kappa=kappa), flags=re.M),
+                        encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(argv + ["--config", str(path), "--out", str(outdir / "refused.out")])
         if code != 2:
             raise SystemExit(f"mblaser {' '.join(argv)} at S = {s}, kappa = {kappa}, "
-                             f"gamma_scale = {gamma} exited {code}, not 2")
+                             f"{key} = {value} exited {code}, not 2")
         blocks.append(f"{' '.join(argv)}  [S = {s}, kappa = {kappa}, "
-                      f"gamma_scale = {gamma}]\nexit {code}\n{err.getvalue()}")
+                      f"{key} = {value}]\nexit {code}\n{err.getvalue()}")
     return "\n".join(blocks)
 
 
