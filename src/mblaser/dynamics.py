@@ -25,9 +25,12 @@ the same real direction, (Re z_n', Im z_n') = q_n (sin tau, -cos tau), so a
 Runge-Kutta stage is one real N-vector q plus the two field derivatives, not
 2N + 2 numbers.  Its stage kernel (`_reduced_stage`) and its own DOP853
 stepper (`_dop853_reduced`: scipy's coefficients and step control, so the
-steps match `solve_ivp`'s) store the stages in that rank-one form and keep
-Re z and Im z as two contiguous rows.  The full chart's derivative has no such
-form (c_n1' needs c_n2 and c_n2' needs c_n1), so it stays on `solve_ivp`.
+steps match `solve_ivp`'s) keep Re z, Im z and the 13 stages q as the rows of
+one (15, N) store, ordered so that each stage state, and the step's end with
+both error estimates, is one small matrix product over a contiguous run of
+rows: z and the stages the tableau weights there, and no stage it has not yet
+evaluated.  The full chart's derivative has no such form (c_n1' needs c_n2
+and c_n2' needs c_n1), so it stays on `solve_ivp`.
 The packing stays in this module; every public function here takes and
 returns `FullState` / `ReducedState`.
 
@@ -140,13 +143,10 @@ def _reduced_stage(e: Ensemble, kappa: float) -> Callable:
     # sqrt(1 - 4|z|^2) = 2 sqrt(1/4 - |z|^2) exactly; the 2 goes into b, cos tau
     guard = (0.5 - CHART_GUARD) ** 2
     r2 = np.empty(e.n)
-    tmp = np.empty(e.n)
 
     def stage(tau, z, a, b, q):
-        zr, zi = z
-        np.multiply(zr, zr, out=r2)
-        np.multiply(zi, zi, out=tmp)
-        np.add(r2, tmp, out=r2)
+        np.einsum("ij,ij->j", z, z, out=r2)
+        alpha_re, alpha_im = z @ alpha   # while z is still in cache
         if r2.max() >= guard:
             raise ChartBoundaryError(
                 "reduced chart left its validity region |z| < 1/2 - delta; "
@@ -157,7 +157,7 @@ def _reduced_stage(e: Ensemble, kappa: float) -> Callable:
         np.dot((2.0 * b, 2.0 * c), beta_gamma, out=q)
         np.multiply(q, r2, out=q)
         # j = sum_n alpha_n Im{z_n e^{-i tau}} = c Im z - s Re z, summed
-        j = c * np.dot(alpha, zi) - s * np.dot(alpha, zr)
+        j = c * alpha_im - s * alpha_re
         return b, j - two_kappa * b - a, s, -c
 
     return stage
@@ -259,6 +259,35 @@ _STAGES = DOP853.n_stages
 _ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
+# `_dop853_reduced` keeps z and the stages as the rows of one store, in the
+# order Q2, Q1, Re z, Im z, Q0, Q3 ... Q12: stage j is row _ROW[j].  Stage k
+# weights no Q1 from k = 3 on and no Q2 from k = 5 on, and the step's end and
+# both error estimates weight none of Q1 ... Q4 (E3 and E5 not Q12 either), so
+# each of these products reads one run of rows [lo, hi) that holds z and every
+# weighted stage.  Each run and its weights over the run's rows are taken from
+# the tableau here.
+_Z = slice(2, 4)
+_ROW = np.array([4, 1, 0, *range(5, _STAGES + 3)])
+_IDENTITY = np.zeros((_STAGES + 3, 2))  # z's own coefficient in a stage state
+_IDENTITY[_Z] = np.eye(2)
+
+
+def _run(weights: np.ndarray) -> Tuple[int, int, np.ndarray]:
+    """(lo, hi, per-row weights) of the rows a product over ``weights`` (one
+    row of stage weights, or several stacked) must read: z and every stage
+    any row weights."""
+    weights = np.atleast_2d(weights)
+    used = _ROW[np.flatnonzero(np.any(weights != 0, axis=0))]
+    lo, hi = min(_Z.start, used.min()), max(_Z.stop, used.max() + 1)
+    placed = np.zeros((len(weights), _STAGES + 3))
+    placed[:, _ROW[:weights.shape[1]]] = weights
+    return lo, hi, placed[:, lo:hi]
+
+
+_STAGE_RUNS = [None] + [_run(_A[k, :k]) for k in range(1, _STAGES)]
+#: the step's end (B) and the two error estimates (E5, E3) in one product
+_END_RUN = _run(np.stack([np.append(_B, 0.0), _E5, _E3]))
+
 
 def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
                     tau0: float, tau1: float, settings: OdeSettings):
@@ -270,10 +299,12 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
     and the number of stage evaluations match.  Only the order of the sums
     differs; the E5/E3 error estimate cancels about ten digits, so step sizes
     agree to about 1e-6.  A stage derivative is the N-vector q times the
-    stage's direction (sin, -cos) (`_reduced_stage`), so the stages are a
-    (13, N) array ``Q`` and every stage state, update and error estimate is
-    one (k, s) @ (s, N) product; Re z and Im z stay the contiguous rows of
-    ``z`` (2, N) throughout, and the ``z`` passed in is not written.
+    stage's direction (sin, -cos) (`_reduced_stage`), so Re z, Im z and the
+    13 stages q_k are the rows of one (15, N) store.  Each stage state is one
+    (2, s) @ (s, N) product over that stage's run of rows (`_STAGE_RUNS`),
+    z's identity coefficient included, and the step's end and both error
+    estimates are one (6, 12) product over the run `_END_RUN`.  The ``z``
+    passed in is not written.
 
     Returns (a, b, z, accepted times, stage evaluations).  Raises
     ValidationError on a non-finite initial state, as solve_ivp refuses one
@@ -286,25 +317,30 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
     n = z.shape[1]
     size = 2 + 2 * n
     rtol, atol, max_step = settings.rel_tol, settings.abs_tol, settings.max_step
-    Q = np.empty((_STAGES + 1, n))
+    store = np.zeros((_STAGES + 3, n))  # Q2, Q1, Re z, Im z, Q0, Q3 ... Q12
+    store[_Z] = z
+    z = store[_Z]
     F = np.empty((_STAGES + 1, 2))   # field derivatives (a', b') per stage
-    U = np.empty((_STAGES + 1, 2))   # direction (sin tau, -cos tau) per stage
+    U = np.zeros((_STAGES + 3, 2))   # direction (sin tau, -cos tau) per store row
     field = np.array([a, b])
-    z = np.array(z, dtype=float)
-    zs = np.empty_like(z)
-    z_new = np.empty_like(z)
-    err = np.empty((2, 2, n))         # E5 and E3 estimates, (Re, Im) rows each
-    scale = np.empty_like(z)
+    zs = np.empty((2, n))
+    end = np.empty((6, n))           # z_new, then the E5 and E3 estimates
+    z_new, err = end[:2], end[2:].reshape(2, 2, n)
+    scale = np.empty((2, n))
 
     def evaluate(k, tau, zk, fk):
-        da, db, sin, minus_cos = stage(tau, zk, fk[0], fk[1], Q[k])
+        row = _ROW[k]
+        da, db, sin, minus_cos = stage(tau, zk, fk[0], fk[1], store[row])
         F[k] = da, db
-        U[k] = sin, minus_cos
+        U[row] = sin, minus_cos
+
+    def derivative(k):
+        return store[_ROW[k]] * U[_ROW[k]][:, None]
 
     def rms(f_field, f_z):
         return np.sqrt((f_field @ f_field + np.vdot(f_z, f_z)) / size)
 
-    # first step: scipy's select_initial_step, its trial stage kept in Q[1]
+    # first step: scipy's select_initial_step, its trial stage kept as stage 1
     t = tau0
     evaluate(0, t, z, field)
     interval = tau1 - tau0
@@ -312,13 +348,13 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
     np.abs(z, out=scale)
     scale *= rtol
     scale += atol
-    f0 = Q[0] * U[0][:, None]
+    f0 = derivative(0)
     d0 = rms(field / scale_field, z / scale)
     d1 = rms(F[0] / scale_field, f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     evaluate(1, t + h0, z + h0 * f0, field + h0 * F[0])
-    d2 = rms((F[1] - F[0]) / scale_field, (Q[1] * U[1][:, None] - f0) / scale) / h0
+    d2 = rms((F[1] - F[0]) / scale_field, (derivative(1) - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -344,13 +380,15 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
             t_new = min(t + h_abs, tau1)
             h_abs = h = t_new - t
             for k in range(1, _STAGES):
-                coef = (h * _A[k, :k])[:, None] * U[:k]
-                np.dot(coef.T, Q[:k], out=zs)
-                zs += z
+                lo, hi, w = _STAGE_RUNS[k]
+                coef = h * w.T * U[lo:hi] + _IDENTITY[lo:hi]
+                np.dot(coef.T, store[lo:hi], out=zs)
                 evaluate(k, t + _C[k] * h, zs, field + np.dot(F[:k].T, _A[k, :k]) * h)
-            coef = (h * _B)[:, None] * U[:-1]
-            np.dot(coef.T, Q[:-1], out=z_new)
-            z_new += z
+            lo, hi, w = _END_RUN
+            coef = (w[:, None, :] * U[lo:hi].T).reshape(6, hi - lo)
+            coef[:2] *= h
+            coef[:2] += _IDENTITY[lo:hi].T
+            np.dot(coef, store[lo:hi], out=end)
             field_new = field + h * np.dot(F[:-1].T, _B)
             evaluate(_STAGES, t + h, z_new, field_new)
             nfev += _STAGES
@@ -358,11 +396,10 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
             # error norm: scipy's DOP853 E5/E3 blend, scaled componentwise
             scale_field = atol + np.maximum(np.abs(field), np.abs(field_new)) * rtol
             np.abs(z, out=scale)
-            np.maximum(scale, np.abs(z_new), out=scale)
+            np.abs(z_new, out=zs)
+            np.maximum(scale, zs, out=scale)
             scale *= rtol
             scale += atol
-            coef = np.concatenate([_E5[:, None] * U, _E3[:, None] * U], axis=1)
-            np.dot(coef.T, Q, out=err.reshape(4, n))
             err /= scale
             e5_field = np.dot(F.T, _E5) / scale_field
             e3_field = np.dot(F.T, _E3) / scale_field
@@ -386,10 +423,10 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
             rejected = True
 
         t, field = t_new, field_new
-        z, z_new = z_new, z
-        Q[0], F[0], U[0] = Q[-1], F[-1], U[-1]
+        z[...] = z_new
+        store[_ROW[0]], F[0], U[_ROW[0]] = store[_ROW[-1]], F[-1], U[_ROW[-1]]
         times.append(t)
-    return float(field[0]), float(field[1]), z, times, nfev
+    return float(field[0]), float(field[1]), z.copy(), times, nfev
 
 
 def sample_trajectory(state0: FullState, taus: Sequence[float], e: Ensemble,

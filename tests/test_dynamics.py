@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from mblaser import dynamics
 from mblaser.dynamics import (CHART_GUARD, OdeSettings, TWO_PI, _dop853_reduced,
@@ -391,6 +392,59 @@ class TestReducedStepper:
         _dop853_reduced(_reduced_stage(e, DESK_KAPPA), 0.01, -0.02, zz, 0.0,
                         TWO_PI, OdeSettings())
         assert np.array_equal(zz, before)
+
+    @staticmethod
+    def _check_run(run, weights, before):
+        """A run [lo, hi) holds both z rows and every stage with a nonzero
+        weight, at that weight; its other rows are stages < ``before``, at
+        weight zero."""
+        lo, hi, placed = run
+        rows = dynamics._ROW
+        z_rows = {dynamics._Z.start, dynamics._Z.stop - 1}
+        assert z_rows <= set(range(lo, hi))
+        assert placed.shape == (len(weights), hi - lo)
+        for j in range(weights.shape[1]):
+            inside = lo <= rows[j] < hi
+            if np.any(weights[:, j] != 0):
+                assert inside
+            elif inside:
+                assert j < before
+            if inside:
+                assert np.array_equal(placed[:, rows[j] - lo], weights[:, j])
+        for r in z_rows:
+            assert np.all(placed[:, r - lo] == 0)
+
+    def test_tableau_runs(self):
+        stages = DOP853.n_stages
+        # one store row each for Re z, Im z and the 13 stages
+        assert sorted([*dynamics._ROW, dynamics._Z.start, dynamics._Z.stop - 1]) \
+            == list(range(stages + 3))
+        for k in range(1, stages):
+            self._check_run(dynamics._STAGE_RUNS[k], DOP853.A[k:k + 1, :k], k)
+        end = np.stack([np.append(DOP853.B, 0.0), DOP853.E5, DOP853.E3])
+        self._check_run(dynamics._END_RUN, end, stages)
+        # the error estimates are taken before the last stage is evaluated
+        assert DOP853.E3[stages] == 0 and DOP853.E5[stages] == 0
+        lo, hi, _ = dynamics._END_RUN
+        assert hi - lo == 12
+
+    def test_peak_memory(self):
+        # the (15, N) store, a stage state, the step's end and error estimates
+        # (6 rows), the error scale and the first step's temporaries: about
+        # 29 rows of N doubles
+        from mblaser.ensemble import sample_ensemble
+        from conftest import desk_params
+        e = sample_ensemble(desk_params(20_000), "H1", seed=11, rescale_alpha_to_s=1e-5)
+        z = _random_z(e.n, 0.2, 5)
+        args = (_reduced_stage(e, DESK_KAPPA), 0.01, -0.02, np.stack([z.real, z.imag]),
+                0.0, TWO_PI, OdeSettings())
+        tracemalloc.start()
+        try:
+            _dop853_reduced(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 8 * e.n
 
 
 class TestStepBudget:
