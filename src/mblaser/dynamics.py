@@ -334,13 +334,15 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
         F[k] = da, db
         U[row] = sin, minus_cos
 
-    def derivative(k):
-        return store[_ROW[k]] * U[_ROW[k]][:, None]
+    def derivative(k, out):
+        np.multiply(store[_ROW[k]], U[_ROW[k]][:, None], out=out)
 
     def rms(f_field, f_z):
         return np.sqrt((f_field @ f_field + np.vdot(f_z, f_z)) / size)
 
-    # first step: scipy's select_initial_step, its trial stage kept as stage 1
+    # first step: scipy's select_initial_step, its trial stage kept as stage 1;
+    # f0 goes into the stage-state buffer, the trial state and the scaled
+    # differences into the end buffer, so it allocates no (2, N) array
     t = tau0
     evaluate(0, t, z, field)
     interval = tau1 - tau0
@@ -348,13 +350,19 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
     np.abs(z, out=scale)
     scale *= rtol
     scale += atol
-    f0 = derivative(0)
-    d0 = rms(field / scale_field, z / scale)
-    d1 = rms(F[0] / scale_field, f0 / scale)
+    f0, trial, scaled = zs, end[:2], end[2:4]
+    derivative(0, f0)
+    d0 = rms(field / scale_field, np.divide(z, scale, out=scaled))
+    d1 = rms(F[0] / scale_field, np.divide(f0, scale, out=scaled))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    evaluate(1, t + h0, z + h0 * f0, field + h0 * F[0])
-    d2 = rms((F[1] - F[0]) / scale_field, (derivative(1) - f0) / scale) / h0
+    np.multiply(h0, f0, out=trial)
+    trial += z
+    evaluate(1, t + h0, trial, field + h0 * F[0])
+    derivative(1, scaled)
+    scaled -= f0
+    scaled /= scale
+    d2 = rms((F[1] - F[0]) / scale_field, scaled) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -426,6 +434,7 @@ def _dop853_reduced(stage: Callable, a: float, b: float, z: np.ndarray,
         z[...] = z_new
         store[_ROW[0]], F[0], U[_ROW[0]] = store[_ROW[-1]], F[-1], U[_ROW[-1]]
         times.append(t)
+    del zs, end, z_new, err, scale   # before z's copy, so the loop sets the peak
     return float(field[0]), float(field[1]), z.copy(), times, nfev
 
 

@@ -32,10 +32,13 @@ DEFAULT_CAVITY = RUBY_CAVITY
 DEFAULT_ACTIVE_VOLUME = RUBY_ACTIVE_VOLUME
 DEFAULT_MODE_INDEX = (4, 1, 1)
 
-#: Peak bytes per molecule while sampling: 16 float64 live as the mode is
-#: evaluated (positions, dipoles, mode values, 6 trig columns, pump projection),
-#: 128 by tracemalloc, plus one float64 of headroom.  The ensemble keeps 2.
-SAMPLING_BYTES_PER_MOLECULE = 136
+#: Peak bytes per molecule while sampling: the ensemble keeps 2 float64
+#: (proj_mode, proj_pump) and the rescale adds one of S's terms, 24 by
+#: tracemalloc at large N, plus one float64 of headroom.  One block's draws
+#: and mode values add a fixed SAMPLE_BLOCK * 180 bytes or so (1.5 MB).
+SAMPLING_BYTES_PER_MOLECULE = 25
+#: molecules drawn and reduced at once while sampling
+SAMPLE_BLOCK = 8192
 
 
 def cuboid_mode(x, k: Tuple[int, int, int], dims: Tuple[float, float, float],
@@ -155,23 +158,19 @@ def _active_region_radius(active_volume: float,
     return r
 
 
-def _sample_positions(rng, n: int, dims, active_volume: float) -> np.ndarray:
-    """Uniform points in the active region.
+def _philox_at(seed: int, offset: int) -> np.random.Generator:
+    """A generator on the Philox stream keyed by ``seed``, standing at its
+    ``offset``-th uint64 (the stream makes them four per counter step)."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(offset // 4)
+    bits.random_raw(offset % 4)
+    return np.random.Generator(bits)
 
-    The active region is the centered axial cylinder of volume |V_a|; when
-    |V_a| equals the full cavity volume the whole box is used (exact mode
-    statistics, no ergodic averaging involved).
-    """
-    vol = dims[0] * dims[1] * dims[2]
-    if abs(active_volume - vol) <= 1e-9 * vol:
-        return rng.uniform([0.0, 0.0, 0.0], list(dims), size=(n, 3))
-    r = _active_region_radius(active_volume, dims)
-    x1 = rng.uniform(0.0, dims[0], size=n)
-    rho = r * np.sqrt(rng.uniform(0.0, 1.0, size=n))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    x2 = dims[1] / 2.0 + rho * np.cos(phi)
-    x3 = dims[2] / 2.0 + rho * np.sin(phi)
-    return np.stack([x1, x2, x3], axis=1)
+
+def _blocks(n: int):
+    """Slices of at most SAMPLE_BLOCK molecules covering range(n)."""
+    for start in range(0, n, SAMPLE_BLOCK):
+        yield slice(start, min(start + SAMPLE_BLOCK, n))
 
 
 def _unit_vectors(rng, n: int) -> np.ndarray:
@@ -179,30 +178,104 @@ def _unit_vectors(rng, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+class _Draws:
+    """The medium's draws from the Philox stream keyed by ``seed``, read one
+    block of at most SAMPLE_BLOCK molecules at a time.
+
+    The stream holds, in order, the positions (3n uniforms of one uint64
+    each: the whole box row by row, or the active cylinder's x1, rho and phi
+    columns one after another), then the dipole normals and the pumping
+    normals, each (n, 3) row by row.  The position columns and the dipoles
+    start at fixed offsets, so each gets a generator standing there.  A
+    normal takes a variable number of uint64s, so the pumping normals start
+    where the dipole generator stops.  Hence two passes: `first` yields each
+    block's positions and unit dipoles, and `second`, run after it, yields
+    the same unit dipoles redrawn and the unit pumping directions.  H2 draws
+    and discards the dipole normals in `first` to keep the layout; its
+    dipoles are the unit crystal axis.
+    """
+
+    def __init__(self, seed: int, n: int, dims, active_volume: float,
+                 hypothesis: Hypothesis, crystal_axis=None):
+        if hypothesis == "H1" and crystal_axis is not None:
+            raise ValidationError("H1 draws every dipole direction and takes no crystal axis")
+        if hypothesis == "H2" and crystal_axis is None:
+            raise ValidationError("H2 requires a crystal axis")
+        self.axis = None
+        if hypothesis == "H2":
+            axis = np.asarray(crystal_axis, dtype=float)
+            nrm = np.linalg.norm(axis)
+            if not 0 < nrm < np.inf:
+                raise ValidationError(
+                    f"crystal axis must be finite and nonzero, got {crystal_axis}")
+            self.axis = axis / nrm
+        # the active region is the centered axial cylinder of volume |V_a|;
+        # when |V_a| is the whole cavity the box is used (exact mode
+        # statistics, no ergodic averaging involved)
+        vol = dims[0] * dims[1] * dims[2]
+        self.radius = (None if abs(active_volume - vol) <= 1e-9 * vol
+                       else _active_region_radius(active_volume, dims))
+        self.seed, self.n, self.dims = seed, n, tuple(dims)
+        self._pump_rng = None
+
+    def _dipoles(self, rng, size: int) -> np.ndarray:
+        if self.axis is None:
+            return _unit_vectors(rng, size)
+        return np.broadcast_to(self.axis, (size, 3))
+
+    def first(self):
+        """Yield (slice, positions, unit dipoles) per block, each (size, 3)."""
+        dims = self.dims
+        columns = [_philox_at(self.seed, k * self.n)
+                   for k in range(1 if self.radius is None else 3)]
+        dipole_rng = _philox_at(self.seed, 3 * self.n)
+        for block in _blocks(self.n):
+            size = block.stop - block.start
+            if self.radius is None:
+                positions = columns[0].uniform([0.0, 0.0, 0.0], list(dims), size=(size, 3))
+            else:
+                x1 = columns[0].uniform(0.0, dims[0], size=size)
+                rho = self.radius * np.sqrt(columns[1].uniform(0.0, 1.0, size=size))
+                phi = columns[2].uniform(0.0, 2.0 * np.pi, size=size)
+                x2 = dims[1] / 2.0 + rho * np.cos(phi)
+                x3 = dims[2] / 2.0 + rho * np.sin(phi)
+                positions = np.stack([x1, x2, x3], axis=1)
+            if self.axis is not None:
+                dipole_rng.normal(size=(size, 3))
+            yield block, positions, self._dipoles(dipole_rng, size)
+        self._pump_rng = dipole_rng
+
+    def second(self):
+        """Yield (slice, unit dipoles, unit pumping directions) per block,
+        each (size, 3); `first` must have run to its end."""
+        dipole_rng = _philox_at(self.seed, 3 * self.n)
+        for block in _blocks(self.n):
+            size = block.stop - block.start
+            yield block, self._dipoles(dipole_rng, size), _unit_vectors(self._pump_rng, size)
+
+
 def _sample_geometry(seed: int, n: int, dims, active_volume: float,
                      hypothesis: Hypothesis, crystal_axis=None
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions, unit dipole and unit pumping directions, each (n, 3), drawn
-    in that order from the Philox stream keyed by ``seed``; H2 draws and
-    discards a dipole block to keep the layout."""
-    if hypothesis == "H1" and crystal_axis is not None:
-        raise ValidationError("H1 draws every dipole direction and takes no crystal axis")
-    if hypothesis == "H2" and crystal_axis is None:
-        raise ValidationError("H2 requires a crystal axis")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    positions = _sample_positions(rng, n, dims, active_volume)
-    if hypothesis == "H1":
-        dip_dirs = _unit_vectors(rng, n)
-    else:
-        axis = np.asarray(crystal_axis, dtype=float)
-        nrm = np.linalg.norm(axis)
-        if not 0 < nrm < np.inf:
-            raise ValidationError(
-                f"crystal axis must be finite and nonzero, got {crystal_axis}")
-        dip_dirs = np.tile(axis / nrm, (n, 1))
-        rng.normal(size=(n, 3))  # keep the draw layout fixed across hypotheses
-    pump_dirs = _unit_vectors(rng, n)
+    """Positions, unit dipole and unit pumping directions, each (n, 3), as
+    `sample_ensemble` draws them: `_Draws`' blocks, concatenated."""
+    draws = _Draws(seed, n, dims, active_volume, hypothesis, crystal_axis)
+    positions, dip_dirs = (np.concatenate(c) for c in zip(*(
+        (x, d) for _, x, d in draws.first())))
+    pump_dirs = np.concatenate([p for _, _, p in draws.second()])
     return positions, dip_dirs, pump_dirs
+
+
+def _projections(draws: _Draws, mode_index, dims, amp) -> Tuple[np.ndarray, np.ndarray]:
+    """proj_mode = Phat . X(x) and proj_pump = Phat . phat, block by block;
+    the last block's arrays are freed on return, before any rescale."""
+    proj_mode, proj_pump = np.empty(draws.n), np.empty(draws.n)
+    for block, positions, dip_dirs in draws.first():
+        np.einsum("ij,ij->i", dip_dirs, cuboid_mode(positions, mode_index, dims, amp),
+                  out=proj_mode[block])
+    for block, dip_dirs, pump_dirs in draws.second():
+        np.einsum("ij,ij->i", dip_dirs, pump_dirs, out=proj_pump[block])
+    return proj_mode, proj_pump
 
 
 def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
@@ -217,7 +290,8 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
                     active_volume: float = DEFAULT_ACTIVE_VOLUME) -> Ensemble:
     """Draw a reproducible molecular ensemble.
 
-    Counter-based Philox stream keyed by ``seed``; for a fixed seed and N the
+    Counter-based Philox stream keyed by ``seed``, drawn and reduced in
+    blocks of SAMPLE_BLOCK molecules (`_Draws`); for a fixed seed and N the
     result is bit-identical regardless of thread count.  ``rescale_alpha_to_s``
     applies the desk-scale convention: alpha is scaled by a common factor so
     that sum alpha_n beta_n equals the requested value.  ``mode_index`` and
@@ -260,23 +334,31 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
     amp = (default_mode_amplitude(mode_index, dims) if mode_amplitude is None
            else np.asarray(mode_amplitude, dtype=float))
 
-    positions, dip_dirs, pump_dirs = _sample_geometry(
-        seed, n_eff, dims, active_volume, hypothesis, crystal_axis)
-    proj_pump = np.einsum("ij,ij->i", dip_dirs, pump_dirs)
-    del pump_dirs  # freed before the mode is evaluated, where the peak falls
-    proj_mode = np.einsum("ij,ij->i", dip_dirs,
-                          cuboid_mode(positions, mode_index, dims, amp))
+    draws = _Draws(seed, n_eff, dims, active_volume, hypothesis, crystal_axis)
+    proj_mode, proj_pump = _projections(draws, mode_index, dims, amp)
 
     e = Ensemble(
         hypothesis=hypothesis, proj_mode=proj_mode, proj_pump=proj_pump,
         alpha_coef=alpha_coef, beta_coef=beta_coef, gamma_coef=gamma_coef,
         mode_amplitude=amp, cavity_dims=tuple(dims), dipole_magnitude=dipole_mag,
         pump_amplitude=pump_amp,
-        crystal_dipole=None if hypothesis == "H1" else dip_dirs[0].copy(),
+        crystal_dipole=None if draws.axis is None else draws.axis.copy(),
     )
     if rescale_alpha_to_s is None:
         return e
-    s_now = float(np.sum(e.alpha * e.beta))
+    # S's terms in one buffer, rounded as e.alpha * e.beta rounds them (the
+    # rescale is still 1); an overflow is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.multiply(alpha_coef, proj_mode)
+        for block in _blocks(n_eff):
+            terms[block] *= beta_coef * proj_mode[block]
+        s_now = float(np.sum(terms))
+    del terms
+    if not np.isfinite(s_now):
+        raise ValidationError(
+            "alpha and beta couplings out of float range: S = sum alpha_n beta_n "
+            f"overflows at alpha_n = {alpha_coef:.3g} and beta_n = {beta_coef:.3g} "
+            "times proj_mode_n; lower alpha_scale or beta_scale")
     if s_now <= 0:
         raise ValidationError("cannot rescale a degenerate ensemble (S = 0)")
     return dataclasses.replace(e, alpha_rescale=rescale_alpha_to_s / s_now)

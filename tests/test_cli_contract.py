@@ -236,3 +236,44 @@ def test_beta_coupling_beyond_range_names_beta(argv, beta_scale, tmp_path, capsy
         assert err.startswith("error: beta coupling") and err.count("\n") == 1
         assert len(err) < 200 and "beta_scale" in err
         assert not out.exists()
+
+
+COUPLING_SWEEP_CONFIG = """\
+[dimensionless]
+kappa = 1e-7
+alpha_scale = {alpha_scale}
+beta_scale = {beta_scale}
+gamma_scale = 2.149e-7
+n = 40
+
+[ensemble]
+seed = 7
+rescale_alpha_to_s = 1e-5
+"""
+
+
+@pytest.mark.parametrize("alpha_scale,beta_scale", [
+    ("1e200", "1e100"), ("1e300", "1.824e-2"), ("1e200", "1e120"), ("1e160", "1e160")])
+@pytest.mark.parametrize("argv", [["spectrum"],
+                                  ["threshold-scan", "--pump-min", "1", "--pump-max", "10",
+                                   "--steps", "2"]])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_s_before_the_rescale_names_both_scales(argv, alpha_scale, beta_scale,
+                                                            tmp_path, capsys):
+    """S's terms alpha_n beta_n that stay finite before the rescale run with
+    strict output; past the float range the rescale refuses the medium with
+    one line that names both scales, and writes nothing."""
+    cfg = tmp_path / "coupled.cfg"
+    cfg.write_text(COUPLING_SWEEP_CONFIG.format(alpha_scale=alpha_scale,
+                                                beta_scale=beta_scale))
+    out = tmp_path / ("out.json" if argv[0] == "spectrum" else "out.csv")
+    rc = main(argv + ["--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if float(alpha_scale) * float(beta_scale) < 1e305:
+        assert rc == 0 and err == ""
+        assert not {"nan", "inf"} & set(out.read_text().lower().replace(",", " ").split())
+    else:
+        assert rc == 2
+        assert err.startswith("error: alpha and beta couplings") and err.count("\n") == 1
+        assert len(err) < 200 and "alpha_scale" in err and "beta_scale" in err
+        assert not out.exists()

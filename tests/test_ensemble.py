@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mblaser.ensemble import (DEFAULT_ACTIVE_VOLUME, DEFAULT_MODE_INDEX,
-                              SAMPLING_BYTES_PER_MOLECULE, _sample_geometry,
-                              cuboid_mode, default_mode_amplitude,
+                              SAMPLE_BLOCK, SAMPLING_BYTES_PER_MOLECULE,
+                              _sample_geometry, cuboid_mode, default_mode_amplitude,
                               sample_ensemble, sum_S, sum_Sigma)
 from mblaser.errors import ValidationError
 from mblaser.model import HBAR, LIGHT_SPEED, ruby_params
@@ -145,6 +145,65 @@ class TestSampling:
         assert 0.3 <= rep.ratio <= 3.0
 
 
+def _whole_array_medium(p, seed, n, active_volume, crystal_axis):
+    """(proj_mode, proj_pump, unit dipole) drawn as whole (n, 3) arrays from
+    one Philox generator: positions (the box row by row, or the cylinder's
+    x1, rho and phi columns in turn), dipole normals (discarded under H2,
+    whose dipole is the unit axis), then pumping normals."""
+    dims = p.cavity_dims
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if active_volume == p.cavity_volume:
+        positions = rng.uniform([0.0, 0.0, 0.0], list(dims), size=(n, 3))
+    else:
+        r = np.sqrt(active_volume / (np.pi * dims[0]))
+        x1 = rng.uniform(0.0, dims[0], size=n)
+        rho = r * np.sqrt(rng.uniform(0.0, 1.0, size=n))
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        positions = np.stack([x1, dims[1] / 2.0 + rho * np.cos(phi),
+                              dims[2] / 2.0 + rho * np.sin(phi)], axis=1)
+
+    def unit_vectors():
+        v = rng.normal(size=(n, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    dip_dirs = unit_vectors()
+    if crystal_axis is not None:
+        axis = np.asarray(crystal_axis, dtype=float)
+        dip_dirs = np.tile(axis / np.linalg.norm(axis), (n, 1))
+    pump_dirs = unit_vectors()
+    proj_mode = np.einsum("ij,ij->i", dip_dirs, _mode_values(p, positions))
+    proj_pump = np.einsum("ij,ij->i", dip_dirs, pump_dirs)
+    return proj_mode, proj_pump, dip_dirs[0]
+
+
+class TestBlockedSampling:
+    """The blocked sampler against the whole-array draw, bit for bit, across
+    the block edges."""
+
+    @pytest.mark.parametrize("n", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                                   3 * SAMPLE_BLOCK + 7])
+    @pytest.mark.parametrize("seed", [5, 2 ** 64 + 3])
+    @pytest.mark.parametrize("hypothesis,kwargs", [
+        ("H1", {}),
+        ("H1", {"active_volume": 48.0}),
+        ("H2", {"crystal_axis": (0.3, 0.8, 0.5)}),
+    ])
+    def test_matches_the_whole_array_draw(self, hypothesis, kwargs, seed, n):
+        p = ruby_params()
+        e = sample_ensemble(p, hypothesis, seed=seed, n=n, rescale_alpha_to_s=1e-5, **kwargs)
+        proj_mode, proj_pump, dipole = _whole_array_medium(
+            p, seed, n, kwargs.get("active_volume", DEFAULT_ACTIVE_VOLUME),
+            kwargs.get("crystal_axis"))
+        assert np.array_equal(e.proj_mode, proj_mode)
+        assert np.array_equal(e.proj_pump, proj_pump)
+        if hypothesis == "H1":
+            assert e.crystal_dipole is None
+        else:
+            assert np.array_equal(e.crystal_dipole, dipole)
+        s_now = float(np.sum((e.alpha_coef * proj_mode * 1.0) * (e.beta_coef * proj_mode)))
+        assert e.alpha_rescale == 1e-5 / s_now
+
+
 class TestErgodicModeStatistics:
     def test_exact_over_full_box(self):
         p = ruby_params()
@@ -281,6 +340,7 @@ class TestSamplingFootprint:
         ("H1", {}),
         ("H1", {"active_volume": 48.0}),
         ("H2", {"crystal_axis": (0.3, 0.8, 0.5)}),
+        ("H1", {"rescale_alpha_to_s": 1e-5}),
     ])
     def test_size_cap_bounds_the_sampling_peak(self, hypothesis, kwargs):
         # the capacity estimate covers the measured peak with at most 25 %

@@ -2,7 +2,8 @@
 
 Writes two dimensionless desk configs (the perfbench coupling scales with
 N = 40 and N = 300, seed 7, S rescaled to 1e-5), a third at N = 40 with S
-rescaled to 1e-3 and a fourth at N = 600 with kappa = 0 and S = 2.25, runs
+rescaled to 1e-3, a fourth at N = 600 with kappa = 0 and S = 2.25 and a
+fifth at N = 30 000 for `ensemble` alone, runs
 the subcommands below in this process through
 `mblaser.cli.main`, and prints ``sha256  name`` per output; `verify-all`
 writes its runtimes to stderr, so its stdout is hashed as it is.  One more
@@ -70,21 +71,22 @@ PER_SOURCE = [
 
 
 #: runs on the N = 40 desk config that must exit 2, each (rescale_alpha_to_s,
-#: kappa, key, value, argv) with one [dimensionless] key set to value: the
-#: pump beyond the polynomial route's range and beyond the float range in
-#: both spectral commands, the pump at S = 1e4 that once drew a message
-#: naming S, the propagator's S/kappa refusal and a beta coupling beyond the
-#: float range
+#: kappa, {key: value}, argv) with those [dimensionless] keys set: the pump
+#: beyond the polynomial route's range and beyond the float range in both
+#: spectral commands, the pump at S = 1e4 that once drew a message naming S,
+#: the propagator's S/kappa refusal, a beta coupling beyond the float range,
+#: and alpha and beta couplings whose S overflows before the rescale
 DESK_GAMMA = "2.148499210110585e-07"
 SCAN = ["threshold-scan", "--pump-min", "1", "--pump-max", "10"]
 REFUSED = [
-    ("1e-5", "1e-7", "gamma_scale", "1e8", ["spectrum"]),
-    ("1e-5", "1e-7", "gamma_scale", "1e200", ["spectrum"]),
-    ("1e-5", "1e-7", "gamma_scale", "1e8", SCAN),
-    ("1e-5", "1e-7", "gamma_scale", "1e200", SCAN),
-    ("1e4", "1e-7", "gamma_scale", "1e152", ["spectrum"]),
-    ("1e20", "0", "gamma_scale", DESK_GAMMA, ["spectrum"]),
-    ("1e-5", "1e-7", "beta_scale", "1e300", ["spectrum"]),
+    ("1e-5", "1e-7", {"gamma_scale": "1e8"}, ["spectrum"]),
+    ("1e-5", "1e-7", {"gamma_scale": "1e200"}, ["spectrum"]),
+    ("1e-5", "1e-7", {"gamma_scale": "1e8"}, SCAN),
+    ("1e-5", "1e-7", {"gamma_scale": "1e200"}, SCAN),
+    ("1e4", "1e-7", {"gamma_scale": "1e152"}, ["spectrum"]),
+    ("1e20", "0", {"gamma_scale": DESK_GAMMA}, ["spectrum"]),
+    ("1e-5", "1e-7", {"beta_scale": "1e300"}, ["spectrum"]),
+    ("1e-5", "1e-7", {"alpha_scale": "1e200", "beta_scale": "1e120"}, SCAN),
 ]
 
 
@@ -132,6 +134,12 @@ def digests(outdir: Path):
     _run(main, ["spectrum", "--config", str(path)], outdir / names[-1])
     names.append("n40.ensemble.csv")
     _run(main, ["ensemble"] + sources["n40"], outdir / names[-1])
+    # N = 30 000 spans four of the sampler's blocks of 8192 molecules, the
+    # last one short
+    path = outdir / "n30000.cfg"
+    path.write_text(CONFIG.format(n=30000, s="1e-5", kappa="1e-7"), encoding="utf-8")
+    names.append("n30000.ensemble.json")
+    _run(main, ["ensemble", "--config", str(path)], outdir / names[-1])
 
     names.append("verify-integrals.json")
     (outdir / names[-1]).write_text(
@@ -150,18 +158,20 @@ def _refusals(main, outdir: Path) -> str:
     """The exit code and stderr of each run in REFUSED, one block per run."""
     path = outdir / "refused.cfg"
     blocks = []
-    for s, kappa, key, value, argv in REFUSED:
-        path.write_text(re.sub(f"^{key} = .*$", f"{key} = {value}",
-                               CONFIG.format(n=40, s=s, kappa=kappa), flags=re.M),
-                        encoding="utf-8")
+    for s, kappa, keys, argv in REFUSED:
+        text = CONFIG.format(n=40, s=s, kappa=kappa)
+        for key, value in keys.items():
+            text = re.sub(f"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        path.write_text(text, encoding="utf-8")
+        settings = ", ".join(f"{key} = {value}" for key, value in keys.items())
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(argv + ["--config", str(path), "--out", str(outdir / "refused.out")])
         if code != 2:
             raise SystemExit(f"mblaser {' '.join(argv)} at S = {s}, kappa = {kappa}, "
-                             f"{key} = {value} exited {code}, not 2")
+                             f"{settings} exited {code}, not 2")
         blocks.append(f"{' '.join(argv)}  [S = {s}, kappa = {kappa}, "
-                      f"{key} = {value}]\nexit {code}\n{err.getvalue()}")
+                      f"{settings}]\nexit {code}\n{err.getvalue()}")
     return "\n".join(blocks)
 
 
