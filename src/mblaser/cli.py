@@ -91,8 +91,18 @@ def _json_default(obj):
 # subcommands
 # ---------------------------------------------------------------------------
 
+#: peak bytes per molecule of an `ensemble` run by report format, sampling
+#: included (tracemalloc at N = 2e5, H1 ruby: 41 for CSV, which holds the
+#: medium and its three couplings; 391 for JSON, which also holds them as
+#: lists and as indented text), with headroom
+ENSEMBLE_BYTES_PER_MOLECULE = {"csv": 48, "json": 420}
+
+
 def cmd_ensemble(args) -> int:
     cfg = _load(args)
+    as_csv = bool(args.out and args.out.endswith(".csv"))
+    require_capacity(ENSEMBLE_BYTES_PER_MOLECULE["csv" if as_csv else "json"] * cfg.n,
+                     f"an ensemble report of {cfg.n:.3g} molecules")
     e = cfg.build_ensemble()
     s_rep = sum_S(e)
     sig_rep = sum_Sigma(e)
@@ -104,7 +114,7 @@ def cmd_ensemble(args) -> int:
                   "std_error": sig_rep.std_error, "ratio": sig_rep.ratio},
         "n": e.n,
     }
-    if args.out and args.out.endswith(".csv"):
+    if as_csv:
         with _open_out(args.out) as fh:
             fh.write(f"# S_empirical={s_rep.empirical!r} S_analytic={s_rep.analytic!r}\n")
             fh.write(f"# Sigma_empirical={sig_rep.empirical!r} "

@@ -129,6 +129,16 @@ class Ensemble:
                           / self.dipole_magnitude ** 2 * self.alpha_rescale)
     n = property(lambda self: self.proj_mode.shape[0])
 
+    def s_terms(self, block: slice, out: np.ndarray, tmp: Optional[np.ndarray] = None):
+        """S's terms alpha_n beta_n for the molecules in ``block``, written into
+        ``out`` and rounded as ``alpha * beta`` rounds them; ``tmp``, of
+        ``out``'s size, holds beta_n (a new array when omitted)."""
+        x = self.proj_mode[block]
+        np.multiply(self.alpha_coef, x, out=out)
+        out *= self.alpha_rescale
+        out *= np.multiply(self.beta_coef, x, out=tmp)
+        return out
+
     @property
     def cavity_volume(self) -> float:
         l1, l2, l3 = self.cavity_dims
@@ -346,12 +356,12 @@ def sample_ensemble(params: Union[PhysicalParams, DimensionlessParams],
     )
     if rescale_alpha_to_s is None:
         return e
-    # S's terms in one buffer, rounded as e.alpha * e.beta rounds them (the
-    # rescale is still 1); an overflow is refused below, not warned about
+    # S's terms in one buffer (the rescale is still 1); an overflow is
+    # refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.multiply(alpha_coef, proj_mode)
+        terms = np.empty(n_eff)
         for block in _blocks(n_eff):
-            terms[block] *= beta_coef * proj_mode[block]
+            e.s_terms(block, terms[block])
         s_now = float(np.sum(terms))
     del terms
     if not np.isfinite(s_now):
@@ -385,6 +395,18 @@ class SumReport:
         return abs(self.empirical - self.analytic) / self.std_error
 
 
+def _sum_and_std(terms: np.ndarray):
+    """``np.sum(terms)`` and ``np.std(terms, ddof=1)`` (0 for one term), with
+    numpy's own rounding, the deviations formed in ``terms``, which is
+    overwritten: no second array of N."""
+    total = np.sum(terms)
+    if terms.size == 1:
+        return total, 0.0
+    terms -= total / terms.size
+    terms *= terms
+    return total, np.sqrt(np.sum(terms) / (terms.size - 1))
+
+
 def sum_S(e: Ensemble) -> SumReport:
     """Synchronization sum S = sum_n alpha_n beta_n vs its LLN prediction.
 
@@ -394,9 +416,11 @@ def sum_S(e: Ensemble) -> SumReport:
     """
     if e.n < 1:
         raise ValidationError("empty ensemble")
-    terms = e.alpha * e.beta
-    emp = float(np.sum(terms))
-    se = float(np.std(terms, ddof=1) * np.sqrt(e.n)) if e.n > 1 else 0.0
+    terms = np.empty(e.n)
+    for block in _blocks(e.n):
+        e.s_terms(block, terms[block])
+    total, std = _sum_and_std(terms)
+    emp, se = float(total), float(std * np.sqrt(e.n))
 
     p2 = e.dipole_magnitude ** 2
     if e.hypothesis == "H1":
@@ -418,11 +442,17 @@ def sum_Sigma(e: Ensemble) -> SumReport:
     """
     if e.n < 1:
         raise ValidationError("empty ensemble")
-    px = e.dipole_magnitude * e.proj_mode
-    pa = e.dipole_magnitude * e.pump_amplitude * e.proj_pump
-    terms = px ** 2 * pa ** 2
-    emp = float(np.mean(terms))
-    se = float(np.std(terms, ddof=1) / np.sqrt(e.n)) if e.n > 1 else 0.0
+    # the terms px^2 pa^2, px = |P| proj_mode and pa = |P| a_p proj_pump, in
+    # one buffer
+    terms, pa_scale = np.empty(e.n), e.dipole_magnitude * e.pump_amplitude
+    for block in _blocks(e.n):
+        px = np.multiply(e.dipole_magnitude, e.proj_mode[block], out=terms[block])
+        px *= px
+        pa = pa_scale * e.proj_pump[block]
+        pa *= pa
+        px *= pa
+    total, std = _sum_and_std(terms)
+    emp, se = float(total / e.n), float(std / np.sqrt(e.n))
 
     ap2 = e.pump_amplitude ** 2
     p2 = e.dipole_magnitude ** 2

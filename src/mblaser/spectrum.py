@@ -37,8 +37,10 @@ T(rho) = P[:4, :4] - I - rho e_v e_v^T with rho = S/r(u) - u: the reduction
 to degree four.  At zero pump rho = 0 and the roots are e^{2 pi lambda} - 1.
 Otherwise T is taken at the mean detuning rho-bar = 2 pi^2 G / S (G = sum
 alpha_n beta_n gamma_n^2) and each root is iterated to the fixed point rho <-
-S/r(u) - u, a step shrinking the error by about q^2 (q below).  The other
-multipliers cluster near 1 and near the eigenvalues of D_n.
+S/r(u) - u, a step shrinking the error by about q^2 (q below).  T's
+eigenvector there, the field f and the collective response Y, gives the whole
+eigenvector (`eigvec_back_substitute`); the 2x2 family is only a reference.
+The other multipliers cluster near 1 and near the eigenvalues of D_n.
 
 The per-molecule sums are statistics of the medium.  With r_n = gamma_n^2 /
 max gamma^2 = (proj_pump_n / max|proj_pump|)^2, which does not change when
@@ -92,7 +94,8 @@ _MOMENT_BLOCK = 16384
 #: the moment pass's grid: m_(i + 4 j) = sum_n x_n^2 r_n^i r_n^(4 j) for
 #: i < 4 and j < 5, 20 >= SERIES_TERMS entries (r^4 is taken as two squarings)
 _MOMENT_GRID = (4, 5)
-#: largest ratio of the reduced matrix's singular values at an eigenvalue
+#: largest ratio of the smallest to the largest singular value of T(rho) - u I
+#: at an eigenvalue
 _NULL_TOL = 1e-4
 #: largest cond(Vb), which keeps the field part of T's eigenvectors off zero
 _V_COND_MAX = 1e6
@@ -118,11 +121,11 @@ def detuning_moments(e: Ensemble) -> DetuningMoments:
     1); the block's (4, 5) grid of sums sum_n lo_i hi_j, whose [i, j] entry
     adds to m_(i + 4 j), is one matrix product lo @ hi^T.  r_n = (proj_pump_n
     / max|proj_pump|)^2 lies in [0, 1], so no power overflows.  ``ab[0]`` is
-    S: its terms are written block by block, rounded as `Ensemble.alpha *
-    beta` rounds them, and taken as one pairwise sum, as `ensemble.sum_S`
-    takes it, so M and the dense route do not move.  Pumping past the float
-    range gives ``gamma_sq_max`` = inf and a beta coupling past it a
-    non-finite ``bb``; `BlockDifferential` refuses both.
+    S: its terms are written block by block by `Ensemble.s_terms` and taken
+    as one pairwise sum, as `ensemble.sum_S` takes it, so M and the dense
+    route do not move.  Pumping past the float range gives ``gamma_sq_max``
+    = inf and a beta coupling past it a non-finite ``bb``;
+    `BlockDifferential` refuses both.
     """
     pp = e.proj_pump
     # max|proj_pump| without an |.| temporary; |gamma_coef| max|proj_pump|
@@ -142,10 +145,7 @@ def detuning_moments(e: Ensemble) -> DetuningMoments:
         x = e.proj_mode[start:start + block]
         size = x.shape[0]
         lo_b, hi_b, r_b, tmp_b = lo[:, :size], hi[:, :size], r[:size], tmp[:size]
-        s_b = s_terms[start:start + size]
-        np.multiply(e.alpha_coef, x, out=s_b)
-        s_b *= e.alpha_rescale
-        s_b *= np.multiply(e.beta_coef, x, out=tmp_b)
+        e.s_terms(slice(start, start + size), s_terms[start:start + size], tmp_b)
         np.multiply(x, x, out=lo_b[0])
         if g2_max > 0:
             np.divide(pp[start:start + size], p_max, out=r_b)
@@ -341,27 +341,15 @@ def _resolvent_sums(mu: complex, bd: BlockDifferential) -> np.ndarray:
     return np.array([[bd.S / u, 0.0], [0.0, _detuned_sum(u, bd)]], dtype=complex)
 
 
-def _eliminate(mu: complex, bd: BlockDifferential):
-    """The reduced 2x2 at mu with the elimination that gives it, (red, R, core).
-
-    Eliminating the molecular rows of the block eigenproblem leaves the
-    collective response Y = core^{-1} R Wb v0, core = I - R Xb, so that
-        M(mu) = (M - mu) + Vb core^{-1} R Wb,
-    with the shared kernels of the module docstring and the full resolvent
-    sum (its moment series, or the per-molecule sum near the cluster).
-    """
+def reduced_matrix(mu: complex, bd: BlockDifferential) -> np.ndarray:
+    """The 2x2 family M(mu) = (M - mu) + Vb (I - R Xb)^{-1} R Wb of the module
+    docstring, with the full resolvent sums: the reference whose singular
+    points T's collective roots are checked against."""
     R = _resolvent_sums(mu, bd)
     core = np.eye(2) - R @ bd.cross_kernel
     if abs(np.linalg.det(core)) < 1e-14 * max(1.0, np.linalg.norm(core) ** 2):
         raise NumericsError("reduced matrix singular: mu at a dressed cluster pole")
-    red = bd.M - mu * np.eye(2) + bd.v_border @ np.linalg.solve(core, R @ bd.w_border)
-    return red, R, core
-
-
-def reduced_matrix(mu: complex, bd: BlockDifferential) -> np.ndarray:
-    """The 2x2 family whose singular points are the nontrivial multipliers
-    (see `_eliminate`)."""
-    return _eliminate(mu, bd)[0]
+    return bd.M - mu * np.eye(2) + bd.v_border @ np.linalg.solve(core, R @ bd.w_border)
 
 
 # ---------------------------------------------------------------------------
@@ -437,38 +425,45 @@ def poly_roots(coeffs: Sequence[float]) -> np.ndarray:
 # eigenvectors and the verdict
 # ---------------------------------------------------------------------------
 
-def eigvec_back_substitute(mu: complex, bd: BlockDifferential) -> np.ndarray:
-    """Unit eigenvector of the block matrix at a root of det M(mu).
+def _field_drive(vec: np.ndarray, bd: BlockDifferential) -> np.ndarray:
+    """rhs = (Wb f + Xb Y) / |f| from T's eigenvector ``vec`` = (f, Y): the
+    drive on each molecule per unit beta_n, with the field part at |f| = 1."""
+    return (bd.w_border @ vec[:2] + bd.cross_kernel @ vec[2:]) / np.linalg.norm(vec[:2])
 
-    v0 is the unit near-null vector of the reduced 2x2 (`_eliminate`); the
-    molecular parts are v_n = (mu - D_n)^{-1} beta_n rhs with rhs = Wb v0 +
-    Xb Y and Y the collective alpha-weighted response.  The Maxwell
-    component v0 never vanishes for roots of the reduced determinant.
-    """
-    red, R, core = _eliminate(mu, bd)
-    _, sing, vh = np.linalg.svd(red)
-    if sing[1] > _NULL_TOL * max(sing[0], 1e-30):
-        raise NumericsError(
-            f"mu = {mu} is not an eigenvalue: reduced matrix well conditioned")
-    v0 = vh[1].conj()
-    wb_v0 = bd.w_border @ v0
-    rhs = wb_v0 + bd.cross_kernel @ np.linalg.solve(core, R @ wb_v0)
-    det = bd.gamma_detuning()
+
+def eigvec_back_substitute(mu: complex, bd: BlockDifferential) -> np.ndarray:
+    """Unit eigenvector of the block matrix at a collective root mu, built as
+    the verdict builds it.
+
+    With u = mu - 1 and rho = S/r(u) - u (0 at S = 0), (f, Y) is the null
+    vector of T(rho) - u I; a mu at which that 4x4 is not singular to
+    _NULL_TOL is refused.  The field part is f/|f| and molecule n's part is
+    (mu - D_n)^{-1} beta_n rhs = beta_n (rhs_0/u, rhs_1/(u + delta_n)), with
+    rhs from `_field_drive`.  f never vanishes: T's rows (a, b) give Vb Y = 0
+    at f = 0, and Vb is invertible (`_period_propagator`)."""
     u = mu - 1.0
+    if abs(u) < 1e-13:
+        raise NumericsError("mu sits on a pole of the resolvent sums")
+    rho = bd.S / _detuned_sum(u, bd) - u if bd.S else 0.0
+    _, sing, vh = np.linalg.svd(_collective_block(bd, rho) - u * np.eye(4))
+    if sing[3] > _NULL_TOL * max(sing[0], 1e-30):
+        raise NumericsError(f"mu = {mu} is not an eigenvalue: T(rho) - u I well conditioned")
+    f_y = vh[3].conj()
+    rhs = _field_drive(f_y, bd)
     vec = np.empty(2 + 2 * bd.n, dtype=complex)
-    vec[:2] = v0
+    vec[:2] = f_y[:2] / np.linalg.norm(f_y[:2])
     vec[2::2] = bd.beta * rhs[0] / u
-    vec[3::2] = bd.beta * rhs[1] / (u + det)
+    vec[3::2] = bd.beta * rhs[1] / (u + bd.gamma_detuning())
     return vec / np.linalg.norm(vec)
 
 
 def _maxwell_component(u: complex, vec: np.ndarray, bd: BlockDifferential) -> float:
-    """``norm(eigvec_back_substitute(1 + u, bd)[:2])`` from T's eigenvector
-    ``vec`` = (f, Y) at the root u and the moment sums: scaled to |f| = 1,
-    with rhs = Wb f + Xb Y, the unnormalized vector's squared norm is
-    1 + |rhs_0|^2 sum beta_n^2/|u|^2 + |rhs_1|^2 sum beta_n^2/|u + delta_n|^2.
+    """``norm(eigvec_back_substitute(1 + u, bd)[:2])`` without the vector:
+    from T's eigenvector ``vec`` = (f, Y) at the root u, rhs from
+    `_field_drive` and the moment sums, the unnormalized vector's squared
+    norm is 1 + |rhs_0|^2 sum beta_n^2/|u|^2 + |rhs_1|^2 sum beta_n^2/|u + delta_n|^2.
     """
-    rhs = (bd.w_border @ vec[:2] + bd.cross_kernel @ vec[2:]) / np.linalg.norm(vec[:2])
+    rhs = _field_drive(vec, bd)
     mol = (abs(rhs[0]) ** 2 * bd.moments.bb[0] / abs(u) ** 2
            + abs(rhs[1]) ** 2 * _detuned_norm_sum(u, bd))
     return float(1.0 / np.sqrt(1.0 + mol))

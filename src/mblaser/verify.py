@@ -222,7 +222,8 @@ def criterion_6_differential_oracle() -> CriterionResult:
 
 
 def criterion_7_spectrum_reduction() -> CriterionResult:
-    """Dense eigenvalues vs degree-4 roots; eigenvector residuals, N=100."""
+    """Dense eigenvalues vs degree-4 roots; residuals of the eigenvectors
+    built from T(rho)'s, as the verdict builds them, N=100."""
     ok = True
     worst_match = 0.0
     worst_res = 0.0

@@ -4,14 +4,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mblaser
-from mblaser import dynamics, spectrum
-from mblaser.cli import main
+from mblaser import config, dynamics, spectrum
+from mblaser.cli import ENSEMBLE_BYTES_PER_MOLECULE, main
 from mblaser.config import _ENSEMBLE_KEYS, load_config, paper_preset
 from mblaser.dynamics import OdeSettings
 from mblaser.ensemble import sample_ensemble, sum_S
@@ -730,6 +731,38 @@ class TestBadInputs:
         else:
             assert "GiB, above the 8 GiB cap" in err
         assert err.count("\n") == 1 and len(err) < 200, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_ensemble_admission_bounds_the_peak(self, suffix, tmp_path, capsys):
+        """`ensemble` is admitted at its report format's measured peak, which
+        covers the peak of the run with at most 25 % to spare.  (Below about
+        N = 4e4 the sampler's fixed block buffers, 1.5 MB, set the peak.)"""
+        n = 50_000
+        cfg = tmp_path / "ruby.cfg"
+        cfg.write_text(PHYSICAL.replace("n = 30", f"n = {n}"))
+        tracemalloc.start()
+        try:
+            assert main(["ensemble", "--config", str(cfg),
+                         "--out", str(tmp_path / f"out.{suffix}")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = ENSEMBLE_BYTES_PER_MOLECULE[suffix] * n
+        assert 0.8 * estimate <= peak <= estimate
+
+    def test_oversized_json_ensemble_exits_2_before_sampling(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """The JSON report of 1e8 molecules needs 39 GiB, though sampling
+        alone (2.3 GiB) is under the cap: refused before anything is drawn."""
+        monkeypatch.setattr(config, "sample_ensemble",
+                            lambda *args, **kwargs: pytest.fail("sampled"))
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(DIMLESS.replace("n = 40", "n = 1e8"))
+        out = tmp_path / "out.json"
+        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: an ensemble report of 1e+08 molecules needs 39.1 GiB, above the 8 GiB cap\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("old,new", [

@@ -354,3 +354,17 @@ class TestSamplingFootprint:
             tracemalloc.stop()
         estimate = SAMPLING_BYTES_PER_MOLECULE * n
         assert 0.8 * estimate <= peak <= estimate
+
+    @pytest.mark.parametrize("statistic", [sum_S, sum_Sigma])
+    def test_sums_hold_one_buffer_of_terms(self, statistic):
+        """Each sum writes its terms into one array of N and takes their
+        deviations there; besides it, only block-sized temporaries."""
+        n = 200_000
+        e = sample_ensemble(ruby_params(), "H1", seed=0, n=n)
+        tracemalloc.start()
+        try:
+            statistic(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * n <= peak <= 8 * n + 3 * 8 * SAMPLE_BLOCK

@@ -517,15 +517,25 @@ class TestMomentSeries:
             direct = math.fsum(bd.beta ** 2 / np.abs(u + det) ** 2)
             assert abs(_detuned_norm_sum(u, bd) - direct) <= 1e-13 * direct
 
-    def test_maxwell_component_at_roots(self):
-        e = _desk(10, seed=13)
-        bd = assemble_blocks(e, DESK_KAPPA)
+    @pytest.mark.parametrize("n,seed,pump", [(10, 13, 1.0)] + [
+        (100, seed, pump) for seed in (21, 22) for pump in (1.0, 1e2, 1e3, 1e4)])
+    def test_maxwell_component_at_roots(self, n, seed, pump):
+        """At each collective root of the verdict, its Maxwell component is
+        the back-substituted eigenvector's and the dense eigenvector's, and
+        that eigenvector solves the dense eigenproblem to roundoff.  At x1e4
+        two roots lie 2.4e-6 apart, which costs the vector about 1e-13."""
+        bd = assemble_blocks(_desk(n, seed=seed), DESK_KAPPA).with_pump_factor(pump)
+        full = assemble_full(bd)
+        vals, vecs = np.linalg.eig(full)
         report = resonance_verdict(bd)
         checked = 0
         for mu, comp in zip(report.multipliers, report.maxwell_components):
             if np.isfinite(comp):
                 vec = eigvec_back_substitute(mu, bd)
-                assert abs(comp - np.linalg.norm(vec[:2])) <= 1e-13 * comp
+                assert abs(comp - np.linalg.norm(vec[:2])) <= 1e-12 * comp
+                assert np.linalg.norm(full @ vec - mu * vec) <= 1e-13
+                dense = vecs[:, np.argmin(np.abs(vals - mu))]
+                assert abs(comp - np.linalg.norm(dense[:2]) / np.linalg.norm(dense)) <= 1e-10 * comp
                 checked += 1
         assert checked == 4
 

@@ -2,9 +2,10 @@
 
 Writes two dimensionless desk configs (the perfbench coupling scales with
 N = 40 and N = 300, seed 7, S rescaled to 1e-5), a third at N = 40 with S
-rescaled to 1e-3, a fourth at N = 600 with kappa = 0 and S = 2.25 and a
-fifth at N = 30 000 for `ensemble` alone, runs
-the subcommands below in this process through
+rescaled to 1e-3, a fourth at N = 600 with kappa = 0 and S = 2.25, a fifth
+at N = 30 000 for `ensemble` alone and a sixth at N = 40 with S = 1 and the
+pump at x1e4 for `spectrum` alone, runs the subcommands below in this
+process through
 `mblaser.cli.main`, and prints ``sha256  name`` per output; `verify-all`
 writes its runtimes to stderr, so its stdout is hashed as it is.  One more
 output, ``refusals.txt``, holds the exit code and stderr of each run in
@@ -90,6 +91,15 @@ REFUSED = [
 ]
 
 
+def _config(n, s, kappa, keys=None) -> str:
+    """CONFIG at N = ``n``, S rescaled to ``s`` and ``kappa``, with the
+    [dimensionless] keys in ``keys`` set to their values."""
+    text = CONFIG.format(n=n, s=s, kappa=kappa)
+    for key, value in (keys or {}).items():
+        text = re.sub(f"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
 def _run(main, argv, out=None) -> str:
     """Run one CLI call; return its stdout, and fail on a nonzero exit
     unless it is `verify-all` naming a failing criterion (exit 3)."""
@@ -108,7 +118,7 @@ def digests(outdir: Path):
     sources = {}
     for n in (40, 300):
         path = outdir / f"n{n}.cfg"
-        path.write_text(CONFIG.format(n=n, s="1e-5", kappa="1e-7"), encoding="utf-8")
+        path.write_text(_config(n, "1e-5", "1e-7"), encoding="utf-8")
         sources[f"n{n}"] = ["--config", str(path)]
     sources["paper"] = ["--paper-constants", "--seed", "7"]
 
@@ -120,7 +130,7 @@ def digests(outdir: Path):
     # S = 1e-3, where the blocks' S dependence beyond first order decides
     # the verdict: the spectral outputs only
     path = outdir / "n40-s1e-3.cfg"
-    path.write_text(CONFIG.format(n=40, s="1e-3", kappa="1e-7"), encoding="utf-8")
+    path.write_text(_config(40, "1e-3", "1e-7"), encoding="utf-8")
     for suffix, argv in PER_SOURCE:
         if argv[0] in ("spectrum", "threshold-scan"):
             names.append(f"n40-s1e-3.{suffix}")
@@ -129,15 +139,22 @@ def digests(outdir: Path):
     # double root at mu = -1); N = 600 is above the dense cap, so the
     # polynomial route alone gives the verdict
     path = outdir / "n600-k0-s2.25.cfg"
-    path.write_text(CONFIG.format(n=600, s="2.25", kappa="0"), encoding="utf-8")
+    path.write_text(_config(600, "2.25", "0"), encoding="utf-8")
     names.append("n600-k0-s2.25.spectrum.json")
+    _run(main, ["spectrum", "--config", str(path)], outdir / names[-1])
+    # S = 1 with the pump at x1e4 of the desk value, where the verdict reads
+    # resonance: true on a collective max|mu| - 1 of about 1.3e-5
+    path = outdir / "n40-s1-pump1e4.cfg"
+    path.write_text(_config(40, "1", "1e-7", {"gamma_scale": "2.148499210110585e-03"}),
+                    encoding="utf-8")
+    names.append("n40-s1-pump1e4.spectrum.json")
     _run(main, ["spectrum", "--config", str(path)], outdir / names[-1])
     names.append("n40.ensemble.csv")
     _run(main, ["ensemble"] + sources["n40"], outdir / names[-1])
     # N = 30 000 spans four of the sampler's blocks of 8192 molecules, the
     # last one short
     path = outdir / "n30000.cfg"
-    path.write_text(CONFIG.format(n=30000, s="1e-5", kappa="1e-7"), encoding="utf-8")
+    path.write_text(_config(30000, "1e-5", "1e-7"), encoding="utf-8")
     names.append("n30000.ensemble.json")
     _run(main, ["ensemble", "--config", str(path)], outdir / names[-1])
 
@@ -159,10 +176,7 @@ def _refusals(main, outdir: Path) -> str:
     path = outdir / "refused.cfg"
     blocks = []
     for s, kappa, keys, argv in REFUSED:
-        text = CONFIG.format(n=40, s=s, kappa=kappa)
-        for key, value in keys.items():
-            text = re.sub(f"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
-        path.write_text(text, encoding="utf-8")
+        path.write_text(_config(40, s, kappa, keys), encoding="utf-8")
         settings = ", ".join(f"{key} = {value}" for key, value in keys.items())
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
