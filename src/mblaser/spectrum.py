@@ -304,14 +304,16 @@ def assemble_full(bd: BlockDifferential) -> np.ndarray:
 def _detuned_sum(u: complex, bd: BlockDifferential) -> complex:
     """sum_n alpha_n beta_n / (u + delta_n): the Laurent series in the moments
     where it converges to roundoff, else the direct per-molecule sum.  The
-    k = 0 term is S itself, the sum M uses."""
-    x = -bd.detuning_max / u
-    if abs(x) <= SERIES_RADIUS:
-        return complex((bd.S + x * np.polyval(bd.moments.ab[:0:-1], x)) / u)
-    det = bd.gamma_detuning()
-    if np.any(np.abs(u + det) < 1e-13):
-        raise NumericsError("mu sits on a pole of the resolvent sums")
-    return complex(np.sum(bd.alpha * bd.beta / (u + det)))
+    k = 0 term is S itself, the sum M uses.  A u within 1e-13 of a pole of
+    the resolvent sums R, 0 (S/u) or some -delta_n, is refused."""
+    if not abs(u) < 1e-13:
+        x = -bd.detuning_max / u
+        if abs(x) <= SERIES_RADIUS:
+            return complex((bd.S + x * np.polyval(bd.moments.ab[:0:-1], x)) / u)
+        det = bd.gamma_detuning()
+        if not np.any(np.abs(u + det) < 1e-13):
+            return complex(np.sum(bd.alpha * bd.beta / (u + det)))
+    raise NumericsError("mu sits on a pole of the resolvent sums")
 
 
 def _detuned_norm_sum(u: complex, bd: BlockDifferential) -> float:
@@ -336,9 +338,8 @@ def _detuned_norm_sum(u: complex, bd: BlockDifferential) -> float:
 def _resolvent_sums(mu: complex, bd: BlockDifferential) -> np.ndarray:
     """R(mu) = sum_n alpha_n beta_n (mu - D_n)^{-1}, a diagonal 2x2."""
     u = mu - 1.0
-    if abs(u) < 1e-13:
-        raise NumericsError("mu sits on a pole of the resolvent sums")
-    return np.array([[bd.S / u, 0.0], [0.0, _detuned_sum(u, bd)]], dtype=complex)
+    r = _detuned_sum(u, bd)   # refuses mu on a pole
+    return np.array([[bd.S / u, 0.0], [0.0, r]], dtype=complex)
 
 
 def reduced_matrix(mu: complex, bd: BlockDifferential) -> np.ndarray:
@@ -361,6 +362,13 @@ def _collective_block(bd: BlockDifferential, rho: complex) -> np.ndarray:
     T = (bd.propagator[:4, :4] - np.eye(4)).astype(np.result_type(rho))
     T[3, 3] -= rho
     return T
+
+
+def _rho(u: complex, bd: BlockDifferential) -> complex:
+    """rho = S/r(u) - u, at which u is an eigenvalue of T(rho); 0 at S = 0,
+    as rho-bar.  `_detuned_sum` refuses a u on a pole."""
+    r = _detuned_sum(u, bd)
+    return bd.S / r - u if bd.S else 0.0
 
 
 def _mean_detuning(bd: BlockDifferential) -> float:
@@ -435,17 +443,13 @@ def eigvec_back_substitute(mu: complex, bd: BlockDifferential) -> np.ndarray:
     """Unit eigenvector of the block matrix at a collective root mu, built as
     the verdict builds it.
 
-    With u = mu - 1 and rho = S/r(u) - u (0 at S = 0), (f, Y) is the null
-    vector of T(rho) - u I; a mu at which that 4x4 is not singular to
-    _NULL_TOL is refused.  The field part is f/|f| and molecule n's part is
-    (mu - D_n)^{-1} beta_n rhs = beta_n (rhs_0/u, rhs_1/(u + delta_n)), with
-    rhs from `_field_drive`.  f never vanishes: T's rows (a, b) give Vb Y = 0
-    at f = 0, and Vb is invertible (`_period_propagator`)."""
+    With u = mu - 1, (f, Y) is the null vector of T(rho) - u I at rho =
+    `_rho`(u); a mu at which it is not singular to _NULL_TOL is refused.  The
+    field part is f/|f| and molecule n's is (mu - D_n)^{-1} beta_n rhs =
+    beta_n (rhs_0/u, rhs_1/(u + delta_n)), rhs from `_field_drive`.  f never
+    vanishes: at f = 0 T's rows (a, b) give Vb Y = 0, and Vb is invertible."""
     u = mu - 1.0
-    if abs(u) < 1e-13:
-        raise NumericsError("mu sits on a pole of the resolvent sums")
-    rho = bd.S / _detuned_sum(u, bd) - u if bd.S else 0.0
-    _, sing, vh = np.linalg.svd(_collective_block(bd, rho) - u * np.eye(4))
+    _, sing, vh = np.linalg.svd(_collective_block(bd, _rho(u, bd)) - u * np.eye(4))
     if sing[3] > _NULL_TOL * max(sing[0], 1e-30):
         raise NumericsError(f"mu = {mu} is not an eigenvalue: T(rho) - u I well conditioned")
     f_y = vh[3].conj()
@@ -504,7 +508,7 @@ def _fixed_point(u: complex, vec: np.ndarray, bd: BlockDifferential):
     if bd.S == 0.0 or bd.detuning_max == 0.0:
         return u, vec
     for _ in range(_FIXED_POINT_STEPS):
-        T = _collective_block(bd, bd.S / _detuned_sum(u, bd) - u)
+        T = _collective_block(bd, _rho(u, bd))
         vals, vecs = np.linalg.eig(T)
         i = np.argmin(np.abs(vals - u))
         step, u, vec = abs(vals[i] - u), vals[i], vecs[:, i]
